@@ -8,15 +8,22 @@ all four sign outcomes.  Three routes answer it:
 
 * :func:`chsh_check` evaluates the eight CHSH-type inequalities in both
   their pair form and their singles form;
-* :func:`reconstruct_jpd` builds a joint distribution constructively,
-  choosing three of the seven free entries from Fourier-Motzkin
-  projection intervals and the remaining four from nested closed-form
-  intervals;
-* :func:`feasibility_oracle` decides feasibility by exact rational
-  elimination over the full system.
+* :func:`reconstruct_jpd` builds a joint distribution in floats;
+* :func:`feasibility_oracle` decides and builds one in exact arithmetic.
 
-For consistent tables the three routes agree: the inequalities hold
-exactly when a joint distribution exists.
+The last two share one system: nonnegativity of the sixteen joint entries
+over seven free ones, with constants linear in the pair values.  Its
+Fourier-Motzkin elimination runs once, at import, on integer coefficient
+vectors over the pair values (``_SYSTEMS``).  A table is decided by
+evaluating the final rows on its pair values and extended by
+back-substitution; the routes differ only in those values (the table's
+floats, or a rational surrogate scaled to integers).  ``chsh_check``
+never reads the compiled system, so the routes still check each other.
+
+One rule decides on every route: a table is feasible when no inequality
+is violated by more than ``DECISION_TOL``; the exact route applies it in
+exact arithmetic.  By Fine's theorem (A. Fine, PRL 48, 291 (1982)) the
+eight CHSH-type inequalities and nonnegativity are the whole system.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -57,7 +65,8 @@ MARGINAL_TOL = 1e-9
 # marginal inconsistency exceeds this; below it the answers of the three
 # routes are comparable.
 CONSISTENCY_GATE = 1e-6
-# Tolerance on inequality and feasibility decisions made in floats.
+# Tolerance on the inequality and feasibility decisions of all three
+# routes; the exact route applies it in exact arithmetic.
 DECISION_TOL = 1e-9
 # Denominator bound used when rationalizing a table for exact elimination.
 RATIONAL_DENOMINATOR = 10**9
@@ -373,100 +382,98 @@ DEPENDENT_OUTCOMES = {
 _ELIMINATION_ORDER = (4, 5, 6, 0, 3, 2, 1)
 
 
-def _build_system(pair_value, zero) -> list:
+def _build_system() -> list:
     """Nonnegativity of all 16 entries as rows over the 7 free entries.
 
-    ``zero`` fixes the arithmetic (0.0 for floats, Fraction(0) for exact
-    elimination); ``pair_value`` maps a signed key pair to a constant.
+    Rows follow ``FREE_OUTCOMES`` then ``DEPENDENT_OUTCOMES``; each row's
+    constant is the integer vector of its coefficients on the pair values,
+    in ``PAIR_KEYS`` order.
     """
-    rows = []
-    for index in range(7):
-        coeffs = tuple(1 if i == index else 0 for i in range(7))
-        rows.append((zero, coeffs))
+    none = (0,) * len(PAIR_KEYS)
+    rows = [(none, tuple(int(i == index) for i in range(7))) for index in range(7)]
     for terms, coeffs in DEPENDENT_OUTCOMES.values():
-        const = zero
+        const = [0] * len(PAIR_KEYS)
         for key, sign in terms:
-            const = const + sign * pair_value(key)
-        rows.append((const, coeffs))
+            const[PAIR_KEYS.index(key)] += sign
+        rows.append((tuple(const), coeffs))
     return rows
 
 
-def _dependent_value(outcome, pair_value, free_values):
-    terms, coeffs = DEPENDENT_OUTCOMES[outcome]
-    value = None
-    for key, sign in terms:
-        term = sign * pair_value(key)
-        value = term if value is None else value + term
-    for idx, coeff in enumerate(coeffs):
-        if coeff != 0:
-            value = value + coeff * free_values[idx]
-    return value
+_ENTRY_ROWS = _build_system()
+_ENTRY_CONSTS = np.array([const for const, _ in _ENTRY_ROWS], dtype=np.int64)
+_ENTRY_INDICES = [
+    tuple(_SIGN_INDEX[s] for s in outcome)
+    for outcome in FREE_OUTCOMES + tuple(DEPENDENT_OUTCOMES)
+]
 
 
-def _assemble_jpd(pair_value, free_values) -> np.ndarray:
+def _compile_systems() -> tuple:
+    """Eliminate the free entries once, for every table at the same time.
+
+    Returns, for each elimination step, the rows of the system before it
+    that bound the variable it eliminates (the only rows back-substitution
+    reads), then the final constant rows.  Each system is sorted by
+    coefficients and stored as its constants (an integer matrix acting on
+    the pair values), the first row of each run of equal coefficients,
+    and those coefficients: within a run only the smallest constant binds.
+    """
+    systems = fme.project(_ENTRY_ROWS, _ELIMINATION_ORDER)
+    bounding = [
+        [row for row in system if row[1][index] != 0]
+        for system, index in zip(systems, _ELIMINATION_ORDER)
+    ]
+    compiled = []
+    for rows in bounding + [systems[-1]]:
+        rows = sorted(rows, key=lambda row: row[1])
+        coeffs = [row[1] for row in rows]
+        starts = [n for n, c in enumerate(coeffs) if n == 0 or c != coeffs[n - 1]]
+        matrix = np.array([const for const, _ in rows], dtype=np.int64)
+        compiled.append((matrix, starts, [coeffs[n] for n in starts]))
+    return tuple(compiled)
+
+
+_SYSTEMS = _compile_systems()
+
+
+def _joint_entries(pair_values: np.ndarray, scale, number) -> np.ndarray | None:
+    """Joint distribution extending the pair values, or None if there is none.
+
+    ``pair_values`` holds the pair values times ``scale``, in ``PAIR_KEYS``
+    order: floats with ``scale=1, number=float``, or integers with
+    ``number=Fraction`` for exact arithmetic.  None means some row of the
+    last compiled system falls below ``-DECISION_TOL``; back-substitution
+    tolerates the same slack.
+    """
+    slack = number(DECISION_TOL) * scale
+    consts = [
+        np.minimum.reduceat(matrix @ pair_values, starts).tolist()
+        for matrix, starts, _ in _SYSTEMS
+    ]
+    if consts[-1][0] < -slack:
+        return None
+    systems = [list(zip(map(number, c), coeffs)) for c, (*_, coeffs) in zip(consts, _SYSTEMS)]
+    assignment = fme.back_substitute(systems, _ELIMINATION_ORDER, slack)
+    free = [assignment[i] for i in range(7)]
     values = np.zeros((2, 2, 2, 2))
-    for idx, outcome in enumerate(FREE_OUTCOMES):
-        values[tuple(_SIGN_INDEX[s] for s in outcome)] = float(free_values[idx])
-    for outcome in DEPENDENT_OUTCOMES:
-        values[tuple(_SIGN_INDEX[s] for s in outcome)] = float(
-            _dependent_value(outcome, pair_value, free_values)
-        )
+    base = (_ENTRY_CONSTS @ pair_values).tolist()
+    for index, value, (_, coeffs) in zip(_ENTRY_INDICES, base, _ENTRY_ROWS):
+        values[index] = (value + sum(c * x for c, x in zip(coeffs, free) if c != 0)) / scale
     return values
-
-
-def _midpoint(lower, upper, slack_tol):
-    if lower is None and upper is None:
-        return 0.0
-    if lower is None:
-        return min(upper, 0.0)
-    if upper is None:
-        return max(lower, 0.0)
-    if lower > upper and lower - upper > slack_tol:
-        raise ArithmeticError(f"empty interval [{lower}, {upper}]")
-    return (lower + upper) / 2
 
 
 def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     """Constructively extend a table to a joint distribution, if one exists.
 
-    The seven free entries are chosen one at a time: three of them at
-    midpoints of Fourier-Motzkin projection intervals, the remaining four
-    from the nested closed-form intervals the nonnegativity system leaves
-    once the first three are fixed.  Returns an infeasibility witness (a
-    violated CHSH inequality) when the elimination closes the system.
+    Works in floats on the table's own pair values: the compiled system
+    decides feasibility, and back-substitution picks each of the seven
+    free entries at the midpoint of its interval.  Returns an
+    infeasibility witness (the most violated CHSH inequality) when some
+    compiled row is violated by more than ``DECISION_TOL``.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    rows = _build_system(lambda key: table.pair(*key), 0.0)
-    systems = fme.project(rows, _ELIMINATION_ORDER)
-    if fme.constant_infeasibility(systems[-1]) > DECISION_TOL:
+    entries = _joint_entries(np.array([table.pair(*key) for key in PAIR_KEYS]), 1, float)
+    if entries is None:
         return FeasibilityResult(False, None, find_witness(table), "interval-reconstruction")
-
-    values: dict[int, float] = {}
-    for step in (6, 5, 4):  # assigns free entries 1, 2, 3 in that order
-        index = _ELIMINATION_ORDER[step]
-        lower, upper = fme.variable_interval(systems[step], index, values)
-        values[index] = _midpoint(lower, upper, DECISION_TOL)
-
-    p = table.pair
-    b, c, d = values[1], values[2], values[3]
-    # Nested intervals for the remaining entries: bounds on (a + e),
-    # (a + k) and (p - a) read off the nonnegativity of the dependent
-    # entries, intersected with nonnegativity of a, e, k, p themselves.
-    lower_ae = p(1, 4) - p(1, -3) + d
-    upper_ae = min(p(1, 3) - b, p(1, 4) - c)
-    lower_ak = p(2, 4) - p(2, -3) + d
-    upper_ak = min(p(2, 3) - b, p(2, 4) - c)
-    lower_pa = p(1, -3) + p(-1, 4) - p(-2, -3) - p(2, 4) - d
-    upper_pa = min(p(-1, 3) - p(2, 3) + b, p(-1, 4) - p(2, 4) + c)
-
-    first = _midpoint(max(0.0, -upper_pa), min(upper_ae, upper_ak), DECISION_TOL)
-    values[0] = first
-    values[4] = _midpoint(max(0.0, lower_ae - first), upper_ae - first, DECISION_TOL)
-    values[5] = _midpoint(max(0.0, lower_ak - first), upper_ak - first, DECISION_TOL)
-    values[6] = _midpoint(max(0.0, first + lower_pa), first + upper_pa, DECISION_TOL)
-
-    free = [values[i] for i in range(7)]
-    entries = _assemble_jpd(lambda key: table.pair(*key), free)
     # Interval midpoints can sit a rounding error below zero at
     # degenerate vertices; that is within the distribution tolerance.
     jpd = Jpd4(np.clip(entries, -RANGE_TOL, None))
@@ -496,25 +503,27 @@ def _rationalized_pair_values(table: ProbabilityTable) -> dict:
 
 
 def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
-    """Decide joint-distribution feasibility by exact rational elimination.
+    """Decide joint-distribution feasibility in exact rational arithmetic.
 
     The table is replaced by an exactly consistent rational surrogate
-    (denominators bounded by ``RATIONAL_DENOMINATOR``); Fourier-Motzkin
-    elimination over the seven free entries then decides feasibility
-    without rounding, and back-substitution returns an explicit joint
+    (denominators bounded by ``RATIONAL_DENOMINATOR``), scaled to
+    integers over a common denominator.  The compiled system decides
+    feasibility without rounding, with the same ``DECISION_TOL`` as the
+    float routes, and back-substitution returns an explicit joint
     distribution in the feasible case.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
     rational_pairs = _rationalized_pair_values(table)
-    rows = _build_system(rational_pairs.__getitem__, Fraction(0))
-    systems = fme.project(rows, _ELIMINATION_ORDER)
-    if fme.constant_infeasibility(systems[-1]) > 0:
+    scale = lcm(*(value.denominator for value in rational_pairs.values()))
+    numerators = [
+        rational_pairs[key].numerator * (scale // rational_pairs[key].denominator)
+        for key in PAIR_KEYS
+    ]
+    entries = _joint_entries(np.array(numerators, dtype=object), scale, Fraction)
+    if entries is None:
         return FeasibilityResult(False, None, find_witness(table), "exact-elimination")
-    assignment = fme.back_substitute(systems, _ELIMINATION_ORDER)
-    free = [assignment[i] for i in range(7)]
-    entries = _assemble_jpd(rational_pairs.__getitem__, free)
-    jpd = Jpd4(np.clip(entries, 0.0, None))
-    return FeasibilityResult(True, jpd, None, "exact-elimination")
+    # A table feasible only within DECISION_TOL leaves entries that far below zero.
+    return FeasibilityResult(True, Jpd4(np.clip(entries, 0.0, None)), None, "exact-elimination")
 
 
 def table_from_quantum(state, config: BellConfiguration) -> ProbabilityTable:

@@ -1,24 +1,30 @@
-"""Fourier-Motzkin elimination for small linear inequality systems.
+"""Fourier-Motzkin elimination with parametric constants.
 
 A row ``(const, coeffs)`` encodes the inequality ``const + coeffs . x >= 0``.
-Variables are eliminated by cross-multiplying rows with opposite signs on
-the target coefficient, so no division is introduced and the routines run
-unchanged on floats (fast, approximate constants) and on
-``fractions.Fraction`` (exact).  The systems produced along an elimination
-order support interval back-substitution: assigning the variables in
-reverse order, each one picked from the interval its recorded system
-allows, always lands inside the feasible region when one exists.
+
+:func:`eliminate_variable` and :func:`project` work on integer rows whose
+constant is itself a vector: the integer coefficients of the constant on a
+list of parameters.  A variable is eliminated by adding positive integer
+multiples of rows with opposite signs on it, so rows stay integer, and
+exact duplicates are dropped.  Rows are never rescaled or compared on
+parameter values, so one projection serves every value of the
+parameters: a derived constant evaluated on some values equals the
+constant that eliminating with those values would give.
+
+:func:`variable_interval` and :func:`back_substitute` work on evaluated
+rows, whose constants are numbers (floats, or ``fractions.Fraction`` for
+exact arithmetic).  The systems produced along an elimination order
+support interval back-substitution: assigning the variables in reverse
+order, each one picked from the interval its recorded system allows,
+always lands inside the feasible region when one exists.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 __all__ = [
     "Row",
     "eliminate_variable",
     "project",
-    "constant_infeasibility",
     "variable_interval",
     "back_substitute",
 ]
@@ -26,28 +32,12 @@ __all__ = [
 Row = tuple  # (const, tuple of coefficients)
 
 
-def _normalize(const, coeffs):
-    """Divide a row by the gcd of its (integer-valued) coefficients."""
-    ints = []
-    for c in coeffs:
-        rounded = round(c)
-        if c != rounded:
-            return const, tuple(coeffs)
-        ints.append(abs(int(rounded)))
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        const = const / g
-        coeffs = tuple(c / g for c in coeffs)
-    return const, tuple(coeffs)
-
-
 def eliminate_variable(rows, index: int):
     """Project the system onto the hyperplane without variable ``index``.
 
-    Returns the reduced rows; rows whose coefficients are all zero are
-    kept (their constants witness feasibility or its failure).
+    Rows are integer, with vector constants.  Returns the reduced rows
+    without exact duplicates; rows whose coefficients are all zero are
+    kept (they constrain the parameters alone).
     """
     kept, lower, upper = [], [], []
     for const, coeffs in rows:
@@ -62,18 +52,10 @@ def eliminate_variable(rows, index: int):
         for uc, uco in upper:
             a = lco[index]        # > 0
             b = -uco[index]       # > 0
-            const = b * lc + a * uc
+            const = tuple(b * x + a * y for x, y in zip(lc, uc))
             coeffs = tuple(b * x + a * y for x, y in zip(lco, uco))
-            kept.append(_normalize(const, coeffs))
-    # Deduplicate by coefficient vector, keeping the tightest constant:
-    # for identical coefficients the row with the smaller constant implies
-    # the others.
-    best: dict[tuple, object] = {}
-    for const, coeffs in kept:
-        key = coeffs
-        if key not in best or const < best[key]:
-            best[key] = const
-    return [(const, coeffs) for coeffs, const in ((k, v) for k, v in best.items())]
+            kept.append((const, coeffs))
+    return list(dict.fromkeys(kept))
 
 
 def project(rows, order):
@@ -88,19 +70,6 @@ def project(rows, order):
         current = eliminate_variable(current, index)
         systems.append(current)
     return systems
-
-
-def constant_infeasibility(rows):
-    """Largest violation among constant rows; positive means infeasible."""
-    worst = None
-    for const, coeffs in rows:
-        if all(c == 0 for c in coeffs):
-            violation = -const
-            if worst is None or violation > worst:
-                worst = violation
-    if worst is None:
-        return -1  # no constant rows: vacuously feasible
-    return worst
 
 
 def variable_interval(rows, index: int, values: dict):
@@ -132,10 +101,10 @@ def variable_interval(rows, index: int, values: dict):
 def back_substitute(systems, order, slack_tol=0):
     """Assign midpoint values for the eliminated variables, in reverse order.
 
-    ``systems`` must come from :func:`project` with the same ``order``.
-    Interval endpoints crossing by more than ``slack_tol`` raise; smaller
-    inversions are rounding noise at degenerate vertices and collapse to
-    the crossing point.
+    ``systems`` are the evaluated systems of :func:`project` with the same
+    ``order``.  Interval endpoints crossing by more than ``slack_tol``
+    raise; smaller inversions (rounding noise at degenerate vertices, or
+    violations the caller tolerates) collapse to the crossing point.
     """
     values: dict[int, object] = {}
     for step in range(len(order) - 1, -1, -1):

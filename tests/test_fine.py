@@ -1,11 +1,23 @@
 import itertools
 import json
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unsharp_bell import fine, fme
 from unsharp_bell.bell import coplanar_configuration, singlet_state
 from unsharp_bell.fine import (
+    _ELIMINATION_ORDER,
+    _SYSTEMS,
+    _rationalized_pair_values,
+    BELL_PAIR_FORMS,
+    DECISION_TOL,
+    DEPENDENT_OUTCOMES,
+    FREE_OUTCOMES,
     PAIR_KEYS,
     SINGLE_KEYS,
     Jpd4,
@@ -289,3 +301,162 @@ def test_quantum_table_matches_born_rule(rng):
     effect_3 = unsharp_effect(config.axes[2], 0.9)
     want = expectation(state, np.kron(effect_1, effect_3))
     np.testing.assert_allclose(table.pair(1, 3), want, atol=1e-12)
+
+
+def roundtrip_deviation(table, result):
+    return table_deviation(marginals(result.jpd), table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zero_pairs=st.lists(
+        st.tuples(st.sampled_from((0, 1)), st.sampled_from((2, 3)),
+                  st.sampled_from((0, 1)), st.sampled_from((0, 1))),
+        max_size=3,
+    ),
+    runs=st.one_of(st.none(), st.integers(min_value=8, max_value=64)),
+)
+def test_routes_agree_on_zero_and_count_tables(seed, zero_pairs, runs):
+    # Tables of a joint distribution with zero pair probabilities (all
+    # four entries under one sign pair set to zero), optionally as
+    # frequencies k/N of N runs: feasible by construction, and every
+    # route must say so although float sums leave zeros at about -1e-17.
+    rng = np.random.default_rng(seed)
+    weights = rng.random((2, 2, 2, 2)) ** 3
+    for slot_i, slot_j, sign_i, sign_j in zero_pairs:
+        block = [slice(None)] * 4
+        block[slot_i], block[slot_j] = sign_i, sign_j
+        weights[tuple(block)] = 0.0
+    if runs is not None:
+        weights = rng.multinomial(runs, (weights / weights.sum()).ravel()).reshape(2, 2, 2, 2)
+    table = marginals(Jpd4(weights / weights.sum()))
+    assert chsh_check(table).all_hold
+    for result in (reconstruct_jpd(table), feasibility_oracle(table)):
+        assert result.feasible, result.method
+        # The exact route's surrogate moves entries below 1e-9 (denominators
+        # up to RATIONAL_DENOMINATOR), so hold both routes to the battery's bound.
+        assert roundtrip_deviation(table, result) <= 1e-8
+
+
+def test_routes_agree_next_to_the_chsh_boundary():
+    # At sharpness 2^(-1/4) the optimal singlet table puts a CHSH form at
+    # 1; it moves past 1 by about eps at sharpness 2^(-1/4) (1 + eps).
+    # Inside DECISION_TOL every route says feasible, beyond it none does.
+    threshold = 2 ** -0.25
+    for eps in (-1e-7, -2e-9, -5e-10, -1e-10, 0.0, 1e-10, 5e-10, 2e-9, 1e-7):
+        config = coplanar_configuration(threshold * (1 + eps), np.pi / 4)
+        table = table_from_quantum(singlet_state(), config)
+        holds = chsh_check(table).all_hold
+        assert holds == (eps < DECISION_TOL)
+        for result in (reconstruct_jpd(table), feasibility_oracle(table)):
+            assert result.feasible == holds, result.method
+            if holds:
+                assert roundtrip_deviation(table, result) <= 1e-8
+
+
+def pair_polytope(with_bell: bool):
+    """Consistent pair tables (nonnegative, normalized), optionally within Fine's bounds.
+
+    Returns (A_ub, b_ub, A_eq, b_eq) over the pair values in PAIR_KEYS order.
+    """
+    column = {key: n for n, key in enumerate(PAIR_KEYS)}
+
+    def row(terms):
+        out = np.zeros(len(PAIR_KEYS))
+        for key, sign in terms:
+            out[column[key]] += sign
+        return out
+
+    equalities, totals = [], []
+    for i in (1, -1, 2, -2):
+        equalities.append(row([((i, 3), 1), ((i, -3), 1), ((i, 4), -1), ((i, -4), -1)]))
+        totals.append(0.0)
+    for j in (3, -3, 4, -4):
+        equalities.append(row([((1, j), 1), ((-1, j), 1), ((2, j), -1), ((-2, j), -1)]))
+        totals.append(0.0)
+    for i, j in itertools.product((1, 2), (3, 4)):
+        equalities.append(row([((i, j), 1), ((i, -j), 1), ((-i, j), 1), ((-i, -j), 1)]))
+        totals.append(1.0)
+    bounds, limits = [], []
+    if with_bell:
+        for form in BELL_PAIR_FORMS:
+            bounds += [-row(form), row(form)]  # 0 <= S <= 1
+            limits += [0.0, 1.0]
+    return (np.array(bounds) if bounds else None, limits or None,
+            np.array(equalities), totals)
+
+
+def test_compiled_system_is_fines_theorem():
+    # Every final compiled row is implied by the eight CHSH-type bounds
+    # plus nonnegativity and consistency (so the compiled system decides
+    # exactly Fine's condition), and exactly eight rows need those bounds.
+    from scipy.optimize import linprog
+
+    def minima(with_bell):
+        a_ub, b_ub, a_eq, b_eq = pair_polytope(with_bell)
+        found = []
+        for objective in _SYSTEMS[-1][0]:
+            res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          bounds=[(0, None)] * len(PAIR_KEYS), method="highs")
+            assert res.status == 0
+            found.append(res.fun)
+        return np.array(found)
+
+    systems = fme.project(fine._build_system(), _ELIMINATION_ORDER)
+    assert [len(system) for system in systems] == [16, 16, 16, 16, 21, 26, 51, 110]
+    assert _SYSTEMS[-1][0].shape == (110, len(PAIR_KEYS))
+    assert minima(with_bell=True).min() >= -1e-12
+    assert int(np.sum(minima(with_bell=False) < -1e-9)) == 8
+
+
+def reference_exact_jpd(table):
+    """The exact route as per-table elimination over the table's own rational rows."""
+    pairs = _rationalized_pair_values(table)
+    scale = lcm(*(value.denominator for value in pairs.values()))
+    rows = [((0,), tuple(int(i == k) for i in range(7))) for k in range(7)]
+    for terms, coeffs in DEPENDENT_OUTCOMES.values():
+        const = sum(sign * pairs[key] for key, sign in terms)
+        rows.append(((int(const * scale),), coeffs))
+    systems = [
+        [(Fraction(const[0], scale), coeffs) for const, coeffs in system]
+        for system in fme.project(rows, _ELIMINATION_ORDER)
+    ]
+    if min(const for const, _ in systems[-1]) < -Fraction(DECISION_TOL):
+        return None
+    free = fme.back_substitute(systems, _ELIMINATION_ORDER, Fraction(DECISION_TOL))
+    entries = {outcome: free[k] for k, outcome in enumerate(FREE_OUTCOMES)}
+    for outcome, (terms, coeffs) in DEPENDENT_OUTCOMES.items():
+        entries[outcome] = sum(sign * pairs[key] for key, sign in terms) + sum(
+            c * free[k] for k, c in enumerate(coeffs)
+        )
+    ordered = [entries[signs] for signs in itertools.product((1, -1), repeat=4)]
+    return np.array([max(float(value), 0.0) for value in ordered]).reshape(2, 2, 2, 2)
+
+
+def test_exact_route_matches_per_table_elimination(rng):
+    for trial in range(40):
+        if trial % 2 == 0:
+            table, _ = random_jpd_table(rng)
+        else:
+            config = coplanar_configuration(rng.uniform(0.8, 1.0), rng.uniform(0, np.pi / 2))
+            table = table_from_quantum(singlet_state(), config)
+        oracle = feasibility_oracle(table)
+        reference = reference_exact_jpd(table)
+        assert oracle.feasible == (reference is not None)
+        if reference is not None:
+            np.testing.assert_array_equal(oracle.jpd.values, reference)
+
+
+def test_requests_do_not_eliminate(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fourier-Motzkin elimination on a request")
+
+    monkeypatch.setattr(fme, "project", refuse)
+    monkeypatch.setattr(fme, "eliminate_variable", refuse)
+    feasible, _ = random_jpd_table(rng)
+    infeasible = table_from_quantum(singlet_state(), coplanar_configuration(1.0, np.pi / 4))
+    for table, want in ((feasible, True), (infeasible, False)):
+        assert chsh_check(table).all_hold is want
+        assert reconstruct_jpd(table).feasible is want
+        assert feasibility_oracle(table).feasible is want
