@@ -353,6 +353,22 @@ def _cmd_chart(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     results = run_all(args.seed)
+    passed = sum(1 for res in results if res.passed)
+    if args.format == "json":
+        checks = [
+            {
+                "name": res.name,
+                "passed": res.passed,
+                "seconds": res.seconds,
+                "deviation": res.deviation,
+                "tolerance": res.tolerance,
+                "headroom": res.tolerance / res.deviation if res.deviation > 0.0 else None,
+                "seed": args.seed,
+            }
+            for res in results
+        ]
+        _emit_json({"checks": checks, "passed": passed, "total": len(results)}, args.out)
+        return 0 if passed == len(results) else 1
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -360,7 +376,6 @@ def _cmd_verify_all(args) -> int:
             f"{status} {res.name}: max deviation {res.deviation:.3e} "
             f"(tolerance {res.tolerance:.1e}, {res.seconds:.2f}s)"
         )
-    passed = sum(1 for res in results if res.passed)
     lines.append(f"{passed}/{len(results)} checks passed (seed {args.seed})")
     _emit("\n".join(lines), args.out)
     return 0 if passed == len(results) else 1
@@ -463,18 +478,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every numeric check and report deviations")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     _add_out(p)
     p.set_defaults(func=_cmd_verify_all)
 
     return parser
 
 
+def _env_seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"UNSHARP_BELL_SEED must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and "UNSHARP_BELL_SEED" in os.environ:
-        args.seed = int(os.environ["UNSHARP_BELL_SEED"])
     try:
+        if hasattr(args, "seed") and "UNSHARP_BELL_SEED" in os.environ:
+            args.seed = _env_seed(os.environ["UNSHARP_BELL_SEED"])
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

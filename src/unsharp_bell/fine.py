@@ -141,13 +141,18 @@ class ProbabilityTable:
             raw_pairs = data["pairs"]
         except (KeyError, TypeError):
             raise TableError("table JSON needs 'singles' and 'pairs' objects") from None
+        if not isinstance(raw_singles, dict) or not isinstance(raw_pairs, dict):
+            raise TableError("table JSON 'singles' and 'pairs' must be objects")
         singles = {}
-        for key, value in raw_singles.items():
-            singles[int(key)] = float(value)
         pairs = {}
-        for key, value in raw_pairs.items():
-            i_text, j_text = key.split(",")
-            pairs[(int(i_text), int(j_text))] = float(value)
+        try:
+            for key, value in raw_singles.items():
+                singles[int(key)] = float(value)
+            for key, value in raw_pairs.items():
+                i_text, j_text = key.split(",")
+                pairs[(int(i_text), int(j_text))] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise TableError(f"malformed table JSON entry {key!r}: {exc}") from None
         return cls(singles, pairs).validate()
 
     def to_csv_text(self) -> str:

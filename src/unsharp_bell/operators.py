@@ -91,10 +91,19 @@ def check_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "operator"
 
 
 def pauli_dot(vec) -> np.ndarray:
-    """Contraction of a real 3-vector with the Pauli matrices."""
+    """Contraction of a real 3-vector with the Pauli matrices.
+
+    Broadcasts over leading axes: vectors of shape ``B + (3,)`` give
+    operators of shape ``B + (2, 2)``.  The contraction is elementwise, so
+    each entry of a batch equals the operator of its vector alone, bit
+    for bit.
+    """
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    if v.ndim > 1:
+        # Components of shape B + (1, 1), to broadcast against the matrices.
+        v = np.moveaxis(v, -1, 0)[..., None, None]
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 

@@ -14,6 +14,7 @@ system into a single 16-outcome observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .operators import I2, STRUCT_TOL, pauli_dot, tensor
 
 __all__ = [
     "PAIR_SHARPNESS_LIMIT",
+    "PAIR_OUTCOMES",
     "CoexistenceError",
     "UnsharpSpinObservable",
     "JointObservable",
@@ -43,6 +45,10 @@ PAIR_SHARPNESS_LIMIT = 1.0 / np.sqrt(2.0)
 # observable there has an exactly vanishing eigenvalue.
 MARGIN_TOL = 1e-12
 
+# Outcome order (s1, s2) of the stacked effects of a pair joint observable.
+PAIR_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_OUTCOME_SIGNS = np.array(PAIR_OUTCOMES, dtype=float)
+
 
 class CoexistenceError(ValueError):
     """Raised when a joint observable is requested for a non-coexistent pair."""
@@ -54,11 +60,14 @@ class CoexistenceError(ValueError):
 
 
 def unit_vector(vec) -> np.ndarray:
-    """Normalize a 3-vector; reject the zero vector."""
+    """Normalize a 3-vector; reject the zero vector and non-finite vectors."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):
+        # NaN or infinite components, or a norm beyond the float range.
+        raise ValueError(f"direction must be finite with a finite norm, got {v.tolist()}")
     if norm < 1e-12:
         raise ValueError("direction must be a nonzero vector")
     return v / norm
@@ -162,18 +171,25 @@ def pair_coexistent(sharpness: float, axis1, axis2) -> tuple[bool, float]:
     return margin >= -MARGIN_TOL, margin
 
 
-def _pair_effects(sharpness: float, n1: np.ndarray, n2: np.ndarray) -> dict:
-    effects = {}
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            u, v = s1 * n1, s2 * n2
-            # The cross term carries the squared sharpness: with it the
-            # smallest eigenvalue over the four outcomes vanishes exactly
-            # on the coexistence boundary, so positivity and coexistence
-            # agree pointwise rather than merely on the all-pairs regime.
-            weight = 1.0 + sharpness**2 * float(u @ v)
-            effects[(s1, s2)] = (weight * I2 + sharpness * pauli_dot(u + v)) / 4.0
-    return effects
+def _pair_effects(sharpness, n1, n2) -> np.ndarray:
+    """Effects of the pair joint observable, stacked in ``PAIR_OUTCOMES`` order.
+
+    Broadcasts over a batch: sharpness of shape ``B`` and unit axes of
+    shape ``B + (3,)`` give effects of shape ``B + (4, 2, 2)``.  Every step
+    acts on one batch entry at a time (the dot product is a per-entry
+    ``matmul``, the square a per-entry ``float_power``: the BLAS dot and
+    libm ``pow`` a lone entry gets), so each entry of a batch equals the
+    effects built for it alone, bit for bit.
+    """
+    s = np.asarray(sharpness, dtype=float)[..., None, None, None]
+    u = _OUTCOME_SIGNS[:, :1] * np.asarray(n1, dtype=float)[..., None, :]
+    v = _OUTCOME_SIGNS[:, 1:] * np.asarray(n2, dtype=float)[..., None, :]
+    # The cross term carries the squared sharpness: with it the smallest
+    # eigenvalue over the four outcomes vanishes exactly on the
+    # coexistence boundary, so positivity and coexistence agree pointwise
+    # rather than merely on the all-pairs regime.
+    weight = 1.0 + np.float_power(s, 2.0) * (u[..., None, :] @ v[..., :, None])
+    return (weight * I2 + s * pauli_dot(u + v)) / 4.0
 
 
 def joint_observable_pair(sharpness: float, axis1, axis2) -> JointObservable:
@@ -188,15 +204,14 @@ def joint_observable_pair(sharpness: float, axis1, axis2) -> JointObservable:
     coexistent, margin = pair_coexistent(sharpness, n1, n2)
     effects = _pair_effects(sharpness, n1, n2)
     if not coexistent:
-        stacked = np.stack(list(effects.values()))
-        min_eig = float(np.linalg.eigvalsh(stacked).min())
+        min_eig = float(np.linalg.eigvalsh(effects).min())
         raise CoexistenceError(
             f"axes are not coexistent at sharpness {sharpness} "
             f"(margin {margin:.6e}, minimum joint eigenvalue {min_eig:.6e})",
             margin,
             min_eig,
         )
-    return JointObservable(effects)
+    return JointObservable(dict(zip(PAIR_OUTCOMES, effects)))
 
 
 def quadruple_joint(sharpness: float, axis1, axis2, axis3, axis4) -> JointObservable:
@@ -218,10 +233,8 @@ def quadruple_joint(sharpness: float, axis1, axis2, axis3, axis4) -> JointObserv
     left = _pair_effects(sharpness, unit_vector(axis1), unit_vector(axis2))
     right = _pair_effects(sharpness, unit_vector(axis3), unit_vector(axis4))
     effects = {
-        (s1, s2, s3, s4): tensor(left[(s1, s2)], right[(s3, s4)])
-        for s1 in (+1, -1)
-        for s2 in (+1, -1)
-        for s3 in (+1, -1)
-        for s4 in (+1, -1)
+        outcome1 + outcome2: tensor(effect1, effect2)
+        for outcome1, effect1 in zip(PAIR_OUTCOMES, left)
+        for outcome2, effect2 in zip(PAIR_OUTCOMES, right)
     }
     return JointObservable(effects)

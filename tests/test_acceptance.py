@@ -6,6 +6,9 @@ the advertised tolerance.  The expensive sweeps run once per session
 through the cached ``run_all``.
 """
 
+import json
+import re
+
 import pytest
 
 from unsharp_bell import cli
@@ -96,3 +99,47 @@ def test_criterion_10_verify_all_cli(results, capsys, monkeypatch):
         assert any(name in line for line in lines), f"no line for {name}"
     assert all(line.startswith("PASS") for line in lines)
     assert code == 0
+
+
+# What each check must report having evaluated, as it appears in its detail.
+CHECK_SIZES = {
+    "coexistence-threshold": [r"over 40000 grid points", r"(\d+) spot checks"],
+    "cirelson-bound": [r"over 100000 configurations"],
+    "fine-equivalence": [r"^1000 tables"],
+    "singlet-formula": [r"over 1000 draws"],
+    "disturbance-bound": [r"^10000 accepted pairs"],
+    "chart-consistency": [
+        r"over 100 programmes",
+        r"on 100000 points",
+        r"under 100 boosts x 100 pairs",
+    ],
+}
+
+
+def test_check_sizes_are_pinned(results):
+    # a faster battery must not come from evaluating fewer points
+    for name, patterns in CHECK_SIZES.items():
+        for pattern in patterns:
+            assert re.search(pattern, results[name].detail), (name, pattern)
+    spots = int(re.search(r"(\d+) spot checks", results["coexistence-threshold"].detail)[1])
+    assert 0 < spots <= 500
+
+
+def test_verify_all_json_format(results, capsys, monkeypatch):
+    monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
+    code = cli.main(["verify-all", "--seed", str(DEFAULT_SEED), "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (data["passed"], data["total"]) == (len(CHECK_NAMES), len(CHECK_NAMES))
+    assert [check["name"] for check in data["checks"]] == list(CHECK_NAMES)
+    for check in data["checks"]:
+        result = results[check["name"]]
+        assert set(check) == {
+            "name", "passed", "seconds", "deviation", "tolerance", "headroom", "seed"
+        }
+        assert check["passed"] is True and check["seed"] == DEFAULT_SEED
+        assert check["deviation"] == result.deviation
+        if result.deviation == 0.0:
+            assert check["headroom"] is None
+        else:
+            assert check["headroom"] == result.tolerance / result.deviation

@@ -205,3 +205,29 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["coexistent"] is True
+
+
+def test_coexist_refuses_non_finite_axis(capsys):
+    code, out, err = run_cli(
+        capsys, "coexist", "--lambda", "0.5", "--n1", "1,0,nan", "--n2", "0,1,0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_non_integer_seed_variable_exit_one(capsys, monkeypatch):
+    monkeypatch.setenv("UNSHARP_BELL_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert out == ""
+    assert "UNSHARP_BELL_SEED" in err
+
+
+def test_table_with_non_object_singles_exit_one(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"singles": 3, "pairs": {}}))
+    code, out, err = run_cli(capsys, "fine-check", "--table", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "objects" in err

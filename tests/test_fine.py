@@ -460,3 +460,17 @@ def test_requests_do_not_eliminate(monkeypatch, rng):
         assert chsh_check(table).all_hold is want
         assert reconstruct_jpd(table).feasible is want
         assert feasibility_oracle(table).feasible is want
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"singles": 3, "pairs": {}},
+        {"singles": {}, "pairs": [1, 2]},
+        {"singles": {"1": [0.5]}, "pairs": {}},
+        {"singles": {"1": 0.5}, "pairs": {"1": 0.5}},
+    ],
+)
+def test_table_json_structure_errors(data):
+    with pytest.raises(TableError):
+        ProbabilityTable.from_json_dict(data)

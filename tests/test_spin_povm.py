@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from unsharp_bell.operators import I2
 from unsharp_bell.sampling import random_unit_vector
 from unsharp_bell.spin_povm import (
+    PAIR_OUTCOMES,
     PAIR_SHARPNESS_LIMIT,
     CoexistenceError,
+    _pair_effects,
     UnsharpSpinObservable,
     coexistence_margin,
     joint_observable_pair,
@@ -201,3 +203,46 @@ def test_below_universal_limit_always_coexists(seed):
     s = rng.uniform(0.0, PAIR_SHARPNESS_LIMIT)
     ok, _ = pair_coexistent(s, n1, n2)
     assert ok
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        unit_vector([1.0, 0.0, float(bad)])
+    with pytest.raises(ValueError, match="finite"):
+        parse_direction(f"1,0,{bad}")
+
+
+SPECIAL_SHARPNESS = (0.0, PAIR_SHARPNESS_LIMIT, 2.0 ** -0.25, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    special=st.lists(st.sampled_from(SPECIAL_SHARPNESS), min_size=1, max_size=8),
+    count=st.integers(min_value=1, max_value=24),
+)
+def test_batched_pair_effects_equal_scalar_construction(seed, special, count):
+    # one batched call returns, bit for bit, the effects each point gets alone
+    rng = np.random.default_rng(seed)
+    sharpness = np.concatenate([special, rng.random(count)])
+    raw1 = rng.normal(size=(sharpness.size, 3))  # pairs span non-coplanar directions
+    raw2 = rng.normal(size=(sharpness.size, 3))
+    # the axes joint_observable_pair builds from the raw directions
+    n1 = np.array([unit_vector(v) for v in raw1])
+    n2 = np.array([unit_vector(v) for v in raw2])
+    batch = _pair_effects(sharpness, n1, n2)
+    assert batch.shape == (sharpness.size, 4, 2, 2)
+    single_axis = _pair_effects(sharpness, n1[0], n2)  # one axis broadcast against many
+    for i, s in enumerate(sharpness.tolist()):
+        alone = _pair_effects(s, n1[i], n2[i])
+        assert np.array_equal(batch[i], alone)
+        assert np.array_equal(single_axis[i], _pair_effects(s, n1[0], n2[i]))
+        if pair_coexistent(s, raw1[i], raw2[i])[0]:
+            joint = joint_observable_pair(s, raw1[i], raw2[i])
+            for k, outcome in enumerate(PAIR_OUTCOMES):
+                assert np.array_equal(batch[i, k], joint.effects[outcome])
+        else:
+            with pytest.raises(CoexistenceError) as info:
+                joint_observable_pair(s, raw1[i], raw2[i])
+            assert info.value.min_eigenvalue == np.linalg.eigvalsh(batch[i]).min()
