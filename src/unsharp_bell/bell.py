@@ -101,6 +101,8 @@ def coplanar_configuration(sharpness: float, angle: float) -> BellConfiguration:
     The singlet CHSH combination for this family is 3*cos(t) - cos(3t),
     maximal (2*sqrt(2)) at t = pi/4 where both axis pairs are orthogonal.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
 
     def at(alpha: float) -> np.ndarray:
         return np.array([math.sin(alpha), 0.0, math.cos(alpha)])

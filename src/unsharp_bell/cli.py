@@ -6,6 +6,11 @@ argument list and seed: keys are sorted, floats use ``repr`` precision,
 and the only randomized subcommand (``verify-all``) is seeded.  The
 environment variable ``UNSHARP_BELL_SEED`` overrides ``--seed``.
 
+The parser is built on the first ``main`` call and reused for the rest of
+the process, so in-process callers do not pay for argparse set-up on every
+request.  Repeated ``main`` calls in one process print the same bytes as
+the same argument list and seed run in a fresh process.
+
 Exit codes: 0 on success (for ``verify-all``, all checks passing), 1 for
 an operation rejecting its inputs, 2 for unusable flags.  Note that the
 CHSH bound 2/lambda^2 is infinite at lambda = 0; JSON output renders it
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -330,9 +336,12 @@ def _cmd_chart(args) -> int:
     programme = programme_from_json_dict(json.loads(Path(args.programme).read_text()))
     data = {}
     if args.observer is not None:
-        observer = SpacetimeEvent.from_sequence(
-            float(part) for part in args.observer.split(",")
-        )
+        parts = args.observer.split(",")
+        if len(parts) != 4:
+            raise ValueError(
+                f"--observer needs four comma-separated coordinates t,x,y,z, got {args.observer!r}"
+            )
+        observer = SpacetimeEvent.from_sequence(float(part) for part in parts)
         data["chart"] = observer_chart(programme, observer).to_json_dict()
     if args.check or args.observer is None:
         report = check_consistency(programme)
@@ -485,6 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds on its first call and reuses after that.
+
+    Reuse is safe because argparse keeps no state between calls:
+    ``parse_args`` fills a fresh ``Namespace`` each time, and ``main``
+    applies the seed override to that namespace, never to the parser.
+    """
+    return build_parser()
+
+
 def _env_seed(text: str) -> int:
     try:
         return int(text)
@@ -493,8 +513,7 @@ def _env_seed(text: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "seed") and "UNSHARP_BELL_SEED" in os.environ:
             args.seed = _env_seed(os.environ["UNSHARP_BELL_SEED"])

@@ -18,6 +18,7 @@ included).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -81,7 +82,10 @@ class SpacetimeEvent:
 
     def __post_init__(self):
         for name in ("t", "x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"coordinate {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def coords(self) -> np.ndarray:
@@ -89,8 +93,10 @@ class SpacetimeEvent:
 
     @classmethod
     def from_sequence(cls, seq) -> "SpacetimeEvent":
-        t, x, y, z = (float(c) for c in seq)
-        return cls(t, x, y, z)
+        coords = [float(c) for c in seq]
+        if len(coords) != 4:
+            raise ValueError(f"an event needs four coordinates t,x,y,z, got {len(coords)}")
+        return cls(*coords)
 
 
 class CausalRelation(Enum):
@@ -752,6 +758,23 @@ def programme_to_json_dict(programme: MeasurementProgramme) -> dict:
     return data
 
 
+def _measurement_from_json_dict(index: int, entry) -> Measurement:
+    missing = [
+        key for key in ("event", "axis", "subsystem")
+        if not isinstance(entry, dict) or key not in entry
+    ]
+    if missing:
+        raise ValueError(f"programme measurement {index} is missing a field: {', '.join(missing)}")
+    try:
+        return Measurement(
+            event=SpacetimeEvent.from_sequence(entry["event"]),
+            axis=np.asarray(entry["axis"], dtype=float),
+            subsystem=int(entry["subsystem"]),
+        )
+    except TypeError as exc:
+        raise ValueError(f"programme measurement {index} is malformed: {exc}") from None
+
+
 def programme_from_json_dict(data: dict) -> MeasurementProgramme:
     try:
         initial = data["initial"]
@@ -761,13 +784,11 @@ def programme_from_json_dict(data: dict) -> MeasurementProgramme:
         raise ValueError(f"programme JSON is missing a field: {exc}") from None
     if initial != "singlet":
         initial = matrix_from_pairs(initial)
+    if not isinstance(raw_measurements, (list, tuple)):
+        raise ValueError("programme measurements must be a list")
     measurements = tuple(
-        Measurement(
-            event=SpacetimeEvent.from_sequence(entry["event"]),
-            axis=np.asarray(entry["axis"], dtype=float),
-            subsystem=int(entry["subsystem"]),
-        )
-        for entry in raw_measurements
+        _measurement_from_json_dict(index, entry)
+        for index, entry in enumerate(raw_measurements)
     )
     outcomes = data.get("outcomes")
     if outcomes is not None:

@@ -154,6 +154,12 @@ def test_coplanar_combination_formula():
         np.testing.assert_allclose(report.f, 3 * np.cos(theta) - np.cos(3 * theta), atol=1e-12)
 
 
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
+def test_coplanar_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        coplanar_configuration(0.5, angle)
+
+
 def test_coplanar_maximum_at_quarter_pi():
     report = chsh_report(coplanar_configuration(1.0, np.pi / 4))
     np.testing.assert_allclose(report.f, 2 * ROOT2, atol=1e-12)

@@ -1,10 +1,29 @@
+import argparse
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unsharp_bell import cli
 from unsharp_bell.fine import PAIR_KEYS, SINGLE_KEYS
+from unsharp_bell.sampling import DEFAULT_SEED
+
+SRC = Path(cli.__file__).resolve().parents[1]
+COEXIST = ("coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "0,1,0")
+PROGRAMME = {
+    "initial": "singlet",
+    "lambda": 0.8,
+    "measurements": [
+        {"event": [0.0, 0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "subsystem": 1},
+        {"event": [0.0, 5.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "subsystem": 2},
+    ],
+    "outcomes": [1, -1],
+}
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +250,161 @@ def test_table_with_non_object_singles_exit_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "objects" in err
+
+
+def write_programme(path, **changes):
+    path.write_text(json.dumps({**PROGRAMME, **changes}))
+
+
+@pytest.mark.parametrize("observer", ["nan,0,0,0", "10,inf,0,0"])
+def test_chart_refuses_non_finite_observer(tmp_path, capsys, observer):
+    path = tmp_path / "prog.json"
+    write_programme(path)
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", observer)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: coordinate") and "must be finite" in err
+
+
+def test_chart_refuses_non_finite_event(tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    write_programme(
+        path, measurements=[{"event": ["nan", 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}],
+        outcomes=[1],
+    )
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,0,0,0")
+    assert code == 1
+    assert out == ""
+    assert "coordinate t must be finite" in err
+
+
+def test_chart_observer_needs_four_coordinates(tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    write_programme(path)
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "1,0,0")
+    assert code == 1
+    assert out == ""
+    assert "--observer needs four comma-separated coordinates t,x,y,z" in err
+
+
+def test_chart_names_missing_measurement_field(tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(
+        {"initial": "singlet", "lambda": 0.5, "measurements": [{"axis": [1, 0, 0], "subsystem": 1}]}
+    ))
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "missing a field: event" in err
+
+
+@pytest.mark.parametrize("command", ["bell-op", "chsh"])
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_config_refuses_non_finite_angle(capsys, command, angle):
+    code, out, err = run_cli(capsys, command, "--lambda", "0.5", "--angle", angle)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: angle must be finite, got {angle}\n"
+
+
+def every_subcommand(tmp_path):
+    """One accepted argv per subcommand."""
+    table, programme = tmp_path / "uniform.json", tmp_path / "prog.json"
+    write_uniform_table(table)
+    write_programme(programme)
+    return [
+        COEXIST,
+        ("joint", "--lambda", "0.6", "--n1", "1,0,0", "--n2", "0,1,0"),
+        ("bell-op", "--lambda", "0.9", "--angle", "0.3"),
+        ("chsh", "--lambda", "0.9"),
+        ("scan", "--grid", "10"),
+        ("fine-check", "--table", str(table)),
+        ("fine-solve", "--table", str(table), "--method", "exact"),
+        ("lueders", "--lambda", "0.9", "--axis", "0,0,1"),
+        ("epr", "--lambda", "0.8", "--axis", "0,0,1"),
+        ("chart", "--programme", str(programme), "--observer", "10,2,0,0"),
+        ("verify-all", "--seed", "3"),
+    ]
+
+
+def test_parser_built_at_most_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "run_all", lambda seed: ())
+    cli.build_parser()
+    one_tree = len(built)
+    assert one_tree == 12  # the top-level parser and its 11 subcommands
+    built.clear()
+    for argv in itertools.islice(itertools.cycle(every_subcommand(tmp_path)), 50):
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(built) <= one_tree
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refusing the flags
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def run_fresh(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "unsharp_bell.cli", *argv], capture_output=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def take_out_file(argv):
+    """Bytes written through ``--out`` (the file is removed), or None."""
+    if "--out" not in argv:
+        return None
+    path = Path(argv[argv.index("--out") + 1])
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [("scan", "--grid", "10", "--format", "csv"), ("scan", "--grid", "10")],
+        [(*COEXIST, "--out", "{tmp}/first.json"), COEXIST],
+        [("coexist", "--lambda", "0.5", "--n1", "1,0,0"), COEXIST],
+    ],
+    ids=["format-then-default", "out-then-stdout", "refusal-then-valid"],
+)
+def test_repeated_calls_match_fresh_processes(sequence, tmp_path, capsys, monkeypatch):
+    # argparse wraps usage text to the terminal width; pin it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in sequence:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        in_process = run_in_process(capsys, argv), take_out_file(argv)
+        fresh = run_fresh(argv), take_out_file(argv)
+        assert in_process == fresh, argv
+
+
+def test_seed_variable_applies_per_call(capsys, monkeypatch):
+    seeds = []
+
+    def stand_in(seed):
+        seeds.append(seed)
+        return ()
+
+    monkeypatch.setattr(cli, "run_all", stand_in)
+    monkeypatch.setenv("UNSHARP_BELL_SEED", "7")
+    assert cli.main(["verify-all", "--seed", "3"]) == 0
+    monkeypatch.delenv("UNSHARP_BELL_SEED")
+    assert cli.main(["verify-all", "--seed", "3"]) == 0
+    assert cli.main(["verify-all"]) == 0
+    capsys.readouterr()
+    assert seeds == [7, 3, DEFAULT_SEED]

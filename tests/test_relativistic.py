@@ -361,3 +361,38 @@ def test_programme_validation():
             measurements=(Measurement(e, Z, 1),),
             outcomes=(1,),
         )
+
+
+@pytest.mark.parametrize("name", ["t", "x", "y", "z"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_event_rejects_non_finite_coordinate(name, value):
+    coords = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"coordinate {name} must be finite"):
+        SpacetimeEvent(**coords)
+
+
+def test_event_from_sequence_needs_four_coordinates():
+    with pytest.raises(ValueError, match="four coordinates"):
+        SpacetimeEvent.from_sequence([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="coordinate t must be finite"):
+        SpacetimeEvent.from_sequence(["nan", 0, 0, 0])
+
+
+@pytest.mark.parametrize("field", ["event", "axis", "subsystem"])
+def test_programme_json_names_missing_measurement_field(field):
+    entry = {"event": [0, 0, 0, 0], "axis": [1, 0, 0], "subsystem": 1}
+    del entry[field]
+    data = {"initial": "singlet", "lambda": 0.5, "measurements": [entry]}
+    with pytest.raises(ValueError, match=f"measurement 0 is missing a field: {field}"):
+        programme_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "measurements",
+    [3, [5], [{"event": 5, "axis": [1, 0, 0], "subsystem": 1}],
+     [{"event": [0, 0, 0, 0], "axis": [1, 0, 0], "subsystem": None}]],
+)
+def test_programme_json_malformed_measurements_raise_value_error(measurements):
+    data = {"initial": "singlet", "lambda": 0.5, "measurements": measurements}
+    with pytest.raises(ValueError, match="measurement"):
+        programme_from_json_dict(data)
