@@ -25,6 +25,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -413,6 +414,12 @@ def _add_config_flags(parser):
     _add_out(parser)
 
 
+# Tokens argparse reads as values although they start with "-".  Its own
+# pattern takes only -<digits> and -<digits>.<digits>, refusing -1,0,1,
+# -1e-3 and -inf; no flag here starts with one dash and a digit or "inf".
+_NUMBER_LIKE = re.compile(r"-(\.?\d|inf|nan).*", re.IGNORECASE | re.DOTALL)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unsharp-bell",
@@ -491,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_verify_all)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NUMBER_LIKE
     return parser
 
 

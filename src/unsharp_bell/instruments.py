@@ -2,11 +2,13 @@
 
 The Luders operation of an effect E sends a state rho to
 sqrt(E) rho sqrt(E), subnormalized so its trace is the outcome
-probability.  This module packages the selective and nonselective
-versions, a quantitative bound on how little a nearly-certain effect
-disturbs the state, and the correlated two-particle measurement that
-motivates all of it: an unsharp spin reading on one side of a singlet
-pair steering the other side.
+probability.  ``lueders_update`` is the package's one implementation of
+that step, selective (one outcome's root) or nonselective (the sum over
+all outcomes); the instrument functions here and the observer charts of
+``relativistic`` all apply it.  This module also packages a quantitative
+bound on how little a nearly-certain effect disturbs the state, and the
+correlated two-particle measurement that motivates all of it: an unsharp
+spin reading on one side of a singlet pair steering the other side.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "NULL_PROBABILITY",
     "MeasurementOutcomeRecord",
     "Instrument",
+    "lueders_update",
     "lueders_selective",
     "lueders_nonselective",
     "DisturbanceReport",
@@ -59,9 +62,23 @@ class MeasurementOutcomeRecord:
         return self.post_state is None
 
 
-def _selective_record(state, effect, outcome) -> MeasurementOutcomeRecord:
-    root = sqrt_psd(effect)
-    sub = root @ state @ root
+def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
+    """Luders update by ``roots``, the square roots of the effects keyed by outcome.
+
+    Given an outcome, root @ state @ root for it (selective; its trace is
+    the outcome probability); given None, the sum over all outcomes.
+    """
+    if outcome is not None:
+        root = roots[outcome]
+        return root @ state @ root
+    total = np.zeros_like(state)
+    for root in roots.values():
+        total = total + root @ state @ root
+    return total
+
+
+def _selective_record(state, roots: dict, outcome) -> MeasurementOutcomeRecord:
+    sub = lueders_update(state, roots, outcome)
     prob = float(np.trace(sub).real)
     if prob <= NULL_PROBABILITY:
         return MeasurementOutcomeRecord(outcome, max(prob, 0.0), sub, None)
@@ -72,24 +89,15 @@ def lueders_selective(state, effect, outcome=1) -> MeasurementOutcomeRecord:
     """Conditional state and probability of registering a single effect."""
     state = check_density(state)
     effect = check_effect(effect)
-    return _selective_record(state, effect, outcome)
+    return _selective_record(state, {outcome: sqrt_psd(effect)}, outcome)
 
 
 def lueders_nonselective(state, effects) -> np.ndarray:
     """State after measuring a POVM and discarding the outcome."""
     state = check_density(state)
-    effect_list = list(effects.values()) if isinstance(effects, dict) else list(effects)
-    total = np.zeros_like(state)
-    completeness = np.zeros_like(state)
-    for effect in effect_list:
-        effect = check_effect(effect)
-        completeness = completeness + effect
-        root = sqrt_psd(effect)
-        total = total + root @ state @ root
-    dim = state.shape[0]
-    if not np.allclose(completeness, np.eye(dim), atol=1e-9):
-        raise ValueError("effects do not sum to the identity")
-    return total
+    if not isinstance(effects, dict):
+        effects = dict(enumerate(effects))
+    return lueders_update(state, Instrument(effects)._roots)
 
 
 @dataclass(eq=False)
@@ -101,9 +109,8 @@ class Instrument:
 
     def __post_init__(self):
         checked = {k: check_effect(v) for k, v in self.effects.items()}
-        dim = next(iter(checked.values())).shape[0]
         total = sum(checked.values())
-        if not np.allclose(total, np.eye(dim), atol=1e-9):
+        if not checked or not np.allclose(total, np.eye(total.shape[0]), atol=1e-9):
             raise ValueError("effects do not sum to the identity")
         self.effects = checked
         self._roots = {k: sqrt_psd(v) for k, v in checked.items()}
@@ -117,20 +124,10 @@ class Instrument:
         return {k: expectation(state, eff) for k, eff in self.effects.items()}
 
     def select(self, state, outcome) -> MeasurementOutcomeRecord:
-        state = check_density(state)
-        root = self._roots[outcome]
-        sub = root @ state @ root
-        prob = float(np.trace(sub).real)
-        if prob <= NULL_PROBABILITY:
-            return MeasurementOutcomeRecord(outcome, max(prob, 0.0), sub, None)
-        return MeasurementOutcomeRecord(outcome, prob, sub, sub / prob)
+        return _selective_record(check_density(state), self._roots, outcome)
 
     def nonselective(self, state) -> np.ndarray:
-        state = check_density(state)
-        total = np.zeros_like(state)
-        for root in self._roots.values():
-            total = total + root @ state @ root
-        return total
+        return lueders_update(check_density(state), self._roots)
 
 
 @dataclass(frozen=True)

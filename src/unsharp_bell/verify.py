@@ -14,6 +14,13 @@ cross-check (an eigensolver against the norm formula, the Born rule
 against the singlet formula, three feasibility routes against each
 other).  Each check's ``detail`` names how many points it evaluated, so
 a faster battery cannot come from checking less.
+
+``_sequential_vs_joint`` and ``check_disturbance`` write the Luders
+sandwich out rather than call ``instruments.lueders_update``, the one
+step charts and instruments apply.  The cover-partition check flags its
+points with ``_causal_codes``; its spot checks go through
+``Cover.flags_at``, which charts use and which decides every cone through
+``relativistic.causal_relation``.
 """
 
 from __future__ import annotations
@@ -97,9 +104,9 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(_squares(vectors))
 
 
-# Every SPOT_STRIDE-th grid point also goes through the public constructor;
-# the stride is coprime to the grid's 200 angles, so the spot checks visit
-# every angle row rather than a few columns.
+# Every SPOT_STRIDE-th point of a batched sample also goes through the
+# public API.  The stride is coprime to the coexistence grid's 200 angles,
+# so its spot checks visit every angle row rather than a few columns.
 SPOT_STRIDE = 97
 
 
@@ -516,7 +523,11 @@ def _sequential_vs_joint(programme: MeasurementProgramme) -> float:
 
 
 def _partition_violations(rng, events, samples: int) -> int:
-    """Sampled points landing outside the enumerated or inside empty regions."""
+    """Sampled points landing outside the enumerated or inside empty regions.
+
+    Every ``SPOT_STRIDE``-th point also goes through ``Cover.flags_at``,
+    and flags it disagrees with ``_cover_flags`` on count as a violation.
+    """
     coords = np.stack([e.coords for e in events])
     center = coords.mean(axis=0)
     radius = 3.0 * (float(np.max(np.abs(coords - center))) + 1.0)
@@ -525,11 +536,15 @@ def _partition_violations(rng, events, samples: int) -> int:
     bits = 1 << np.arange(len(events))
     violations = 0
     for cover in (influence_cover(events), information_cover(events)):
+        flags = _cover_flags(cover, points)
         empty = {int(np.dot(region.flags, bits)): region.empty for region in cover.regions}
-        codes, counts = np.unique(cover.flags_at_many(points) @ bits, return_counts=True)
+        codes, counts = np.unique(flags @ bits, return_counts=True)
         for code, count in zip(codes.tolist(), counts.tolist()):
             if empty.get(code, True):  # outside the enumerated regions, or in an empty one
                 violations += count
+        for i in range(0, samples, SPOT_STRIDE):
+            api_flags = cover.flags_at(SpacetimeEvent.from_sequence(points[i]))
+            violations += int(api_flags != tuple(flags[i].tolist()))
     return violations
 
 
@@ -552,6 +567,18 @@ def _causal_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         [0, np.where(future, 1, 2), np.where(future, 3, 4)],
         5,
     )
+
+
+def _cover_flags(cover, points: np.ndarray) -> np.ndarray:
+    """``cover.flags_at`` of every row of points, as array arithmetic."""
+    # The codes of the closed backward cone that influence flags test (0
+    # inside) or of the closed forward cone that information flags test (1).
+    codes, inside = ([0, 2, 4], 0) if cover.kind == "influence" else ([0, 1, 3], 1)
+    in_cone = [
+        np.isin(_causal_codes(np.broadcast_to(e.coords, points.shape), points), codes)
+        for e in cover.events
+    ]
+    return np.where(np.stack(in_cone, axis=1), inside, 1 - inside)
 
 
 def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int]:
@@ -629,6 +656,7 @@ def check_chart_consistency(rng) -> CheckResult:
     samples = 20_000
     for events in cases:
         violations += _partition_violations(rng, events, samples)
+    spots = 2 * len(cases) * len(range(0, samples, SPOT_STRIDE))  # both covers of each case
 
     boosts = 100
     mismatches, boosted_pairs = _boost_mismatches(rng, boosts, pairs_per_boost=100)
@@ -636,7 +664,8 @@ def check_chart_consistency(rng) -> CheckResult:
     passed = worst <= 1e-12 and monotone and violations == 0 and mismatches == 0
     detail = (
         f"max algebraic deviation {worst:.3e} over {programmes} programmes, cover "
-        f"partition violations {violations} on {samples * len(cases)} points, causal "
+        f"partition violations {violations} on {samples * len(cases)} points "
+        f"({spots} spot checks), causal "
         f"classification mismatches {mismatches} under {boosts} boosts x "
         f"{boosted_pairs // boosts} pairs"
     )

@@ -110,7 +110,7 @@ CHECK_SIZES = {
     "disturbance-bound": [r"^10000 accepted pairs"],
     "chart-consistency": [
         r"over 100 programmes",
-        r"on 100000 points",
+        r"on 100000 points \(2070 spot checks\)",
         r"under 100 boosts x 100 pairs",
     ],
 }

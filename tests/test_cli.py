@@ -298,6 +298,65 @@ def test_chart_names_missing_measurement_field(tmp_path, capsys):
     assert err.startswith("error:") and "missing a field: event" in err
 
 
+@pytest.mark.parametrize(
+    ("changes", "message"),
+    [
+        ({"outcomes": 5}, "programme outcomes must be a list of +1, -1 or null, got 5"),
+        ({"initial": 5}, 'programme initial must be "singlet" or [re, im] pairs'),
+        ({"lambda": None}, "programme lambda must be a number, got None"),
+        ({"outcomes": [1.5, -1]}, "programme outcome must be an integer, got 1.5"),
+    ],
+)
+def test_chart_names_malformed_programme_field(tmp_path, capsys, changes, message):
+    path = tmp_path / "prog.json"
+    write_programme(path, **changes)
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,2,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+# Values starting with a minus sign that argparse's default negative-number
+# pattern (-<digits>, -<digits>.<digits>) does not cover: one per float,
+# axis and event flag.
+LEADING_MINUS = [
+    ("chsh", "--lambda", "-1e-3"),
+    ("chsh", "--lambda", "0.9", "--angle", "-1e-3"),
+    ("bell-op", "--lambda", "0.9", "--angle", "-inf"),
+    ("lueders", "--lambda", "0.9", "--axis", "0,0,1", "--epsilon", "-1e-9"),
+    ("coexist", "--lambda", "0.5", "--n1", "-1,0,1", "--n2", "-.5,1,0"),
+    ("joint", "--lambda", "0.3", "--n1", "-1,0,0", "--n2", "-0,1,0",
+     "--n3", "-1e0,0,1", "--n4", "-inf,1,0"),
+    ("bell-op", "--lambda", "0.9", "--n1", "1,0,0", "--n2", "0,1,0",
+     "--n3", "-1,0,1", "--n4", "-1,0,-1"),
+    ("lueders", "--lambda", "0.9", "--axis", "-1,0,0", "--state-axis", "-.6,.8,0"),
+    ("epr", "--lambda", "0.8", "--axis", "-1,1,1"),
+    ("chart", "--programme", "PROGRAMME", "--observer", "-10,0,0,0"),
+    ("chart", "--programme", "PROGRAMME", "--observer", "-1e1,2,0,0"),
+]
+
+
+def joined(argv):
+    """The same argv with every flag value written as --flag=value."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and token.startswith("-") and "=" not in out[-1]:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+@pytest.mark.parametrize("argv", LEADING_MINUS, ids=" ".join)
+def test_leading_minus_values_parse_as_values(tmp_path, capsys, argv):
+    programme = tmp_path / "prog.json"
+    write_programme(programme)
+    argv = [str(programme) if token == "PROGRAMME" else token for token in argv]
+    spaced = run_cli(capsys, *argv)
+    assert spaced[0] in (0, 1), spaced[2]
+    assert spaced == run_cli(capsys, *joined(argv))
+
+
 @pytest.mark.parametrize("command", ["bell-op", "chsh"])
 @pytest.mark.parametrize("angle", ["nan", "inf"])
 def test_config_refuses_non_finite_angle(capsys, command, angle):

@@ -76,6 +76,13 @@ def test_instrument_requires_completeness(rng):
         Instrument({1: effect, -1: 0.5 * (I2 - effect)})
 
 
+def test_instrument_without_effects_is_refused():
+    with pytest.raises(ValueError, match="identity"):
+        Instrument({})
+    with pytest.raises(ValueError, match="identity"):
+        lueders_nonselective(np.eye(2) / 2.0, [])
+
+
 def test_instrument_probabilities_sum_to_one(rng):
     effect = random_effect(rng, 2)
     instrument = Instrument({1: effect, -1: I2 - effect})

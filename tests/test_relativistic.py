@@ -1,9 +1,11 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
+from unsharp_bell import verify
 from unsharp_bell.relativistic import (
     CausalRelation,
     Measurement,
@@ -82,6 +84,24 @@ def test_cover_partition_pointwise(rng):
             region = cover.regions[cover.region_index(point)]
             assert region.flags == cover.flags_at(point)
             assert not region.empty
+
+
+def test_partition_check_flags_match_cover_near_light_cone():
+    # The battery's batched cover flags must be the flags charts use, bit
+    # for bit, also on points within a few ulps of a light cone, where
+    # differently rounded squared intervals change sign.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        vertex = rng.normal(size=4)
+        dx = rng.normal(size=(500, 3))
+        delta = rng.choice([0.0, 1e-16, -1e-16, 2e-16, -2e-16], size=500)
+        dt = rng.choice([-1.0, 1.0], size=500) * np.linalg.norm(dx, axis=1) * (1.0 + delta)
+        points = vertex + np.column_stack([dt, dx])
+        event = SpacetimeEvent.from_sequence(vertex)
+        for cover in (influence_cover([event]), information_cover([event])):
+            batched = verify._cover_flags(cover, points)
+            for row, point in zip(batched.tolist(), points):
+                assert tuple(row) == cover.flags_at(SpacetimeEvent.from_sequence(point))
 
 
 def test_cover_flag_order_two_events():
@@ -396,3 +416,40 @@ def test_programme_json_malformed_measurements_raise_value_error(measurements):
     data = {"initial": "singlet", "lambda": 0.5, "measurements": measurements}
     with pytest.raises(ValueError, match="measurement"):
         programme_from_json_dict(data)
+
+
+def single_measurement_json(**fields) -> dict:
+    data = {
+        "initial": "singlet",
+        "lambda": 0.5,
+        "measurements": [{"event": [0, 0, 0, 0], "axis": [1, 0, 0], "subsystem": 1}],
+        "outcomes": [1],
+    }
+    data["measurements"][0]["subsystem"] = fields.pop("subsystem", 1)
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        ([1, 2], "programme JSON must be an object, got list"),
+        (single_measurement_json(outcomes=5), "programme outcomes must be a list of +1, -1"),
+        (single_measurement_json(initial=5), 'programme initial must be "singlet" or'),
+        (single_measurement_json(**{"lambda": None}),
+         "programme lambda must be a number, got None"),
+        (single_measurement_json(subsystem=1.7),
+         "programme measurement 0 subsystem must be an integer, got 1.7"),
+        (single_measurement_json(outcomes=[1.5]), "programme outcome must be an integer, got 1.5"),
+    ],
+)
+def test_programme_json_names_violated_precondition(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        programme_from_json_dict(data)
+
+
+def test_programme_json_keeps_integral_numbers():
+    programme = programme_from_json_dict(single_measurement_json(subsystem=2.0, outcomes=[-1.0]))
+    assert type(programme.measurements[0].subsystem) is int
+    assert programme.measurements[0].subsystem == 2
+    assert programme.outcomes == (-1,)
