@@ -270,6 +270,8 @@ def _cmd_fine_solve(args) -> int:
         "witness": _witness_dict(result.witness),
         "jpd": None,
         "roundtrip_residual": None,
+        "margin": result.margin,
+        "near_boundary": result.near_boundary,
     }
     if result.feasible:
         back = fine.marginals(result.jpd)

@@ -16,9 +16,12 @@ over seven free ones, with constants linear in the pair values.  Its
 Fourier-Motzkin elimination runs once, at import, on integer coefficient
 vectors over the pair values (``_SYSTEMS``).  A table is decided by
 evaluating the final rows on its pair values and extended by
-back-substitution; the routes differ only in those values (the table's
-floats, or a rational surrogate scaled to integers).  ``chsh_check``
-never reads the compiled system, so the routes still check each other.
+back-substitution, in one body (``_joint_entries``); the routes differ
+only in those values (the table's floats, or a rational surrogate scaled
+to ints).  With coefficients of 0 and +-1, back-substitution only adds,
+negates, takes a min or max and halves, once per free entry, so constants
+scaled by ``2**7`` keep it in Python ints.  ``chsh_check`` never reads the
+compiled system, so the routes still check each other.
 
 One rule decides on every route: a table is feasible when no inequality
 is violated by more than ``DECISION_TOL``; the exact route applies it in
@@ -30,15 +33,15 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+import math
 
 import numpy as np
 
 from . import fme
 from .bell import BellConfiguration
-from .operators import I2, expectation
+from .operators import I2, expectation, json_number
 from .spin_povm import unsharp_effect
 
 __all__ = [
@@ -143,16 +146,11 @@ class ProbabilityTable:
             raise TableError("table JSON needs 'singles' and 'pairs' objects") from None
         if not isinstance(raw_singles, dict) or not isinstance(raw_pairs, dict):
             raise TableError("table JSON 'singles' and 'pairs' must be objects")
-        singles = {}
-        pairs = {}
-        try:
-            for key, value in raw_singles.items():
-                singles[int(key)] = float(value)
-            for key, value in raw_pairs.items():
-                i_text, j_text = key.split(",")
-                pairs[(int(i_text), int(j_text))] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise TableError(f"malformed table JSON entry {key!r}: {exc}") from None
+        def number(key, value) -> float:
+            return json_number(value, f"table JSON entry {key!r}", error=TableError)
+
+        singles = {_table_labels(key, 1)[0]: number(key, v) for key, v in raw_singles.items()}
+        pairs = {_table_labels(key, 2): number(key, v) for key, v in raw_pairs.items()}
         return cls(singles, pairs).validate()
 
     def to_csv_text(self) -> str:
@@ -177,12 +175,30 @@ class ProbabilityTable:
         for row in reader:
             if not row:
                 continue
-            i_text, j_text, p_text = row
-            if j_text.strip() == "":
-                singles[int(i_text)] = float(p_text)
-            else:
-                pairs[(int(i_text), int(j_text))] = float(p_text)
+            try:
+                i_text, j_text, p_text = row
+                i, p = int(i_text), float(p_text)
+                if j_text.strip() == "":
+                    singles[i] = p
+                else:
+                    pairs[(i, int(j_text))] = p
+            except ValueError:
+                raise TableError(
+                    f"table CSV row {reader.line_num} must be i,j,p (integer labels, j empty "
+                    f"for a single, p a number), got {','.join(row)!r}"
+                ) from None
         return cls(singles, pairs).validate()
+
+
+def _table_labels(key, count: int) -> tuple[int, ...]:
+    """The signed observable labels of a table JSON key: "k" for a single, "i,j" for a pair."""
+    try:
+        labels = tuple(int(part) for part in str(key).split(","))
+    except ValueError:
+        labels = ()
+    if len(labels) != count:
+        raise TableError(f"malformed table JSON entry {key!r}: expected {count} integer label(s)")
+    return labels
 
 
 _SIGN_INDEX = {1: 0, -1: 1}
@@ -348,6 +364,10 @@ class FeasibilityResult:
     jpd: Jpd4 | None
     witness: ChshWitness | None
     method: str
+    # Smallest row of the final compiled system, in probability units:
+    # negative past a bound of Fine's system; the exact route rounds it once.
+    margin: float
+    near_boundary: bool  # |margin| <= DECISION_TOL: the tolerance decided
 
 
 # ----------------------------------------------------------------------
@@ -421,49 +441,75 @@ def _compile_systems() -> tuple:
     coefficients and stored as its constants (an integer matrix acting on
     the pair values), the first row of each run of equal coefficients,
     and those coefficients: within a run only the smallest constant binds.
+    With the systems stacked, also returns the first row of each run and,
+    per step, the runs bounding its variable: (run, whether it bounds from
+    below, its (variable, coefficient) terms on the other variables).
     """
     systems = fme.project(_ENTRY_ROWS, _ELIMINATION_ORDER)
     bounding = [
         [row for row in system if row[1][index] != 0]
         for system, index in zip(systems, _ELIMINATION_ORDER)
     ]
-    compiled = []
-    for rows in bounding + [systems[-1]]:
+    compiled, run_starts, bound_runs, stacked = [], [], [], 0
+    for rows, index in zip(bounding + [systems[-1]], _ELIMINATION_ORDER + (None,)):
         rows = sorted(rows, key=lambda row: row[1])
         coeffs = [row[1] for row in rows]
         starts = [n for n, c in enumerate(coeffs) if n == 0 or c != coeffs[n - 1]]
+        if index is not None:
+            bound_runs.append([
+                (len(run_starts) + n, coeffs[start][index] > 0,
+                 [(j, c) for j, c in enumerate(coeffs[start]) if c and j != index])
+                for n, start in enumerate(starts)
+            ])
+        run_starts += [stacked + start for start in starts]
+        stacked += len(rows)
         matrix = np.array([const for const, _ in rows], dtype=np.int64)
         compiled.append((matrix, starts, [coeffs[n] for n in starts]))
-    return tuple(compiled)
+    return tuple(compiled), run_starts, bound_runs
 
 
-_SYSTEMS = _compile_systems()
+_SYSTEMS, _RUN_STARTS, _BOUND_RUNS = _compile_systems()
+_COMPILED_ROWS = sum(len(matrix) for matrix, _, _ in _SYSTEMS)
+_TOL_NUMERATOR, _TOL_DENOMINATOR = DECISION_TOL.as_integer_ratio()
 
 
-def _joint_entries(pair_values: np.ndarray, scale, number) -> np.ndarray | None:
-    """Joint distribution extending the pair values, or None if there is none.
+def _joint_entries(rows: np.ndarray, scale, divide):
+    """Margin, whether it is within ``DECISION_TOL``, and entries (None past it).
 
-    ``pair_values`` holds the pair values times ``scale``, in ``PAIR_KEYS``
-    order: floats with ``scale=1, number=float``, or integers with
-    ``number=Fraction`` for exact arithmetic.  None means some row of the
-    last compiled system falls below ``-DECISION_TOL``; back-substitution
-    tolerates the same slack.
+    The one body of both routes.  ``rows`` holds the stacked compiled rows,
+    then the 16 entry constants, times ``scale``: floats, ``scale=1`` and
+    ``divide=operator.truediv``, or ints and ``operator.floordiv``.  Each
+    bound is ``-+(const + sum c_j x_j)`` with c = +-1, so constants divisible
+    by ``2**7`` keep every midpoint an exact int.
     """
-    slack = number(DECISION_TOL) * scale
-    consts = [
-        np.minimum.reduceat(matrix @ pair_values, starts).tolist()
-        for matrix, starts, _ in _SYSTEMS
-    ]
-    if consts[-1][0] < -slack:
-        return None
-    systems = [list(zip(map(number, c), coeffs)) for c, (*_, coeffs) in zip(consts, _SYSTEMS)]
-    assignment = fme.back_substitute(systems, _ELIMINATION_ORDER, slack)
-    free = [assignment[i] for i in range(7)]
+    minima = np.minimum.reduceat(rows[:_COMPILED_ROWS], _RUN_STARTS).tolist()
+    lowest = minima[-1]
+    tolerance = _TOL_NUMERATOR * scale
+    margin = lowest / scale
+    near_boundary = abs(lowest) * _TOL_DENOMINATOR <= tolerance
+    if lowest * _TOL_DENOMINATOR < -tolerance:
+        return margin, near_boundary, None
+    free = [0] * len(_ELIMINATION_ORDER)
+    for index, runs in zip(reversed(_ELIMINATION_ORDER), reversed(_BOUND_RUNS)):
+        lower, upper = -math.inf, math.inf
+        for run, below, terms in runs:
+            rest = minima[run]
+            for j, c in terms:
+                rest = rest + c * free[j]
+            if below:
+                lower = max(lower, -rest)
+            else:
+                upper = min(upper, rest)
+        if (lower - upper) * _TOL_DENOMINATOR > tolerance:
+            raise ArithmeticError(
+                f"empty interval for variable {index}: [{lower / scale}, {upper / scale}]"
+            )
+        free[index] = divide(lower + upper, 2)
     values = np.zeros((2, 2, 2, 2))
-    base = (_ENTRY_CONSTS @ pair_values).tolist()
+    base = rows[_COMPILED_ROWS:].tolist()
     for index, value, (_, coeffs) in zip(_ENTRY_INDICES, base, _ENTRY_ROWS):
         values[index] = (value + sum(c * x for c, x in zip(coeffs, free) if c != 0)) / scale
-    return values
+    return margin, near_boundary, values
 
 
 def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
@@ -476,59 +522,92 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     compiled row is violated by more than ``DECISION_TOL``.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    entries = _joint_entries(np.array([table.pair(*key) for key in PAIR_KEYS]), 1, float)
+    pair_values = np.array([table.pair(*key) for key in PAIR_KEYS])
+    rows = np.concatenate(
+        [matrix @ pair_values for matrix, _, _ in _SYSTEMS] + [_ENTRY_CONSTS @ pair_values]
+    )
+    margin, near, entries = _joint_entries(rows, 1, operator.truediv)
     if entries is None:
-        return FeasibilityResult(False, None, find_witness(table), "interval-reconstruction")
+        return FeasibilityResult(
+            False, None, find_witness(table), "interval-reconstruction", margin, near
+        )
     # Interval midpoints can sit a rounding error below zero at
     # degenerate vertices; that is within the distribution tolerance.
     jpd = Jpd4(np.clip(entries, -RANGE_TOL, None))
-    return FeasibilityResult(True, jpd, None, "interval-reconstruction")
+    return FeasibilityResult(True, jpd, None, "interval-reconstruction", margin, near)
 
 
-def _rationalized_pair_values(table: ProbabilityTable) -> dict:
-    """Exactly consistent rational surrogate of a table's pair values.
+def _limit_denominator(x: float) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)`` in ints: (numerator, denominator)."""
+    bound = RATIONAL_DENOMINATOR
+    n, d = x.as_integer_ratio()
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # The closer of the convergent p1/q1 and the semiconvergent p/q; p1/q1 on a tie.
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
 
-    Only the eight generating numbers (four singles, four unbarred
-    pairs) are rationalized; every other entry is derived from them, so
-    the surrogate satisfies the marginal relations exactly.
-    """
-    def rat(x: float) -> Fraction:
-        return Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)
 
-    ones = {k: rat(table.single(k)) for k in (1, 2, 3, 4)}
-    pairs = {}
-    for i in (1, 2):
-        for j in (3, 4):
-            block = rat(table.pair(i, j))
-            pairs[(i, j)] = block
-            pairs[(i, -j)] = ones[i] - block
-            pairs[(-i, j)] = ones[j] - block
-            pairs[(-i, -j)] = 1 - ones[i] - ones[j] + block
+# The exact route's generators: 1, the outcome-+1 singles of observables
+# 1..4 and the four unbarred pairs.  Every pair value is an integer
+# combination of them, so the surrogate is exactly consistent.
+_GENERATOR_BLOCKS = ((1, 3), (1, 4), (2, 3), (2, 4))
+
+
+def _generator_pairs() -> np.ndarray:
+    """Each pair value (in ``PAIR_KEYS`` order) as a combination of the generators."""
+    unit = np.eye(5 + len(_GENERATOR_BLOCKS), dtype=np.int64)
+    pairs = np.zeros((len(PAIR_KEYS), len(unit)), dtype=np.int64)
+    for block, (i, j) in zip(unit[5:], _GENERATOR_BLOCKS):
+        pairs[PAIR_KEYS.index((i, j))] = block
+        pairs[PAIR_KEYS.index((i, -j))] = unit[i] - block
+        pairs[PAIR_KEYS.index((-i, j))] = unit[j] - block
+        pairs[PAIR_KEYS.index((-i, -j))] = unit[0] - unit[i] - unit[j] + block
     return pairs
+
+
+# The distinct stacked compiled and entry rows over the generators.
+_EXACT_ROWS = np.vstack([m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]) @ _generator_pairs()
+_EXACT_ROWS, _EXACT_ROW_OF = np.unique(_EXACT_ROWS, axis=0, return_inverse=True)
+_EXACT_ROWS, _EXACT_ROW_OF = _EXACT_ROWS.astype(object), _EXACT_ROW_OF.reshape(-1)
 
 
 def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     """Decide joint-distribution feasibility in exact rational arithmetic.
 
     The table is replaced by an exactly consistent rational surrogate
-    (denominators bounded by ``RATIONAL_DENOMINATOR``), scaled to
-    integers over a common denominator.  The compiled system decides
+    (denominators bounded by ``RATIONAL_DENOMINATOR``), scaled to Python
+    ints over a common denominator.  The compiled system decides
     feasibility without rounding, with the same ``DECISION_TOL`` as the
     float routes, and back-substitution returns an explicit joint
     distribution in the feasible case.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    rational_pairs = _rationalized_pair_values(table)
-    scale = lcm(*(value.denominator for value in rational_pairs.values()))
-    numerators = [
-        rational_pairs[key].numerator * (scale // rational_pairs[key].denominator)
-        for key in PAIR_KEYS
-    ]
-    entries = _joint_entries(np.array(numerators, dtype=object), scale, Fraction)
+    ratios = [_limit_denominator(table.single(k)) for k in (1, 2, 3, 4)]
+    ratios += [_limit_denominator(table.pair(i, j)) for i, j in _GENERATOR_BLOCKS]
+    # Back-substitution halves once per free entry.
+    scale = math.lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
+    generators = [scale] + [p * (scale // q) for p, q in ratios]
+    rows = (_EXACT_ROWS @ np.array(generators, dtype=object))[_EXACT_ROW_OF]
+    margin, near, entries = _joint_entries(rows, scale, operator.floordiv)
     if entries is None:
-        return FeasibilityResult(False, None, find_witness(table), "exact-elimination")
+        return FeasibilityResult(
+            False, None, find_witness(table), "exact-elimination", margin, near
+        )
     # A table feasible only within DECISION_TOL leaves entries that far below zero.
-    return FeasibilityResult(True, Jpd4(np.clip(entries, 0.0, None)), None, "exact-elimination")
+    jpd = Jpd4(np.clip(entries, 0.0, None))
+    return FeasibilityResult(True, jpd, None, "exact-elimination", margin, near)
 
 
 def table_from_quantum(state, config: BellConfiguration) -> ProbabilityTable:

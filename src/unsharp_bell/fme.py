@@ -11,12 +11,12 @@ parameter values, so one projection serves every value of the
 parameters: a derived constant evaluated on some values equals the
 constant that eliminating with those values would give.
 
-:func:`variable_interval` and :func:`back_substitute` work on evaluated
-rows, whose constants are numbers (floats, or ``fractions.Fraction`` for
-exact arithmetic).  The systems produced along an elimination order
-support interval back-substitution: assigning the variables in reverse
-order, each one picked from the interval its recorded system allows,
-always lands inside the feasible region when one exists.
+The systems produced along an elimination order support interval
+back-substitution: assigning the variables in reverse order, each one
+picked from the interval its recorded system allows, always lands inside
+the feasible region when one exists.  Elimination runs once, when
+:mod:`unsharp_bell.fine` compiles its system at import; back-substitution
+lives in ``fine``, which evaluates the compiled rows on each table.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "Row",
     "eliminate_variable",
     "project",
-    "variable_interval",
-    "back_substitute",
 ]
 
 Row = tuple  # (const, tuple of coefficients)
@@ -70,59 +68,3 @@ def project(rows, order):
         current = eliminate_variable(current, index)
         systems.append(current)
     return systems
-
-
-def variable_interval(rows, index: int, values: dict):
-    """Interval allowed for one variable given values for all others.
-
-    Rows whose coefficient on ``index`` vanishes are ignored; ``values``
-    must cover every other variable with a nonzero coefficient.
-    """
-    lower = None
-    upper = None
-    for const, coeffs in rows:
-        c = coeffs[index]
-        if c == 0:
-            continue
-        rest = const
-        for j, cj in enumerate(coeffs):
-            if j != index and cj != 0:
-                rest = rest + cj * values[j]
-        bound = -rest / c
-        if c > 0:
-            if lower is None or bound > lower:
-                lower = bound
-        else:
-            if upper is None or bound < upper:
-                upper = bound
-    return lower, upper
-
-
-def back_substitute(systems, order, slack_tol=0):
-    """Assign midpoint values for the eliminated variables, in reverse order.
-
-    ``systems`` are the evaluated systems of :func:`project` with the same
-    ``order``.  Interval endpoints crossing by more than ``slack_tol``
-    raise; smaller inversions (rounding noise at degenerate vertices, or
-    violations the caller tolerates) collapse to the crossing point.
-    """
-    values: dict[int, object] = {}
-    for step in range(len(order) - 1, -1, -1):
-        index = order[step]
-        lower, upper = variable_interval(systems[step], index, values)
-        if lower is None and upper is None:
-            values[index] = 0
-            continue
-        if lower is None:
-            values[index] = upper
-            continue
-        if upper is None:
-            values[index] = lower
-            continue
-        if lower > upper:
-            if lower - upper > slack_tol:
-                raise ArithmeticError(
-                    f"empty interval for variable {index}: [{lower}, {upper}]"
-                )
-        values[index] = (lower + upper) / 2
-    return values

@@ -10,6 +10,8 @@ operators, density operators, effects).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -35,6 +37,8 @@ __all__ = [
     "check_effect",
     "matrix_to_pairs",
     "matrix_from_pairs",
+    "json_number",
+    "json_list",
 ]
 
 # Absolute tolerance for structural identities that hold by construction
@@ -204,3 +208,17 @@ def matrix_from_pairs(pairs) -> np.ndarray:
     if dim * dim != len(entries) or dim not in (2, 4):
         raise ValueError(f"cannot infer a 2x2 or 4x4 matrix from {len(entries)} entries")
     return np.array(entries, dtype=complex).reshape(dim, dim)
+
+
+def json_number(value, field: str, kind: str = "a number", error=ValueError) -> float:
+    """A number read from JSON, as a float: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{field} must be {kind}, got {value!r}")
+    return float(value)
+
+
+def json_list(value, field: str, kind: str = "a list") -> list:
+    """A sequence read from JSON: a list (or a tuple), never a string."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return list(value)

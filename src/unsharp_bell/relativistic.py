@@ -35,6 +35,8 @@ from .operators import (
     I2,
     check_density,
     expectation,
+    json_list,
+    json_number,
     matrix_from_pairs,
     matrix_to_pairs,
     partial_trace,
@@ -711,10 +713,27 @@ def programme_to_json_dict(programme: MeasurementProgramme) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """``int(value)``, refusing a number with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer read from JSON, refusing a bool, a string or a fractional part."""
+    number = json_number(value, f"programme {name}", "an integer")
+    if not number.is_integer():
         raise ValueError(f"programme {name} must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
+
+
+def _numbers(value, field: str, kind: str = "a list of numbers") -> list[float]:
+    return [json_number(x, field, kind) for x in json_list(value, field, kind)]
+
+
+def _initial_from_json(initial):
+    """``"singlet"``, or a density matrix from its [re, im] pairs."""
+    if initial == "singlet":
+        return initial
+    kind = '"singlet" or [re, im] pairs'
+    field = "programme initial"
+    pairs = [_numbers(pair, field, kind) for pair in json_list(initial, field, kind)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"programme initial must be {kind}, got {initial!r}")
+    return matrix_from_pairs(pairs)
 
 
 def _measurement_from_json_dict(index: int, entry) -> Measurement:
@@ -724,14 +743,22 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
     ]
     if missing:
         raise ValueError(f"programme measurement {index} is missing a field: {', '.join(missing)}")
+    where, kind = f"programme measurement {index}", "a list of numbers"
+    # A coordinate may also be numeric text such as "nan", which JSON has no
+    # literal for: from_sequence reads it and names a coordinate that is not finite.
+    event = [
+        c if isinstance(c, str) else json_number(c, f"{where} event", kind)
+        for c in json_list(entry["event"], f"{where} event", kind)
+    ]
     try:
-        return Measurement(
-            event=SpacetimeEvent.from_sequence(entry["event"]),
-            axis=np.asarray(entry["axis"], dtype=float),
-            subsystem=_integer(entry["subsystem"], f"measurement {index} subsystem"),
-        )
-    except TypeError as exc:
-        raise ValueError(f"programme measurement {index} is malformed: {exc}") from None
+        event = SpacetimeEvent.from_sequence(event)
+    except ValueError as exc:
+        raise ValueError(f"{where} event: {exc}") from None
+    return Measurement(
+        event=event,
+        axis=np.array(_numbers(entry["axis"], f"{where} axis")),
+        subsystem=_integer(entry["subsystem"], f"measurement {index} subsystem"),
+    )
 
 
 def programme_from_json_dict(data: dict) -> MeasurementProgramme:
@@ -739,33 +766,22 @@ def programme_from_json_dict(data: dict) -> MeasurementProgramme:
         raise ValueError(f"programme JSON must be an object, got {type(data).__name__}")
     try:
         initial = data["initial"]
-        sharpness = float(data["lambda"])
+        sharpness = json_number(data["lambda"], "programme lambda")
         raw_measurements = data["measurements"]
     except KeyError as exc:
         raise ValueError(f"programme JSON is missing a field: {exc}") from None
-    except TypeError:
-        raise ValueError(f"programme lambda must be a number, got {data['lambda']!r}") from None
-    if initial != "singlet":
-        try:
-            initial = matrix_from_pairs(initial)
-        except TypeError as exc:
-            raise ValueError(
-                f'programme initial must be "singlet" or [re, im] pairs: {exc}'
-            ) from None
-    if not isinstance(raw_measurements, (list, tuple)):
-        raise ValueError("programme measurements must be a list")
+    initial = _initial_from_json(initial)
     measurements = tuple(
         _measurement_from_json_dict(index, entry)
-        for index, entry in enumerate(raw_measurements)
+        for index, entry in enumerate(json_list(raw_measurements, "programme measurements"))
     )
     outcomes = data.get("outcomes")
     if outcomes is not None:
-        try:
-            outcomes = tuple(None if o is None else _integer(o, "outcome") for o in outcomes)
-        except TypeError:
-            raise ValueError(
-                f"programme outcomes must be a list of +1, -1 or null, got {outcomes!r}"
-            ) from None
+        kind = "a list of +1, -1 or null"
+        outcomes = tuple(
+            None if o is None else _integer(o, "outcome")
+            for o in json_list(outcomes, "programme outcomes", kind)
+        )
     return MeasurementProgramme(
         initial=initial,
         sharpness=sharpness,

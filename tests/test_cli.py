@@ -467,3 +467,58 @@ def test_seed_variable_applies_per_call(capsys, monkeypatch):
     assert cli.main(["verify-all"]) == 0
     capsys.readouterr()
     assert seeds == [7, 3, DEFAULT_SEED]
+
+
+@pytest.mark.parametrize(
+    ("suffix", "text", "message"),
+    [
+        (".json", None, "error: table JSON entry '1' must be a number, got '0.5'"),
+        (".csv", "i,j,p\n1\n", "error: table CSV row 2 must be i,j,p"),
+        (".csv", "i,j,p\nx,,0.5\n", "error: table CSV row 2 must be i,j,p"),
+    ],
+)
+def test_table_reader_errors_exit_one(tmp_path, capsys, suffix, text, message):
+    path = tmp_path / f"table{suffix}"
+    if text is None:
+        write_uniform_table(path)
+        data = json.loads(path.read_text())
+        data["singles"]["1"] = "0.5"
+        text = json.dumps(data)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "fine-solve", "--table", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    ("changes", "message"),
+    [
+        ({"measurements": [{"event": "0510", "axis": [0, 0, 1], "subsystem": 1}], "outcomes": [1]},
+         "programme measurement 0 event must be a list of numbers, got '0510'"),
+        ({"outcomes": "1"}, "programme outcomes must be a list of +1, -1 or null, got '1'"),
+        ({"initial": "foo"}, 'programme initial must be "singlet" or [re, im] pairs, got \'foo\''),
+        ({"measurements": [{"event": [0, 0, 0, 0], "axis": [0, 0, 1], "subsystem": True}],
+          "outcomes": [1]}, "programme measurement 0 subsystem must be an integer, got True"),
+        ({"outcomes": [True, -1]}, "programme outcome must be an integer, got True"),
+        ({"lambda": "0.5"}, "programme lambda must be a number, got '0.5'"),
+    ],
+)
+def test_chart_refuses_text_and_booleans_in_programme(tmp_path, capsys, changes, message):
+    path = tmp_path / "prog.json"
+    write_programme(path, **changes)
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,2,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_fine_solve_reports_the_margin(tmp_path, capsys):
+    table = tmp_path / "uniform.json"
+    write_uniform_table(table)
+    for method in ("interval", "exact"):
+        code, out, _ = run_cli(capsys, "fine-solve", "--table", str(table), "--method", method)
+        assert code == 0
+        data = json.loads(out)
+        # The uniform table has every joint entry at 1/16 and every CHSH form at 1/2.
+        assert data["margin"] > 0 and data["near_boundary"] is False

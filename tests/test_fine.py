@@ -1,11 +1,13 @@
 import itertools
 import json
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell import fine, fme
@@ -13,12 +15,13 @@ from unsharp_bell.bell import coplanar_configuration, singlet_state
 from unsharp_bell.fine import (
     _ELIMINATION_ORDER,
     _SYSTEMS,
-    _rationalized_pair_values,
+    _limit_denominator,
     BELL_PAIR_FORMS,
     DECISION_TOL,
     DEPENDENT_OUTCOMES,
     FREE_OUTCOMES,
     PAIR_KEYS,
+    RATIONAL_DENOMINATOR,
     SINGLE_KEYS,
     Jpd4,
     ProbabilityTable,
@@ -410,9 +413,92 @@ def test_compiled_system_is_fines_theorem():
     assert int(np.sum(minima(with_bell=False) < -1e-9)) == 8
 
 
-def reference_exact_jpd(table):
-    """The exact route as per-table elimination over the table's own rational rows."""
-    pairs = _rationalized_pair_values(table)
+# The exact route as it was before it ran in integers: a rational
+# surrogate in ``Fraction``s and interval back-substitution over them.
+# Kept here, off the package's request path, as the reference.
+
+
+def rationalized_pair_values(table: ProbabilityTable) -> dict:
+    """Exactly consistent rational surrogate of a table's pair values.
+
+    Only the eight generating numbers (four singles, four unbarred
+    pairs) are rationalized; every other entry is derived from them, so
+    the surrogate satisfies the marginal relations exactly.
+    """
+    def rat(x: float) -> Fraction:
+        return Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)
+
+    ones = {k: rat(table.single(k)) for k in (1, 2, 3, 4)}
+    pairs = {}
+    for i in (1, 2):
+        for j in (3, 4):
+            block = rat(table.pair(i, j))
+            pairs[(i, j)] = block
+            pairs[(i, -j)] = ones[i] - block
+            pairs[(-i, j)] = ones[j] - block
+            pairs[(-i, -j)] = 1 - ones[i] - ones[j] + block
+    return pairs
+
+
+def variable_interval(rows, index: int, values: dict):
+    """Interval allowed for one variable given values for all others.
+
+    Rows whose coefficient on ``index`` vanishes are ignored; ``values``
+    must cover every other variable with a nonzero coefficient.
+    """
+    lower = None
+    upper = None
+    for const, coeffs in rows:
+        c = coeffs[index]
+        if c == 0:
+            continue
+        rest = const
+        for j, cj in enumerate(coeffs):
+            if j != index and cj != 0:
+                rest = rest + cj * values[j]
+        bound = -rest / c
+        if c > 0:
+            if lower is None or bound > lower:
+                lower = bound
+        else:
+            if upper is None or bound < upper:
+                upper = bound
+    return lower, upper
+
+
+def back_substitute(systems, order, slack_tol=0):
+    """Assign midpoint values for the eliminated variables, in reverse order.
+
+    ``systems`` are the evaluated systems of :func:`project` with the same
+    ``order``.  Interval endpoints crossing by more than ``slack_tol``
+    raise; smaller inversions (rounding noise at degenerate vertices, or
+    violations the caller tolerates) collapse to the crossing point.
+    """
+    values: dict[int, object] = {}
+    for step in range(len(order) - 1, -1, -1):
+        index = order[step]
+        lower, upper = variable_interval(systems[step], index, values)
+        if lower is None and upper is None:
+            values[index] = 0
+            continue
+        if lower is None:
+            values[index] = upper
+            continue
+        if upper is None:
+            values[index] = lower
+            continue
+        if lower > upper:
+            if lower - upper > slack_tol:
+                raise ArithmeticError(
+                    f"empty interval for variable {index}: [{lower}, {upper}]"
+                )
+        values[index] = (lower + upper) / 2
+    return values
+
+
+def reference_systems(table):
+    """Per-table elimination over the table's own rational rows, and its surrogate."""
+    pairs = rationalized_pair_values(table)
     scale = lcm(*(value.denominator for value in pairs.values()))
     rows = [((0,), tuple(int(i == k) for i in range(7))) for k in range(7)]
     for terms, coeffs in DEPENDENT_OUTCOMES.values():
@@ -422,9 +508,15 @@ def reference_exact_jpd(table):
         [(Fraction(const[0], scale), coeffs) for const, coeffs in system]
         for system in fme.project(rows, _ELIMINATION_ORDER)
     ]
+    return systems, pairs
+
+
+def reference_exact_jpd(table):
+    """The exact route as per-table elimination over the table's own rational rows."""
+    systems, pairs = reference_systems(table)
     if min(const for const, _ in systems[-1]) < -Fraction(DECISION_TOL):
         return None
-    free = fme.back_substitute(systems, _ELIMINATION_ORDER, Fraction(DECISION_TOL))
+    free = back_substitute(systems, _ELIMINATION_ORDER, Fraction(DECISION_TOL))
     entries = {outcome: free[k] for k, outcome in enumerate(FREE_OUTCOMES)}
     for outcome, (terms, coeffs) in DEPENDENT_OUTCOMES.items():
         entries[outcome] = sum(sign * pairs[key] for key, sign in terms) + sum(
@@ -449,17 +541,123 @@ def test_exact_route_matches_per_table_elimination(rng):
 
 
 def test_requests_do_not_eliminate(monkeypatch, rng):
+    # No elimination and no Fraction arithmetic on a request: the
+    # reference back-substitution above is not reachable from the package.
     def refuse(*args, **kwargs):
-        raise AssertionError("Fourier-Motzkin elimination on a request")
+        raise AssertionError("Fourier-Motzkin elimination or Fraction arithmetic on a request")
 
     monkeypatch.setattr(fme, "project", refuse)
     monkeypatch.setattr(fme, "eliminate_variable", refuse)
+    for name in ("rationalized_pair_values", "variable_interval", "back_substitute"):
+        monkeypatch.setattr(sys.modules[__name__], name, refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     feasible, _ = random_jpd_table(rng)
     infeasible = table_from_quantum(singlet_state(), coplanar_configuration(1.0, np.pi / 4))
     for table, want in ((feasible, True), (infeasible, False)):
         assert chsh_check(table).all_hold is want
         assert reconstruct_jpd(table).feasible is want
         assert feasibility_oracle(table).feasible is want
+
+
+def test_compiled_coefficients_keep_integers_exact():
+    # The integer route rests on these: every coefficient is 0 or +-1, and
+    # each eliminated variable has a lower and an upper bound to halve.
+    for _, _, coeffs in _SYSTEMS:
+        assert {c for row in coeffs for c in row} <= {-1, 0, 1}
+    for (_, _, coeffs), index in zip(_SYSTEMS, _ELIMINATION_ORDER):
+        assert {row[index] for row in coeffs} == {-1, 1}
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=0.0, max_value=1.0))
+@example(x=0.0)
+@example(x=1.0)
+@example(x=3 / 7)  # k/N
+@example(x=17 / 64)
+@example(x=29 / 62)
+@example(x=2.0 ** -30)  # dyadics, one of them past the denominator bound
+@example(x=0.375)
+@example(x=1 - 2.0 ** -53)
+@example(x=1 / 10**9)  # denominators 10^9 and 10^9 + 1
+@example(x=123456789 / 10**9)
+@example(x=999999999 / 10**9)
+@example(x=1 / (10**9 + 1))
+@example(x=500000000 / (10**9 + 1))
+def test_limit_denominator_is_fractions(x):
+    want = Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)
+    assert _limit_denominator(x) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=0.0, max_value=1.0), bound=st.integers(min_value=1, max_value=64))
+@example(x=0.25, bound=2)  # 0/1 and 1/2 tie: the convergent 0/1 wins
+@example(x=0.5, bound=1)  # 0 and 1 tie: the floor wins
+@example(x=0.75, bound=2)
+def test_limit_denominator_ties_go_to_the_convergent(x, bound):
+    # A float ties only when the candidates' denominators are 1 and a power
+    # of two, one of them equal to the bound: never with 10^9, so small bounds.
+    want = Fraction(x).limit_denominator(bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fine, "RATIONAL_DENOMINATOR", bound)
+        assert _limit_denominator(x) == (want.numerator, want.denominator)
+
+
+def count_table(rng):
+    runs = int(rng.integers(2, 200))
+    weights = rng.multinomial(runs, rng.dirichlet(np.ones(16)))
+    return marginals(Jpd4((weights / runs).reshape(2, 2, 2, 2)))
+
+
+def zero_entry_table(rng):
+    weights = rng.random((2, 2, 2, 2))
+    weights.ravel()[rng.choice(16, size=int(rng.integers(1, 12)), replace=False)] = 0.0
+    return marginals(Jpd4(weights / weights.sum()))
+
+
+def past_chsh_bound_table(rng):
+    # At sharpness 2^(-1/4) (1 + eps) a CHSH form sits about eps past 1.
+    eps = rng.uniform(1e-10, 1e-9)
+    config = coplanar_configuration(2 ** -0.25 * (1 + eps), np.pi / 4 + rng.uniform(-1e-12, 1e-12))
+    return table_from_quantum(singlet_state(), config)
+
+
+@pytest.mark.parametrize("make", [count_table, zero_entry_table, past_chsh_bound_table])
+def test_exact_route_matches_fraction_reference(make):
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        table = make(rng)
+        oracle = feasibility_oracle(table)
+        reference = reference_exact_jpd(table)
+        assert oracle.feasible == (reference is not None)
+        if reference is not None:
+            np.testing.assert_array_equal(oracle.jpd.values, reference)
+        systems, _ = reference_systems(table)
+        margin = min(const for const, _ in systems[-1])
+        assert oracle.margin == float(margin)
+        assert oracle.near_boundary == (abs(margin) <= Fraction(DECISION_TOL))
+
+
+def test_margin_reports_the_decision():
+    for sharpness, feasible in ((0.8, True), (1.0, False)):
+        table = table_from_quantum(singlet_state(), coplanar_configuration(sharpness, np.pi / 4))
+        for result in (reconstruct_jpd(table), feasibility_oracle(table)):
+            assert result.feasible is feasible
+            assert (result.margin >= -DECISION_TOL) is feasible
+            assert not result.near_boundary
+    # The optimal singlet table at sharpness 2^(-1/4) puts a CHSH form at 1.
+    table = table_from_quantum(singlet_state(), coplanar_configuration(2 ** -0.25, np.pi / 4))
+    for result in (reconstruct_jpd(table), feasibility_oracle(table)):
+        assert result.feasible and result.near_boundary
+        assert abs(result.margin) <= DECISION_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "a table a hair more than DECISION_TOL past a CHSH bound: the surrogate is feasible "
+    "within the tolerance, and clipping its entry near -1e-9 to zero leaves a "
+    "distribution whose sum Jpd4 refuses"))
+def test_exact_route_at_the_tolerance_edge_returns_a_distribution():
+    config = coplanar_configuration(2 ** -0.25 * (1 + 1e-9), np.pi / 4)
+    feasibility_oracle(table_from_quantum(singlet_state(), config))
 
 
 @pytest.mark.parametrize(
@@ -474,3 +672,40 @@ def test_requests_do_not_eliminate(monkeypatch, rng):
 def test_table_json_structure_errors(data):
     with pytest.raises(TableError):
         ProbabilityTable.from_json_dict(data)
+
+
+def uniform_json(**singles) -> dict:
+    data = uniform_table().to_json_dict()
+    data["singles"].update(singles)
+    return data
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [("0.5", "table JSON entry '1' must be a number, got '0.5'"),
+     (True, "table JSON entry '1' must be a number, got True")],
+)
+def test_table_json_refuses_text_and_booleans(value, message):
+    data = uniform_json(**{"1": value})
+    with pytest.raises(TableError, match=re.escape(message)):
+        ProbabilityTable.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    ("row", "shown"),
+    [("1", "'1'"), ("x,3,0.25", "'x,3,0.25'"), ("1,3,half", "'1,3,half'")],
+)
+def test_table_csv_names_the_malformed_row(row, shown):
+    lines = uniform_table().to_csv_text().splitlines()
+    lines[3] = row
+    with pytest.raises(TableError, match=re.escape(f"table CSV row 4 must be i,j,p") + ".*" + re.escape(shown)):
+        ProbabilityTable.from_csv_text("\n".join(lines) + "\n")
+
+
+def test_table_readers_keep_integral_json_numbers():
+    data = uniform_json(**{"1": 1, "-1": 0})
+    data["pairs"].update({"1,3": 0.5, "1,-3": 0.5, "1,4": 0.5, "1,-4": 0.5})
+    data["pairs"].update({"-1,3": 0, "-1,-3": 0, "-1,4": 0, "-1,-4": 0})
+    data["pairs"].update({"2,3": 0, "2,-3": 0.5, "-2,3": 0.5, "-2,-3": 0})
+    table = ProbabilityTable.from_json_dict(data)
+    assert table.single(1) == 1.0 and type(table.single(1)) is float

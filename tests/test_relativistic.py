@@ -453,3 +453,29 @@ def test_programme_json_keeps_integral_numbers():
     assert type(programme.measurements[0].subsystem) is int
     assert programme.measurements[0].subsystem == 2
     assert programme.outcomes == (-1,)
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"measurements": [{"event": "0510", "axis": [0, 0, 1], "subsystem": 1}]},
+         "programme measurement 0 event must be a list of numbers, got '0510'"),
+        ({"measurements": [{"event": [True, 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}]},
+         "programme measurement 0 event must be a list of numbers, got True"),
+        ({"measurements": [{"event": [None, 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}]},
+         "programme measurement 0 event must be a list of numbers, got None"),
+        ({"measurements": [{"event": ["zero", 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}]},
+         "programme measurement 0 event: could not convert string to float: 'zero'"),
+        ({"measurements": [{"event": [0, 0, 0, 0], "axis": "001", "subsystem": 1}]},
+         "programme measurement 0 axis must be a list of numbers, got '001'"),
+        ({"outcomes": "1"}, "programme outcomes must be a list of +1, -1 or null, got '1'"),
+        ({"initial": "foo"}, 'programme initial must be "singlet" or [re, im] pairs, got \'foo\''),
+        ({"initial": [[1, 0, 0]] * 16}, 'programme initial must be "singlet" or [re, im] pairs'),
+        ({"subsystem": True}, "programme measurement 0 subsystem must be an integer, got True"),
+        ({"outcomes": [True]}, "programme outcome must be an integer, got True"),
+        ({"lambda": "0.5"}, "programme lambda must be a number, got '0.5'"),
+    ],
+)
+def test_programme_json_refuses_text_and_booleans(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        programme_from_json_dict(single_measurement_json(**fields))
