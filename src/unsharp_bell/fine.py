@@ -232,10 +232,22 @@ class Jpd4:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Jpd4":
+        """Read the 16 entries ``to_json_dict`` writes, keyed "s1,s2,s3,s4" with each sign 1 or -1."""
+        if not isinstance(data, dict):
+            raise ValueError(f"joint distribution JSON must be an object, got {data!r}")
+        labels = {",".join(str(s) for s in signs): signs for signs in _all_sign_quadruples()}
+        for key in data:
+            if key not in labels:
+                raise ValueError(
+                    f"joint distribution JSON key {key!r} is not a sign quadruple such as "
+                    f"'1,-1,1,1'"
+                )
         values = np.zeros((2, 2, 2, 2))
-        for key, value in data.items():
-            signs = tuple(int(part) for part in key.split(","))
-            values[tuple(_SIGN_INDEX[s] for s in signs)] = float(value)
+        for key, signs in labels.items():
+            if key not in data:
+                raise ValueError(f"joint distribution JSON is missing the entry {key!r}")
+            field = f"joint distribution JSON entry {key!r}"
+            values[tuple(_SIGN_INDEX[s] for s in signs)] = json_number(data[key], field)
         return cls(values)
 
 
@@ -474,7 +486,7 @@ _TOL_NUMERATOR, _TOL_DENOMINATOR = DECISION_TOL.as_integer_ratio()
 
 
 def _joint_entries(rows: np.ndarray, scale, divide):
-    """Margin, whether it is within ``DECISION_TOL``, and entries (None past it).
+    """Margin, whether it is within ``DECISION_TOL``, and entries times ``scale`` (None past it).
 
     The one body of both routes.  ``rows`` holds the stacked compiled rows,
     then the 16 entry constants, times ``scale``: floats, ``scale=1`` and
@@ -505,11 +517,19 @@ def _joint_entries(rows: np.ndarray, scale, divide):
                 f"empty interval for variable {index}: [{lower / scale}, {upper / scale}]"
             )
         free[index] = divide(lower + upper, 2)
+    entries = [
+        value + sum(c * x for c, x in zip(coeffs, free) if c != 0)
+        for value, (_, coeffs) in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_ROWS)
+    ]
+    return margin, near_boundary, entries
+
+
+def _jpd_values(entries: list, scale=1) -> np.ndarray:
+    """The (2, 2, 2, 2) array of ``_joint_entries``'s entries, divided by ``scale``."""
     values = np.zeros((2, 2, 2, 2))
-    base = rows[_COMPILED_ROWS:].tolist()
-    for index, value, (_, coeffs) in zip(_ENTRY_INDICES, base, _ENTRY_ROWS):
-        values[index] = (value + sum(c * x for c, x in zip(coeffs, free) if c != 0)) / scale
-    return margin, near_boundary, values
+    for index, entry in zip(_ENTRY_INDICES, entries):
+        values[index] = entry / scale
+    return values
 
 
 def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
@@ -533,7 +553,7 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
         )
     # Interval midpoints can sit a rounding error below zero at
     # degenerate vertices; that is within the distribution tolerance.
-    jpd = Jpd4(np.clip(entries, -RANGE_TOL, None))
+    jpd = Jpd4(np.clip(_jpd_values(entries), -RANGE_TOL, None))
     return FeasibilityResult(True, jpd, None, "interval-reconstruction", margin, near)
 
 
@@ -605,8 +625,12 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
         return FeasibilityResult(
             False, None, find_witness(table), "exact-elimination", margin, near
         )
-    # A table feasible only within DECISION_TOL leaves entries that far below zero.
-    jpd = Jpd4(np.clip(entries, 0.0, None))
+    # A table feasible only within DECISION_TOL leaves entries up to that far
+    # below zero.  They become zero and the largest entry gives up their
+    # mass, so the entries still sum to exactly ``scale``.
+    clipped = [max(entry, 0) for entry in entries]
+    clipped[clipped.index(max(clipped))] += sum(min(entry, 0) for entry in entries)
+    jpd = Jpd4(_jpd_values(clipped, scale))
     return FeasibilityResult(True, jpd, None, "exact-elimination", margin, near)
 
 

@@ -485,6 +485,12 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     """
     if not isinstance(observer, SpacetimeEvent):
         observer = SpacetimeEvent.from_sequence(observer)
+    roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
+    return _chart(programme, observer, roots)
+
+
+def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: list) -> ChartResult:
+    """The body of ``observer_chart``, given the roots of the programme's measurements."""
     events = programme.events()
     cover = influence_cover(events)
     region_index = cover.region_index(observer)
@@ -502,7 +508,6 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
             )
 
     initial = programme.initial_state
-    roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
     # What a registered outcome asserts is fixed at the registration
     # itself, so the lines are built once from the initial state and
     # repeated in every region the outcome conditions.
@@ -659,7 +664,7 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
         charts: dict = {}
         previous = None
         for point in points:
-            result = observer_chart(prog, point)
+            result = _chart(prog, point, roots)
             chart_states = np.stack([a.state for a in result.assignments])
             if result.information_flags in charts:
                 grouping_dev = max(

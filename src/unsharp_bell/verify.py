@@ -15,6 +15,15 @@ against the singlet formula, three feasibility routes against each
 other).  Each check's ``detail`` names how many points it evaluated, so
 a faster battery cannot come from checking less.
 
+The Cirelson check eigensolves its 100,000 Bell operators as real
+symmetric matrices: in the magic basis every ``sigma_i (x) sigma_j`` is
+real, so each operator is a real combination of nine constant 4x4
+matrices; every ``SPOT_STRIDE``-th one is also eigensolved as the complex
+``bell.bell_operator``.  The Fine check builds its 500 quantum tables as
+one Born-rule batch, the operations of ``fine.table_from_quantum``
+broadcast over a leading axis; every tenth table also goes through
+``table_from_quantum`` and must match bit for bit.
+
 ``_sequential_vs_joint`` and ``check_disturbance`` write the Luders
 sandwich out rather than call ``instruments.lueders_update``, the one
 step charts and instruments apply.  The cover-partition check flags its
@@ -36,6 +45,7 @@ from . import fine
 from .bell import (
     THRESHOLDS,
     BellConfiguration,
+    bell_operator,
     chsh_report,
     coplanar_configuration,
     operator_chsh_holds,
@@ -45,7 +55,7 @@ from .bell import (
     singlet_state,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import PAULI, expectation, sqrt_psd, tensor
+from .operators import I2, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
     CausalRelation,
     Measurement,
@@ -206,29 +216,41 @@ def check_gap_region() -> CheckResult:
     return _result("gap-region", start, passed, deviation, 1e-12, detail)
 
 
-def _batched_bell_norms(axes: np.ndarray) -> np.ndarray:
-    """Spectral norms of the sharp Bell combinations for (4, N, 3) axes."""
-    sigma = np.stack(PAULI)
+# The magic basis, as columns.  In it every sigma_i (x) sigma_j is real
+# symmetric, so an operator sum_ij T_ij sigma_i (x) sigma_j with real T has
+# the real matrix sum_ij T_ij R_ij, with R_ij the rows of _MAGIC_PAULI.
+_MAGIC = np.array(
+    [[1.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 1.0j, 1.0], [0.0, 0.0, 1.0j, -1.0], [1.0, -1.0j, 0.0, 0.0]]
+) / np.sqrt(2.0)
+_MAGIC_PAULI = np.array([_MAGIC.conj().T @ np.kron(a, b) @ _MAGIC for a in PAULI for b in PAULI])
+if np.abs(_MAGIC_PAULI.imag).max() > 1e-15:
+    raise ArithmeticError("sigma_i (x) sigma_j is not real in the magic basis")
+_MAGIC_PAULI = _MAGIC_PAULI.real.reshape(9, 16)
+
+
+def _bell_spectra(axes: np.ndarray) -> np.ndarray:
+    """Spectra of the sharp Bell combinations for (4, N, 3) axes, ascending.
+
+    a (b + b') + a' (b' - b) is sum_ij T_ij sigma_i (x) sigma_j with
+    T = n1 (n3 + n4)^T + n2 (n4 - n3)^T; it is eigensolved as the real
+    symmetric matrix it has in the magic basis.
+    """
     n1, n2, n3, n4 = axes
-    a = np.einsum("ni,iab->nab", n1, sigma)
-    a_alt = np.einsum("ni,iab->nab", n2, sigma)
-    b = np.einsum("ni,iab->nab", n3, sigma)
-    b_alt = np.einsum("ni,iab->nab", n4, sigma)
-
-    def kron(left, right):
-        count = left.shape[0]
-        return np.einsum("nab,ncd->nacbd", left, right).reshape(count, 4, 4)
-
-    bell = kron(a, b + b_alt) + kron(a_alt, b_alt - b)
-    return np.abs(np.linalg.eigvalsh(bell)).max(axis=1)
+    t = n1[:, :, None] * (n3 + n4)[:, None, :] + n2[:, :, None] * (n4 - n3)[:, None, :]
+    return np.linalg.eigvalsh((t.reshape(-1, 9) @ _MAGIC_PAULI).reshape(-1, 4, 4))
 
 
 def check_cirelson(rng) -> CheckResult:
-    """The Bell operator norm never exceeds 2*sqrt(2) and attains it."""
+    """The Bell operator norm never exceeds 2*sqrt(2) and attains it.
+
+    Every ``SPOT_STRIDE``-th configuration is also eigensolved as the
+    complex ``bell_operator``, whose spectrum must match within 1e-12.
+    """
     start = time.perf_counter()
     count = 100_000
     axes = np.stack([random_unit_vectors(rng, count) for _ in range(4)])
-    norms = _batched_bell_norms(axes)
+    spectra = _bell_spectra(axes)
+    norms = np.abs(spectra).max(axis=1)
     cross1 = np.linalg.norm(np.cross(axes[0], axes[1]), axis=1)
     cross2 = np.linalg.norm(np.cross(axes[2], axes[3]), axis=1)
     closed = 2.0 * np.sqrt(1.0 + cross1 * cross2)
@@ -237,17 +259,20 @@ def check_cirelson(rng) -> CheckResult:
     overshoot = max(0.0, float(norms.max()) - bound)
 
     orthogonal = orthogonal_configuration(1.0)
-    attained = _batched_bell_norms(
-        np.stack([axis[None, :] for axis in orthogonal.axes])
-    )[0]
+    attained = np.abs(_bell_spectra(np.stack(orthogonal.axes)[:, None, :])).max()
     attain_dev = abs(attained - bound)
 
-    deviation = max(agreement, overshoot, attain_dev)
-    passed = agreement <= 1e-9 and overshoot <= 1e-9 and attain_dev <= 1e-9
+    spots = range(0, count, SPOT_STRIDE)
+    operators = [bell_operator(BellConfiguration(1.0, *axes[:, i])) for i in spots]
+    spot_gap = float(np.max(np.abs(np.linalg.eigvalsh(np.stack(operators)) - spectra[spots])))
+
+    deviation = max(agreement, overshoot, attain_dev, spot_gap)
+    passed = agreement <= 1e-9 and overshoot <= 1e-9 and attain_dev <= 1e-9 and spot_gap <= 1e-12
     detail = (
         f"eigensolver vs closed form {agreement:.3e}, overshoot above 2*sqrt(2) "
         f"{overshoot:.3e}, orthogonal attainment off by {attain_dev:.3e} "
-        f"over {count} configurations"
+        f"over {count} configurations, {len(spots)} spot checks against "
+        f"bell_operator off by {spot_gap:.3e}"
     )
     return _result("cirelson-bound", start, passed, deviation, 1e-9, detail)
 
@@ -263,25 +288,48 @@ def _random_jpd_table(rng, zero_entries: bool) -> fine.ProbabilityTable:
     return fine.marginals(fine.Jpd4(values))
 
 
-def _random_quantum_table(rng, index: int) -> fine.ProbabilityTable:
+def _quantum_parameters(rng, index: int) -> tuple[BellConfiguration, np.ndarray]:
+    """Configuration and state of the battery's quantum table ``index``."""
     sharpness = float(rng.random())
     if index % 5 == 0:
         # Deliberately near-optimal configurations so the infeasible side
         # of the equivalence is exercised, not just sampled by luck.
         sharpness = float(1.0 - 0.1 * rng.random())
         angle = float(np.pi / 4 + 0.1 * rng.normal())
-        config = coplanar_configuration(sharpness, angle)
-        state = singlet_state()
-    else:
-        config = BellConfiguration(
-            sharpness,
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-        )
-        state = singlet_state() if index % 2 == 0 else random_density(rng, 4)
-    return fine.table_from_quantum(state, config)
+        return coplanar_configuration(sharpness, angle), singlet_state()
+    config = BellConfiguration(sharpness, *(random_unit_vector(rng) for _ in range(4)))
+    return config, singlet_state() if index % 2 == 0 else random_density(rng, 4)
+
+
+def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the trailing 2x2 blocks, the same broadcast multiply, over leading axes."""
+    blocks = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return blocks.reshape(blocks.shape[:-4] + (4, 4))
+
+
+def _quantum_tables(configs, states) -> list[fine.ProbabilityTable]:
+    """``fine.table_from_quantum`` of each configuration and state, as one Born-rule batch.
+
+    The effects, Kronecker products, matrix products and traces are those
+    of ``table_from_quantum`` applied elementwise over a leading axis, so
+    each table equals its own bit for bit.
+    """
+    sharpness = np.array([config.sharpness for config in configs])[:, None, None, None]
+    axes = np.array([config.axes for config in configs])
+    # Signed axes in SINGLE_KEYS order, normalized as unsharp_effect normalizes them.
+    signed = np.stack([axes, -axes], axis=2).reshape(-1, 8, 3)
+    effects = (I2 + sharpness * pauli_dot(signed / _norms(signed)[..., None])) / 2.0
+    first, second = effects[:, :4], effects[:, 4:]
+    pairs = _kron(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
+    observables = np.concatenate([_kron(first, I2), _kron(I2, second), pairs], axis=1)
+    rho = np.asarray(states, dtype=complex)[:, None]
+    probabilities = np.trace(np.matmul(rho, observables), axis1=-2, axis2=-1).real
+    return [
+        fine.ProbabilityTable(
+            dict(zip(fine.SINGLE_KEYS, row[:8])), dict(zip(fine.PAIR_KEYS, row[8:]))
+        ).validate()
+        for row in probabilities.tolist()
+    ]
 
 
 def check_fine_equivalence(rng) -> CheckResult:
@@ -290,21 +338,34 @@ def check_fine_equivalence(rng) -> CheckResult:
     Half the tables are marginals of random joint distributions, and half
     of those have zero entries; the other half come from quantum states
     under unsharp spin pairs, every fifth of them near the optimal CHSH
-    configuration.
+    configuration.  The quantum tables are built as one Born-rule batch;
+    every tenth also goes through ``fine.table_from_quantum``, and a table
+    it does not reproduce bit for bit counts as a disagreement.
     """
     start = time.perf_counter()
     total = 1000
-    disagreements = 0
-    feasible_count = 0
+    jpd_tables, parameters = [], []
     zero_count = 0
-    roundtrip = 0.0
     for index in range(total):
         if index % 2 == 0:
             zero_entries = index % 4 == 2
             zero_count += zero_entries
-            table = _random_jpd_table(rng, zero_entries)
+            jpd_tables.append(_random_jpd_table(rng, zero_entries))
         else:
-            table = _random_quantum_table(rng, index)
+            parameters.append(_quantum_parameters(rng, index))
+    configs, states = zip(*parameters)
+    quantum_tables = _quantum_tables(configs, states)
+    tables = [table for pair in zip(jpd_tables, quantum_tables) for table in pair]
+
+    spots = range(0, len(quantum_tables), 10)
+    disagreements = sum(
+        vars(fine.table_from_quantum(states[i], configs[i])) != vars(quantum_tables[i])
+        for i in spots
+    )
+
+    feasible_count = 0
+    roundtrip = 0.0
+    for table in tables:
         holds = fine.chsh_check(table).all_hold
         rec = fine.reconstruct_jpd(table)
         oracle = fine.feasibility_oracle(table)
@@ -323,7 +384,8 @@ def check_fine_equivalence(rng) -> CheckResult:
     passed = disagreements == 0 and roundtrip <= 1e-8
     detail = (
         f"{total} tables ({zero_count} with zero entries), {feasible_count} feasible, "
-        f"{disagreements} route disagreements, worst marginal round-trip {roundtrip:.3e}"
+        f"{disagreements} disagreements over the three routes and {len(spots)} spot "
+        f"checks against table_from_quantum, worst marginal round-trip {roundtrip:.3e}"
     )
     return _result("fine-equivalence", start, passed, roundtrip, 1e-8, detail)
 
@@ -506,13 +568,17 @@ def _sequential_vs_joint(programme: MeasurementProgramme) -> float:
     """Largest gap between ordered applications and the product instrument."""
     initial = programme.initial_state
     s = programme.sharpness
-    m1, m2 = programme.measurements
+    # Each measurement's two outcome roots, embedded in the pair, once per programme.
+    roots = []
+    for m in programme.measurements:
+        local = {o: sqrt_psd(unsharp_effect(o * m.axis, s)) for o in (1, -1)}
+        roots.append({
+            o: tensor(root, np.eye(2)) if m.subsystem == 1 else tensor(np.eye(2), root)
+            for o, root in local.items()
+        })
     worst = 0.0
     for o1, o2 in product((1, -1), repeat=2):
-        eff1 = unsharp_effect(o1 * m1.axis, s)
-        eff2 = unsharp_effect(o2 * m2.axis, s)
-        root1 = tensor(sqrt_psd(eff1), np.eye(2)) if m1.subsystem == 1 else tensor(np.eye(2), sqrt_psd(eff1))
-        root2 = tensor(sqrt_psd(eff2), np.eye(2)) if m2.subsystem == 1 else tensor(np.eye(2), sqrt_psd(eff2))
+        root1, root2 = roots[0][o1], roots[1][o2]
         seq12 = root2 @ (root1 @ initial @ root1) @ root2
         seq21 = root1 @ (root2 @ initial @ root2) @ root1
         joint_root = root1 @ root2  # commuting embedded roots; the product instrument

@@ -112,6 +112,22 @@ def test_fine_solve_uniform_roundtrip(tmp_path, capsys):
     assert data["feasible"] is True and data["method"] == "exact-elimination"
 
 
+def test_fine_solve_exact_at_the_tolerance_edge(tmp_path, capsys):
+    # A CHSH form about 1e-9 past 1, feasible within the decision tolerance:
+    # the exact route returns a distribution instead of exiting 1.
+    from unsharp_bell.bell import coplanar_configuration, singlet_state
+    from unsharp_bell.fine import table_from_quantum
+
+    config = coplanar_configuration(2 ** -0.25 * (1 + 1e-9), np.pi / 4)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(table_from_quantum(singlet_state(), config).to_json_dict()))
+    code, out, err = run_cli(capsys, "fine-solve", "--table", str(path), "--method", "exact")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["feasible"] is True and data["near_boundary"] is True
+    assert data["roundtrip_residual"] <= 1e-8
+
+
 def test_fine_check_reads_csv(tmp_path, capsys):
     from unsharp_bell.fine import ProbabilityTable
 

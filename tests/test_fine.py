@@ -85,7 +85,7 @@ def test_marginals_brute_force(rng):
 
 def test_jpd_round_trip(rng):
     table, jpd = random_jpd_table(rng)
-    back = Jpd4.from_json_dict(jpd.to_json_dict())
+    back = Jpd4.from_json_dict(json.loads(json.dumps(jpd.to_json_dict())))
     for o in itertools.product((1, -1), repeat=4):
         np.testing.assert_allclose(back.entry(o), jpd.entry(o), atol=0)
 
@@ -522,8 +522,12 @@ def reference_exact_jpd(table):
         entries[outcome] = sum(sign * pairs[key] for key, sign in terms) + sum(
             c * free[k] for k, c in enumerate(coeffs)
         )
-    ordered = [entries[signs] for signs in itertools.product((1, -1), repeat=4)]
-    return np.array([max(float(value), 0.0) for value in ordered]).reshape(2, 2, 2, 2)
+    # Entries below zero become zero, and the first largest entry in
+    # free-then-dependent order gives up their mass.
+    clipped = {outcome: max(value, 0) for outcome, value in entries.items()}
+    clipped[max(clipped, key=clipped.get)] += sum(min(value, 0) for value in entries.values())
+    ordered = [clipped[signs] for signs in itertools.product((1, -1), repeat=4)]
+    return np.array([float(value) for value in ordered]).reshape(2, 2, 2, 2)
 
 
 def test_exact_route_matches_per_table_elimination(rng):
@@ -651,13 +655,43 @@ def test_margin_reports_the_decision():
         assert abs(result.margin) <= DECISION_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "a table a hair more than DECISION_TOL past a CHSH bound: the surrogate is feasible "
-    "within the tolerance, and clipping its entry near -1e-9 to zero leaves a "
-    "distribution whose sum Jpd4 refuses"))
 def test_exact_route_at_the_tolerance_edge_returns_a_distribution():
+    # A CHSH form about 1e-9 past 1: the surrogate is feasible within
+    # DECISION_TOL and leaves an entry near -1e-9.  Zeroing it used to leave
+    # a sum of 1.000000001, which Jpd4 refuses; the largest entry now gives
+    # up that mass.
     config = coplanar_configuration(2 ** -0.25 * (1 + 1e-9), np.pi / 4)
-    feasibility_oracle(table_from_quantum(singlet_state(), config))
+    table = table_from_quantum(singlet_state(), config)
+    assert chsh_check(table).all_hold
+    oracle = feasibility_oracle(table)
+    assert oracle.feasible and oracle.near_boundary
+    assert oracle.jpd.values.min() == 0.0
+    assert abs(oracle.jpd.values.sum() - 1.0) <= fine.SUM_TOL
+    assert table_deviation(marginals(oracle.jpd), table) <= 1e-8
+    np.testing.assert_array_equal(oracle.jpd.values, reference_exact_jpd(table))
+
+
+def jpd_json(changes=()) -> dict:
+    data = Jpd4(np.full((2, 2, 2, 2), 1 / 16)).to_json_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        (jpd_json({"1,1,1,1": "1"}), "joint distribution JSON entry '1,1,1,1' must be a number, got '1'"),
+        (jpd_json({"1,1,1,1": True}), "joint distribution JSON entry '1,1,1,1' must be a number, got True"),
+        (jpd_json({"1,1,1,2": 0.0}), "joint distribution JSON key '1,1,1,2' is not a sign quadruple"),
+        (jpd_json({"1,1,1": 0.0}), "joint distribution JSON key '1,1,1' is not a sign quadruple"),
+        ({k: v for k, v in jpd_json().items() if k != "-1,1,-1,1"},
+         "joint distribution JSON is missing the entry '-1,1,-1,1'"),
+        ([1 / 16] * 16, "joint distribution JSON must be an object"),
+    ],
+)
+def test_jpd_json_refuses_bad_input(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Jpd4.from_json_dict(data)
 
 
 @pytest.mark.parametrize(

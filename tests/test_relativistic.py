@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from unsharp_bell import verify
+from unsharp_bell import operators, relativistic, verify
 from unsharp_bell.relativistic import (
     CausalRelation,
     Measurement,
@@ -343,6 +343,33 @@ def test_consistency_report_spacelike():
 def test_consistency_report_timelike():
     report = check_consistency(two_sided_programme(separation="timelike"))
     assert report.all_pass
+
+
+@pytest.mark.parametrize("separation", ["spacelike", "timelike"])
+def test_consistency_charts_from_shared_roots_equal_observer_charts(monkeypatch, separation):
+    # check_consistency builds each measurement's roots once and charts every
+    # worldline point from them; each chart equals observer_chart's, byte for byte
+    programme = two_sided_programme(axis2=X, separation=separation)
+    body = relativistic._chart
+    built = []
+
+    def recording(prog, observer, roots):
+        chart = body(prog, observer, roots)
+        built.append((prog, observer, chart))
+        return chart
+
+    roots_built = []
+    sqrt_psd = operators.sqrt_psd
+    monkeypatch.setattr(relativistic, "_chart", recording)
+    monkeypatch.setattr(relativistic, "sqrt_psd", lambda m: roots_built.append(m) or sqrt_psd(m))
+    offsets = np.linspace(-2.0, 12.0, 15)
+    check_consistency(programme, Worldline(SpacetimeEvent(-3.0, 1.0, 0.0, 0.0)), offsets)
+    monkeypatch.undo()
+    assert len(roots_built) == 2 * len(programme.measurements)
+    assert len(built) == 4 * len(offsets)  # every outcome pair at every point
+    for prog, observer, chart in built:
+        want = observer_chart(prog, observer).to_json_dict()
+        assert json.dumps(chart.to_json_dict()) == json.dumps(want)
 
 
 def test_consistency_regions_progress():
