@@ -52,6 +52,7 @@ __all__ = [
     "ChshWitness",
     "FeasibilityResult",
     "marginals",
+    "roundtrip_residual",
     "chsh_check",
     "reconstruct_jpd",
     "feasibility_oracle",
@@ -281,6 +282,15 @@ def marginals(jpd: Jpd4) -> ProbabilityTable:
                         block[_SIGN_INDEX[si], _SIGN_INDEX[sj]]
                     )
     return ProbabilityTable(singles, pairs)
+
+
+def roundtrip_residual(table: ProbabilityTable, jpd: Jpd4) -> float:
+    """Largest gap between a table and the marginals of a distribution built for it."""
+    back = marginals(jpd)
+    return max(
+        max(abs(back.single(k) - table.single(k)) for k in SINGLE_KEYS),
+        max(abs(back.pair(i, j) - table.pair(i, j)) for i, j in PAIR_KEYS),
+    )
 
 
 # The four CHSH expressions in their pair form; each must lie in [0, 1].
@@ -655,6 +665,8 @@ def table_from_quantum(state, config: BellConfiguration) -> ProbabilityTable:
         -4: unsharp_effect(-config.axis4, s),
     }
     rho = np.asarray(state, dtype=complex)
+    # np.kron, not operators.tensor: this is the independent reference the
+    # fine-equivalence check compares its tensor-built batch against bit for bit.
     singles = {}
     for k, eff in first.items():
         singles[k] = expectation(rho, np.kron(eff, I2))

@@ -5,7 +5,9 @@ the only linear-algebra primitives the rest of the package uses:
 Kronecker products, Hermitian eigendecompositions, positive square
 roots, partial traces and the trace norm, together with validation
 helpers for the operator classes that appear throughout (Hermitian
-operators, density operators, effects).
+operators, density operators, effects).  ``pauli_dot`` and ``tensor``
+broadcast over leading axes, so batched code builds its operators through
+the same two functions as single requests, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ def check_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "operator"
     rounding noise up to ``tol``.
     """
     mat = _as_matrix(matrix, name)
+    if not np.isfinite(mat).all():
+        # A NaN entry would make the asymmetry NaN, which ``dev > tol`` lets through.
+        raise ValueError(f"{name} must have finite entries")
     dev = asymmetry(mat)
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian (asymmetry {dev:.3e} exceeds {tol:.1e})")
@@ -112,14 +117,22 @@ def pauli_dot(vec) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two single-system (2x2) operators."""
-    ma = _as_matrix(a, "first factor")
-    mb = _as_matrix(b, "second factor")
-    if ma.shape != (2, 2) or mb.shape != (2, 2):
+    """Kronecker product of two single-system (2x2) operators.
+
+    Broadcasts over leading axes, as ``pauli_dot`` does: factors of shapes
+    ``A + (2, 2)`` and ``B + (2, 2)`` give a product of shape
+    ``broadcast(A, B) + (4, 4)``.  Each entry is the one complex product
+    ``np.kron`` forms for it, so every product equals ``np.kron`` of its own
+    factors, bit for bit.
+    """
+    ma = np.asarray(a, dtype=complex)
+    mb = np.asarray(b, dtype=complex)
+    if ma.shape[-2:] != (2, 2) or mb.shape[-2:] != (2, 2):
         raise ValueError(
             f"tensor expects two 2x2 operators, got {ma.shape} and {mb.shape}"
         )
-    return np.kron(ma, mb)
+    blocks = ma[..., :, None, :, None] * mb[..., None, :, None, :]
+    return blocks.reshape(blocks.shape[:-4] + (4, 4))
 
 
 def eigen_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:

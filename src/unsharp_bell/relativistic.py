@@ -338,7 +338,7 @@ class MeasurementProgramme:
                     raise ValueError(f"outcomes must be +1, -1 or None, got {o!r}")
             object.__setattr__(self, "outcomes", outs)
         if not (isinstance(self.initial, str) and self.initial == "singlet"):
-            object.__setattr__(self, "initial", check_density(self.initial))
+            object.__setattr__(self, "initial", check_density(self.initial, name="initial state"))
             if np.asarray(self.initial).shape != (4, 4):
                 raise ValueError("initial state must be a two-particle (4x4) density matrix")
 
@@ -738,7 +738,10 @@ def _initial_from_json(initial):
     pairs = [_numbers(pair, field, kind) for pair in json_list(initial, field, kind)]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"programme initial must be {kind}, got {initial!r}")
-    return matrix_from_pairs(pairs)
+    try:
+        return matrix_from_pairs(pairs)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def _measurement_from_json_dict(index: int, entry) -> Measurement:
@@ -748,22 +751,21 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
     ]
     if missing:
         raise ValueError(f"programme measurement {index} is missing a field: {', '.join(missing)}")
-    where, kind = f"programme measurement {index}", "a list of numbers"
-    # A coordinate may also be numeric text such as "nan", which JSON has no
-    # literal for: from_sequence reads it and names a coordinate that is not finite.
-    event = [
-        c if isinstance(c, str) else json_number(c, f"{where} event", kind)
-        for c in json_list(entry["event"], f"{where} event", kind)
-    ]
+    where = f"programme measurement {index}"
+    event = _numbers(entry["event"], f"{where} event")
     try:
         event = SpacetimeEvent.from_sequence(event)
     except ValueError as exc:
         raise ValueError(f"{where} event: {exc}") from None
-    return Measurement(
-        event=event,
-        axis=np.array(_numbers(entry["axis"], f"{where} axis")),
-        subsystem=_integer(entry["subsystem"], f"measurement {index} subsystem"),
-    )
+    axis = np.array(_numbers(entry["axis"], f"{where} axis"))
+    subsystem = _integer(entry["subsystem"], f"measurement {index} subsystem")
+    # Measurement checks its axis and its subsystem in one constructor and names
+    # neither, so the axis is checked here first, where the message can name it.
+    try:
+        unit_vector(axis)
+    except ValueError as exc:
+        raise ValueError(f"{where} axis: {exc}") from None
+    return Measurement(event=event, axis=axis, subsystem=subsystem)
 
 
 def programme_from_json_dict(data: dict) -> MeasurementProgramme:

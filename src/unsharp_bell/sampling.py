@@ -7,10 +7,6 @@ import numpy as np
 DEFAULT_SEED = 20260819
 
 
-def rng_from(seed: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     """Uniform direction on the unit sphere."""
     while True:

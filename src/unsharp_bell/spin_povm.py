@@ -64,7 +64,8 @@ def unit_vector(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        norm = float(np.linalg.norm(v))
     if not math.isfinite(norm):
         # NaN or infinite components, or a norm beyond the float range.
         raise ValueError(f"direction must be finite with a finite norm, got {v.tolist()}")
@@ -232,9 +233,6 @@ def quadruple_joint(sharpness: float, axis1, axis2, axis3, axis4) -> JointObserv
             )
     left = _pair_effects(sharpness, unit_vector(axis1), unit_vector(axis2))
     right = _pair_effects(sharpness, unit_vector(axis3), unit_vector(axis4))
-    effects = {
-        outcome1 + outcome2: tensor(effect1, effect2)
-        for outcome1, effect1 in zip(PAIR_OUTCOMES, left)
-        for outcome2, effect2 in zip(PAIR_OUTCOMES, right)
-    }
-    return JointObservable(effects)
+    products = tensor(left[:, None], right[None, :]).reshape(16, 4, 4)
+    outcomes = [first + second for first in PAIR_OUTCOMES for second in PAIR_OUTCOMES]
+    return JointObservable(dict(zip(outcomes, products)))

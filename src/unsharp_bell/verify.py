@@ -21,14 +21,17 @@ real, so each operator is a real combination of nine constant 4x4
 matrices; every ``SPOT_STRIDE``-th one is also eigensolved as the complex
 ``bell.bell_operator``.  The Fine check builds its 500 quantum tables as
 one Born-rule batch, the operations of ``fine.table_from_quantum``
-broadcast over a leading axis; every tenth table also goes through
-``table_from_quantum`` and must match bit for bit.
+broadcast over a leading axis (``operators.tensor`` broadcasts, and
+multiplies entry by entry as ``np.kron`` does); every tenth table also
+goes through ``table_from_quantum`` and must match bit for bit.
 
-``_sequential_vs_joint`` and ``check_disturbance`` write the Luders
-sandwich out rather than call ``instruments.lueders_update``, the one
-step charts and instruments apply.  The cover-partition check flags its
-points with ``_causal_codes``; its spot checks go through
-``Cover.flags_at``, which charts use and which decides every cone through
+``_sequential_vs_joint`` takes its effect roots from
+``relativistic._measurement_roots``, as charts do, but it and
+``check_disturbance`` write the Luders sandwich out rather than call
+``instruments.lueders_update``, the one step charts and instruments
+apply.  The cover-partition check flags its points with
+``_causal_codes``; its spot checks go through ``Cover.flags_at``, which
+charts use and which decides every cone through
 ``relativistic.causal_relation``.
 """
 
@@ -55,12 +58,13 @@ from .bell import (
     singlet_state,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import I2, PAULI, expectation, pauli_dot, sqrt_psd, tensor
+from .operators import I2, PAULI, expectation, pauli_dot, tensor
 from .relativistic import (
     CausalRelation,
     Measurement,
     MeasurementProgramme,
     SpacetimeEvent,
+    _measurement_roots,
     boost_event,
     causal_relation,
     check_consistency,
@@ -301,12 +305,6 @@ def _quantum_parameters(rng, index: int) -> tuple[BellConfiguration, np.ndarray]
     return config, singlet_state() if index % 2 == 0 else random_density(rng, 4)
 
 
-def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``np.kron`` of the trailing 2x2 blocks, the same broadcast multiply, over leading axes."""
-    blocks = left[..., :, None, :, None] * right[..., None, :, None, :]
-    return blocks.reshape(blocks.shape[:-4] + (4, 4))
-
-
 def _quantum_tables(configs, states) -> list[fine.ProbabilityTable]:
     """``fine.table_from_quantum`` of each configuration and state, as one Born-rule batch.
 
@@ -320,8 +318,8 @@ def _quantum_tables(configs, states) -> list[fine.ProbabilityTable]:
     signed = np.stack([axes, -axes], axis=2).reshape(-1, 8, 3)
     effects = (I2 + sharpness * pauli_dot(signed / _norms(signed)[..., None])) / 2.0
     first, second = effects[:, :4], effects[:, 4:]
-    pairs = _kron(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
-    observables = np.concatenate([_kron(first, I2), _kron(I2, second), pairs], axis=1)
+    pairs = tensor(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
+    observables = np.concatenate([tensor(first, I2), tensor(I2, second), pairs], axis=1)
     rho = np.asarray(states, dtype=complex)[:, None]
     probabilities = np.trace(np.matmul(rho, observables), axis1=-2, axis2=-1).real
     return [
@@ -375,12 +373,7 @@ def check_fine_equivalence(rng) -> CheckResult:
         if rec.feasible:
             feasible_count += 1
             for result in (rec, oracle):
-                back = fine.marginals(result.jpd)
-                dev = max(
-                    max(abs(back.single(k) - table.single(k)) for k in fine.SINGLE_KEYS),
-                    max(abs(back.pair(i, j) - table.pair(i, j)) for i, j in fine.PAIR_KEYS),
-                )
-                roundtrip = max(roundtrip, dev)
+                roundtrip = max(roundtrip, fine.roundtrip_residual(table, result.jpd))
     passed = disagreements == 0 and roundtrip <= 1e-8
     detail = (
         f"{total} tables ({zero_count} with zero entries), {feasible_count} feasible, "
@@ -565,17 +558,12 @@ def _random_programme(rng) -> MeasurementProgramme:
 
 
 def _sequential_vs_joint(programme: MeasurementProgramme) -> float:
-    """Largest gap between ordered applications and the product instrument."""
+    """Largest gap between ordered applications and the product instrument.
+
+    The roots are the ones charts use; the sandwiches are written out here.
+    """
     initial = programme.initial_state
-    s = programme.sharpness
-    # Each measurement's two outcome roots, embedded in the pair, once per programme.
-    roots = []
-    for m in programme.measurements:
-        local = {o: sqrt_psd(unsharp_effect(o * m.axis, s)) for o in (1, -1)}
-        roots.append({
-            o: tensor(root, np.eye(2)) if m.subsystem == 1 else tensor(np.eye(2), root)
-            for o, root in local.items()
-        })
+    roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
     worst = 0.0
     for o1, o2 in product((1, -1), repeat=2):
         root1, root2 = roots[0][o1], roots[1][o2]
@@ -766,6 +754,8 @@ _CHECKS = (
 @lru_cache(maxsize=None)
 def run_all(seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
     """Run every check once for this seed; results are cached."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     results = []
     for index, (func, needs_rng) in enumerate(_CHECKS):
         if needs_rng:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +286,7 @@ def test_chart_refuses_non_finite_observer(tmp_path, capsys, observer):
 def test_chart_refuses_non_finite_event(tmp_path, capsys):
     path = tmp_path / "prog.json"
     write_programme(
-        path, measurements=[{"event": ["nan", 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}],
+        path, measurements=[{"event": [float("nan"), 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}],
         outcomes=[1],
     )
     code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,0,0,0")
@@ -321,6 +322,8 @@ def test_chart_names_missing_measurement_field(tmp_path, capsys):
         ({"initial": 5}, 'programme initial must be "singlet" or [re, im] pairs'),
         ({"lambda": None}, "programme lambda must be a number, got None"),
         ({"outcomes": [1.5, -1]}, "programme outcome must be an integer, got 1.5"),
+        ({"initial": [[0.25, 0.0]] * 9},
+         "programme initial: cannot infer a 2x2 or 4x4 matrix from 9 entries"),
     ],
 )
 def test_chart_names_malformed_programme_field(tmp_path, capsys, changes, message):
@@ -518,6 +521,8 @@ def test_table_reader_errors_exit_one(tmp_path, capsys, suffix, text, message):
           "outcomes": [1]}, "programme measurement 0 subsystem must be an integer, got True"),
         ({"outcomes": [True, -1]}, "programme outcome must be an integer, got True"),
         ({"lambda": "0.5"}, "programme lambda must be a number, got '0.5'"),
+        ({"measurements": [{"event": ["1", 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}],
+          "outcomes": [1]}, "programme measurement 0 event must be a list of numbers, got '1'"),
     ],
 )
 def test_chart_refuses_text_and_booleans_in_programme(tmp_path, capsys, changes, message):
@@ -538,3 +543,38 @@ def test_fine_solve_reports_the_margin(tmp_path, capsys):
         data = json.loads(out)
         # The uniform table has every joint entry at 1/16 and every CHSH form at 1/2.
         assert data["margin"] > 0 and data["near_boundary"] is False
+
+
+def test_chart_names_initial_with_non_finite_entries(tmp_path, capsys):
+    # check_hermitian let NaN through (nan > tol is false): the eigensolver then
+    # failed with a message naming no field.
+    initial = [[0.25, 0.0] if index % 5 == 0 else [0.0, 0.0] for index in range(16)]
+    initial[5] = [float("nan"), 0.0]
+    path = tmp_path / "prog.json"
+    write_programme(path, initial=initial)
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,2,0,0")
+    assert (code, out, err) == (1, "", "error: initial state must have finite entries\n")
+
+
+def test_overflowing_axis_is_refused_without_a_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "1e308,1e308,0"
+        )
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert err == "error: direction must be finite with a finite norm, got [1e+308, 1e+308, 0.0]\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_negative_seed_is_refused_by_name(capsys, monkeypatch, source):
+    if source == "flag":
+        monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
+        argv = ("verify-all", "--seed", "-1")
+    else:
+        monkeypatch.setenv("UNSHARP_BELL_SEED", "-3")
+        argv = ("verify-all", "--seed", "3")
+    code, out, err = run_cli(capsys, *argv)
+    seed = "-1" if source == "flag" else "-3"
+    assert (code, out, err) == (1, "", f"error: seed must be a non-negative integer, got {seed}\n")

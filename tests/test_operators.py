@@ -47,6 +47,24 @@ def test_tensor_matches_kron(rng):
     np.testing.assert_allclose(tensor(a, b), np.kron(a, b), atol=1e-15)
 
 
+def test_tensor_is_kron_bit_for_bit_single_and_stacked(rng):
+    a = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    a[0, 0] = [[-0.0, 1e-300], [np.inf, 1e300j]]  # signed zero, underflow, infinities
+    stacked = tensor(a, b)
+    assert stacked.shape == (5, 3, 4, 4)
+    for i, j in np.ndindex(5, 3):
+        want = np.kron(a[i, j], b[j]).tobytes()
+        assert tensor(a[i, j], b[j]).tobytes() == want
+        assert stacked[i, j].tobytes() == want
+    # Real factors are products of complex entries, as np.kron of complex arrays gives.
+    real = rng.normal(size=(2, 2))
+    want = np.kron(real.astype(complex), np.eye(2, dtype=complex))
+    assert tensor(real, np.eye(2)).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"two 2x2 operators, got \(4, 4\) and \(2, 2\)"):
+        tensor(np.eye(4), np.eye(2))
+
+
 def test_tensor_eigenvalue_products(rng):
     # spectrum of A (x) B is the multiset of eigenvalue products
     a = random_hermitian(rng, 2)
@@ -143,6 +161,15 @@ def test_check_effect_bounds():
         check_effect(np.diag([1.2, 0.5]))
     with pytest.raises(ValueError):
         check_effect(np.diag([-0.2, 0.5]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_check_hermitian_refuses_non_finite_entries(entry):
+    # A NaN entry makes the asymmetry NaN, which no tolerance comparison refuses.
+    matrix = np.eye(4, dtype=complex)
+    matrix[2, 2] = entry
+    with pytest.raises(ValueError, match="^initial state must have finite entries$"):
+        check_hermitian(matrix, name="initial state")
 
 
 def test_check_hermitian_rejects_skew():

@@ -492,7 +492,7 @@ def test_programme_json_keeps_integral_numbers():
         ({"measurements": [{"event": [None, 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}]},
          "programme measurement 0 event must be a list of numbers, got None"),
         ({"measurements": [{"event": ["zero", 0, 0, 0], "axis": [0, 0, 1], "subsystem": 1}]},
-         "programme measurement 0 event: could not convert string to float: 'zero'"),
+         "programme measurement 0 event must be a list of numbers, got 'zero'"),
         ({"measurements": [{"event": [0, 0, 0, 0], "axis": "001", "subsystem": 1}]},
          "programme measurement 0 axis must be a list of numbers, got '001'"),
         ({"outcomes": "1"}, "programme outcomes must be a list of +1, -1 or null, got '1'"),
