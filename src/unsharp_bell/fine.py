@@ -61,6 +61,12 @@ __all__ = [
 
 SINGLE_KEYS = (1, -1, 2, -2, 3, -3, 4, -4)
 PAIR_KEYS = tuple((i, j) for i in (1, -1, 2, -2) for j in (3, -3, 4, -4))
+# Each marginal consistency relation as (pair a, pair b, single k): the
+# pairs a and b must sum to the single k.
+MARGINAL_RELATIONS = tuple(
+    [((i, j), (i, -j), i) for i in (1, -1, 2, -2) for j in (3, 4)]
+    + [((i, j), (-i, j), j) for j in (3, -3, 4, -4) for i in (1, 2)]
+)
 
 RANGE_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -98,38 +104,43 @@ class ProbabilityTable:
     def pair(self, i: int, j: int) -> float:
         return self.pairs[(i, j)]
 
+    def _relation_gaps(self):
+        """The gap of each of ``MARGINAL_RELATIONS``, in its order."""
+        singles, pairs = self.singles, self.pairs
+        return [abs(pairs[a] + pairs[b] - singles[k]) for a, b, k in MARGINAL_RELATIONS]
+
     def consistency_deviation(self) -> float:
         """Largest violation of the marginal consistency relations."""
-        dev = 0.0
-        for i in (1, -1, 2, -2):
-            dev = max(
-                dev,
-                abs(self.pair(i, 3) + self.pair(i, -3) - self.single(i)),
-                abs(self.pair(i, 4) + self.pair(i, -4) - self.single(i)),
-            )
-        for j in (3, -3, 4, -4):
-            dev = max(
-                dev,
-                abs(self.pair(1, j) + self.pair(-1, j) - self.single(j)),
-                abs(self.pair(2, j) + self.pair(-2, j) - self.single(j)),
-            )
-        return dev
+        return max(self._relation_gaps())
 
     def validate(self, marginal_tol: float = MARGINAL_TOL) -> "ProbabilityTable":
         missing = [k for k in SINGLE_KEYS if k not in self.singles]
         missing += [k for k in PAIR_KEYS if k not in self.pairs]
         if missing or len(self.singles) != 8 or len(self.pairs) != 16:
-            raise TableError(f"table must carry 8 singles and 16 pairs (missing {missing})")
+            unexpected = [k for k in self.singles if k not in SINGLE_KEYS]
+            unexpected += [k for k in self.pairs if k not in PAIR_KEYS]
+            found = [f"{what} {', '.join(map(_label_name, labels))}"
+                     for what, labels in (("missing", missing), ("unexpected", unexpected))
+                     if labels]
+            raise TableError(f"table must carry 8 singles and 16 pairs ({'; '.join(found)})")
         for label, value in list(self.singles.items()) + list(self.pairs.items()):
             if not -RANGE_TOL <= value <= 1.0 + RANGE_TOL:
                 raise TableError(f"entry {label} = {value!r} outside [0, 1]")
         for k in (1, 2, 3, 4):
             s = self.single(k) + self.single(-k)
             if abs(s - 1.0) > SUM_TOL:
-                raise TableError(f"outcome probabilities of observable {k} sum to {s!r}")
-        dev = self.consistency_deviation()
+                raise TableError(
+                    f"outcome probabilities of observable {k} sum to {s!r} "
+                    f"(single {k} + single {-k})"
+                )
+        gaps = self._relation_gaps()
+        dev = max(gaps)
         if dev > marginal_tol:
-            raise TableError(f"marginal inconsistency {dev:.3e} exceeds {marginal_tol:.1e}")
+            a, b, k = MARGINAL_RELATIONS[gaps.index(dev)]
+            raise TableError(
+                f"marginal inconsistency {dev:.3e} exceeds {marginal_tol:.1e} "
+                f"(pairs {a} + {b} vs single {k})"
+            )
         return self
 
     def to_json_dict(self) -> dict:
@@ -145,13 +156,15 @@ class ProbabilityTable:
             raw_pairs = data["pairs"]
         except (KeyError, TypeError):
             raise TableError("table JSON needs 'singles' and 'pairs' objects") from None
+        for key in data:
+            if key not in ("singles", "pairs"):
+                raise TableError(
+                    f"table JSON has an unknown key {key!r} (known: singles, pairs)"
+                )
         if not isinstance(raw_singles, dict) or not isinstance(raw_pairs, dict):
             raise TableError("table JSON 'singles' and 'pairs' must be objects")
-        def number(key, value) -> float:
-            return json_number(value, f"table JSON entry {key!r}", error=TableError)
-
-        singles = {_table_labels(key, 1)[0]: number(key, v) for key, v in raw_singles.items()}
-        pairs = {_table_labels(key, 2): number(key, v) for key, v in raw_pairs.items()}
+        singles = _table_entries(raw_singles, "singles")
+        pairs = _table_entries(raw_pairs, "pairs")
         return cls(singles, pairs).validate()
 
     def to_csv_text(self) -> str:
@@ -179,27 +192,49 @@ class ProbabilityTable:
             try:
                 i_text, j_text, p_text = row
                 i, p = int(i_text), float(p_text)
-                if j_text.strip() == "":
-                    singles[i] = p
-                else:
-                    pairs[(i, int(j_text))] = p
+                entries, label = (
+                    (singles, i) if j_text.strip() == "" else (pairs, (i, int(j_text)))
+                )
             except ValueError:
                 raise TableError(
                     f"table CSV row {reader.line_num} must be i,j,p (integer labels, j empty "
                     f"for a single, p a number), got {','.join(row)!r}"
                 ) from None
+            if label in entries:
+                raise TableError(f"table CSV row {reader.line_num} repeats {_label_name(label)}")
+            entries[label] = p
         return cls(singles, pairs).validate()
 
 
-def _table_labels(key, count: int) -> tuple[int, ...]:
-    """The signed observable labels of a table JSON key: "k" for a single, "i,j" for a pair."""
-    try:
-        labels = tuple(int(part) for part in str(key).split(","))
-    except ValueError:
-        labels = ()
-    if len(labels) != count:
-        raise TableError(f"malformed table JSON entry {key!r}: expected {count} integer label(s)")
-    return labels
+def _label_name(label) -> str:
+    """A table label as messages name it: ``single 1`` or ``pair (1, 3)``."""
+    return f"single {label}" if isinstance(label, int) else f"pair {label}"
+
+
+def _table_entries(raw: dict, part: str) -> dict:
+    """The entries of a table JSON part, "singles" or "pairs", by label.
+
+    A single's key is "k" and a pair's "i,j"; an unknown label, or one
+    given twice, is refused.
+    """
+    count, keys = (1, SINGLE_KEYS) if part == "singles" else (2, PAIR_KEYS)
+    entries = {}
+    for key, value in raw.items():
+        try:
+            labels = tuple(int(piece) for piece in str(key).split(","))
+        except ValueError:
+            labels = ()
+        if len(labels) != count:
+            raise TableError(
+                f"malformed table JSON entry {key!r}: expected {count} integer label(s)"
+            )
+        label = labels[0] if count == 1 else labels
+        if label not in keys:
+            raise TableError(f"table JSON {part} has an unknown label {key!r}")
+        if label in entries:
+            raise TableError(f"table JSON {part} gives label {key!r} twice")
+        entries[label] = json_number(value, f"table JSON entry {key!r}", error=TableError)
+    return entries
 
 
 _SIGN_INDEX = {1: 0, -1: 1}
@@ -448,6 +483,8 @@ def _build_system() -> list:
 
 _ENTRY_ROWS = _build_system()
 _ENTRY_CONSTS = np.array([const for const, _ in _ENTRY_ROWS], dtype=np.int64)
+# Each entry row's nonzero (free index, coefficient) terms, in index order.
+_ENTRY_TERMS = [[(j, c) for j, c in enumerate(coeffs) if c] for _, coeffs in _ENTRY_ROWS]
 _ENTRY_INDICES = [
     tuple(_SIGN_INDEX[s] for s in outcome)
     for outcome in FREE_OUTCOMES + tuple(DEPENDENT_OUTCOMES)
@@ -528,8 +565,8 @@ def _joint_entries(rows: np.ndarray, scale, divide):
             )
         free[index] = divide(lower + upper, 2)
     entries = [
-        value + sum(c * x for c, x in zip(coeffs, free) if c != 0)
-        for value, (_, coeffs) in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_ROWS)
+        value + sum(c * free[j] for j, c in terms)
+        for value, terms in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_TERMS)
     ]
     return margin, near_boundary, entries
 

@@ -717,6 +717,12 @@ def programme_to_json_dict(programme: MeasurementProgramme) -> dict:
     return data
 
 
+def _refuse_unknown_keys(data: dict, known: tuple, where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")
+
+
 def _integer(value, name: str) -> int:
     """An integer read from JSON, refusing a bool, a string or a fractional part."""
     number = json_number(value, f"programme {name}", "an integer")
@@ -752,6 +758,7 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
     if missing:
         raise ValueError(f"programme measurement {index} is missing a field: {', '.join(missing)}")
     where = f"programme measurement {index}"
+    _refuse_unknown_keys(entry, ("event", "axis", "subsystem"), where)
     event = _numbers(entry["event"], f"{where} event")
     try:
         event = SpacetimeEvent.from_sequence(event)
@@ -771,6 +778,7 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
 def programme_from_json_dict(data: dict) -> MeasurementProgramme:
     if not isinstance(data, dict):
         raise ValueError(f"programme JSON must be an object, got {type(data).__name__}")
+    _refuse_unknown_keys(data, ("initial", "lambda", "measurements", "outcomes"), "programme JSON")
     try:
         initial = data["initial"]
         sharpness = json_number(data["lambda"], "programme lambda")

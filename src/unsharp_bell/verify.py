@@ -23,7 +23,11 @@ matrices; every ``SPOT_STRIDE``-th one is also eigensolved as the complex
 one Born-rule batch, the operations of ``fine.table_from_quantum``
 broadcast over a leading axis (``operators.tensor`` broadcasts, and
 multiplies entry by entry as ``np.kron`` does); every tenth table also
-goes through ``table_from_quantum`` and must match bit for bit.
+goes through ``table_from_quantum`` and must match bit for bit.  Its
+marginals, CHSH forms, float reconstruction and round trips are batches
+over all 1000 tables too; only the exact oracle, whose Python-int
+arithmetic has no batch, runs once per table.  The singlet check
+evaluates its 1000 draws as one batch.
 
 ``_sequential_vs_joint`` takes its effect roots from
 ``relativistic._measurement_roots``, as charts do, but it and
@@ -281,15 +285,15 @@ def check_cirelson(rng) -> CheckResult:
     return _result("cirelson-bound", start, passed, deviation, 1e-9, detail)
 
 
-def _random_jpd_table(rng, zero_entries: bool) -> fine.ProbabilityTable:
+def _random_jpd(rng, zero_entries: bool) -> np.ndarray:
+    """The (2, 2, 2, 2) values of a random joint distribution."""
     exponent = rng.choice([1.0, 3.0])
     weights = rng.random(16) ** exponent
     if zero_entries:
         # Between 1 and 15 of the 16 joint entries vanish: tables on the
         # faces of the polytope, where the routes' tolerances meet.
         weights[rng.permutation(16)[: rng.integers(1, 16)]] = 0.0
-    values = (weights / weights.sum()).reshape(2, 2, 2, 2)
-    return fine.marginals(fine.Jpd4(values))
+    return (weights / weights.sum()).reshape(2, 2, 2, 2)
 
 
 def _quantum_parameters(rng, index: int) -> tuple[BellConfiguration, np.ndarray]:
@@ -305,29 +309,164 @@ def _quantum_parameters(rng, index: int) -> tuple[BellConfiguration, np.ndarray]
     return config, singlet_state() if index % 2 == 0 else random_density(rng, 4)
 
 
-def _quantum_tables(configs, states) -> list[fine.ProbabilityTable]:
-    """``fine.table_from_quantum`` of each configuration and state, as one Born-rule batch.
+def _effects(sharpness, axes: np.ndarray) -> np.ndarray:
+    """``unsharp_effect`` of each axis at its sharpness, as one batch.
 
-    The effects, Kronecker products, matrix products and traces are those
-    of ``table_from_quantum`` applied elementwise over a leading axis, so
-    each table equals its own bit for bit.
+    Axes of shape ``B + (3,)`` are normalized as ``unit_vector`` normalizes
+    them; sharpness broadcasts against ``B + (1, 1)``.
     """
-    sharpness = np.array([config.sharpness for config in configs])[:, None, None, None]
-    axes = np.array([config.axes for config in configs])
-    # Signed axes in SINGLE_KEYS order, normalized as unsharp_effect normalizes them.
-    signed = np.stack([axes, -axes], axis=2).reshape(-1, 8, 3)
-    effects = (I2 + sharpness * pauli_dot(signed / _norms(signed)[..., None])) / 2.0
-    first, second = effects[:, :4], effects[:, 4:]
-    pairs = tensor(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
-    observables = np.concatenate([tensor(first, I2), tensor(I2, second), pairs], axis=1)
-    rho = np.asarray(states, dtype=complex)[:, None]
-    probabilities = np.trace(np.matmul(rho, observables), axis1=-2, axis2=-1).real
+    return (I2 + sharpness * pauli_dot(axes / _norms(axes)[..., None])) / 2.0
+
+
+def _born(states, observables) -> np.ndarray:
+    """``operators.expectation`` of each state and observable, over leading axes."""
+    return np.trace(np.matmul(states, observables), axis1=-2, axis2=-1).real
+
+
+# A table row holds the singles in SINGLE_KEYS order, then the pairs in
+# PAIR_KEYS order; _COLUMN gives the position of each label.
+_COLUMN = {label: n for n, label in enumerate(fine.SINGLE_KEYS + fine.PAIR_KEYS)}
+
+
+def _tables(rows: np.ndarray) -> list[fine.ProbabilityTable]:
     return [
         fine.ProbabilityTable(
             dict(zip(fine.SINGLE_KEYS, row[:8])), dict(zip(fine.PAIR_KEYS, row[8:]))
-        ).validate()
-        for row in probabilities.tolist()
+        )
+        for row in rows.tolist()
     ]
+
+
+def _row(table: fine.ProbabilityTable) -> list[float]:
+    return [table.singles[k] for k in fine.SINGLE_KEYS] + [table.pairs[k] for k in fine.PAIR_KEYS]
+
+
+def _quantum_tables(configs, states) -> np.ndarray:
+    """``fine.table_from_quantum`` of each configuration and state, as rows of one Born-rule batch.
+
+    The effects, Kronecker products, matrix products and traces are those
+    of ``table_from_quantum`` applied elementwise over a leading axis, so
+    each row equals its table bit for bit.
+    """
+    sharpness = np.array([config.sharpness for config in configs])[:, None, None, None]
+    axes = np.array([config.axes for config in configs])
+    # Signed axes in SINGLE_KEYS order.
+    effects = _effects(sharpness, np.stack([axes, -axes], axis=2).reshape(-1, 8, 3))
+    first, second = effects[:, :4], effects[:, 4:]
+    pairs = tensor(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
+    observables = np.concatenate([tensor(first, I2), tensor(I2, second), pairs], axis=1)
+    return _born(np.asarray(states, dtype=complex)[:, None], observables)
+
+
+def _marginal_rows(values: np.ndarray) -> np.ndarray:
+    """``fine.marginals`` of each (2, 2, 2, 2) distribution along the leading axis, as table rows.
+
+    Each marginal is the sum over the other axes that ``marginals`` takes,
+    with the leading axis kept, and equals it bit for bit.
+    """
+    def kept(*observables):
+        return values.sum(axis=tuple(a for a in range(1, 5) if a not in observables))
+
+    singles = np.concatenate([kept(a) for a in range(1, 5)], axis=1)
+    # Axes (table, i, j, sign of i, sign of j), reordered to PAIR_KEYS order.
+    pairs = np.stack([np.stack([kept(i, j) for j in (3, 4)], 1) for i in (1, 2)], 1)
+    return np.concatenate([singles, pairs.transpose(0, 1, 3, 2, 4).reshape(-1, 16)], axis=1)
+
+
+def _signed_sum(rows: np.ndarray, terms) -> np.ndarray:
+    """``sum(sign * row[column] for column, sign in terms)`` of each row, added left to right."""
+    total = 0.0
+    for column, sign in terms:
+        total = total + sign * rows[:, column]
+    return total
+
+
+def _labelled(terms) -> list:
+    return [(_COLUMN[label], sign) for label, sign in terms]
+
+
+def _chsh_forms(rows: np.ndarray):
+    """``chsh_check`` of each table row, as array arithmetic.
+
+    Returns the pair forms, the single forms, whether every inequality
+    holds, and whether the two forms agree as ``chsh_check`` requires
+    (where they do not, it raises).
+    """
+    pair = np.stack([_signed_sum(rows, _labelled(form)) for form in fine.BELL_PAIR_FORMS], axis=1)
+    single = np.stack(
+        [
+            rows[:, _COLUMN[k1]] + rows[:, _COLUMN[k2]] + _signed_sum(rows, _labelled(part))
+            for (k1, k2), part in fine.BELL_SINGLE_FORMS
+        ],
+        axis=1,
+    )
+    tol = fine.DECISION_TOL
+    holds = ((pair >= -tol) & (pair <= 1.0 + tol)).all(axis=1)
+    inconsistency = np.max(
+        [
+            np.abs(rows[:, _COLUMN[a]] + rows[:, _COLUMN[b]] - rows[:, _COLUMN[k]])
+            for a, b, k in fine.MARGINAL_RELATIONS
+        ],
+        axis=0,
+    )
+    agree = np.abs(pair - single).max(axis=1) <= tol + 4.0 * inconsistency
+    return pair, single, holds, agree
+
+
+# Where each entry of _joint_entries lands in the flattened (2, 2, 2, 2) distribution.
+_ENTRY_FLAT = [int(np.ravel_multi_index(index, (2, 2, 2, 2))) for index in fine._ENTRY_INDICES]
+
+
+def _reconstructions(rows: np.ndarray):
+    """``fine.reconstruct_jpd`` of each table row: ``fine._joint_entries`` over a leading axis.
+
+    Returns the margins, the near-boundary flags and the feasibility of
+    every row; then, for the feasible rows only, their clipped (2, 2, 2, 2)
+    distributions and whether ``reconstruct_jpd`` would raise on them (an
+    empty interval, or a distribution ``Jpd4`` refuses).
+    """
+    column = rows[:, 8:, None]
+    # One matrix-vector product per table rounds as ``matrix @ pair_values``
+    # does; the BLAS matrix product ``pairs @ matrix.T`` does not.
+    products = np.concatenate(
+        [np.matmul(matrix, column) for matrix, _, _ in fine._SYSTEMS]
+        + [np.matmul(fine._ENTRY_CONSTS, column)],
+        axis=1,
+    )[..., 0]
+    minima = np.minimum.reduceat(products[:, : fine._COMPILED_ROWS], fine._RUN_STARTS, axis=1)
+    numerator, denominator = fine._TOL_NUMERATOR, float(fine._TOL_DENOMINATOR)
+    margins = minima[:, -1]
+    near = np.abs(margins) * denominator <= numerator
+    feasible = margins * denominator >= -numerator
+
+    minima = minima[feasible]
+    free = np.zeros((len(minima), len(fine._ELIMINATION_ORDER)))
+    broken = np.zeros(len(minima), dtype=bool)
+    for index, runs in zip(reversed(fine._ELIMINATION_ORDER), reversed(fine._BOUND_RUNS)):
+        lower, upper = np.full(len(minima), -np.inf), np.full(len(minima), np.inf)
+        for run, below, terms in runs:
+            rest = minima[:, run]
+            for j, c in terms:
+                rest = rest + c * free[:, j]
+            # np.where keeps the first of two equal bounds, as Python's max
+            # and min do (np.maximum keeps the second), so zeros keep their sign.
+            if below:
+                lower = np.where(-rest > lower, -rest, lower)
+            else:
+                upper = np.where(rest < upper, rest, upper)
+        broken |= (lower - upper) * denominator > numerator
+        free[:, index] = (lower + upper) / 2
+    entries = products[feasible, fine._COMPILED_ROWS :]
+    jpd = np.zeros((len(minima), 16))
+    for n, terms in enumerate(fine._ENTRY_TERMS):
+        jpd[:, _ENTRY_FLAT[n]] = entries[:, n] + _signed_sum(free, terms)
+    jpd = np.clip(jpd, -fine.RANGE_TOL, None)
+    broken |= np.abs(jpd.sum(axis=1) - 1.0) > fine.SUM_TOL
+    return margins, near, feasible, jpd.reshape(-1, 2, 2, 2, 2), broken
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def check_fine_equivalence(rng) -> CheckResult:
@@ -336,77 +475,151 @@ def check_fine_equivalence(rng) -> CheckResult:
     Half the tables are marginals of random joint distributions, and half
     of those have zero entries; the other half come from quantum states
     under unsharp spin pairs, every fifth of them near the optimal CHSH
-    configuration.  The quantum tables are built as one Born-rule batch;
-    every tenth also goes through ``fine.table_from_quantum``, and a table
-    it does not reproduce bit for bit counts as a disagreement.
+    configuration.  The marginals, the quantum tables (one Born-rule
+    batch), the CHSH forms and the float reconstruction are array
+    arithmetic over all tables; the exact oracle decides every table one
+    call at a time, and its integer arithmetic has no batch.  Both
+    routes' round trips are one batch of marginals.
+
+    Spot checks compare the batches with the public API bit for bit: every
+    tenth quantum table with ``fine.table_from_quantum``; one table in each
+    block of ten, at an offset cycling through the block so every kind of
+    table is reached, with ``chsh_check``, ``reconstruct_jpd`` and
+    ``roundtrip_residual``; and the joint-distribution tables among those
+    with ``marginals``.  Any mismatch counts as a disagreement.
     """
     start = time.perf_counter()
     total = 1000
-    jpd_tables, parameters = [], []
+    jpds, parameters = [], []
     zero_count = 0
     for index in range(total):
         if index % 2 == 0:
             zero_entries = index % 4 == 2
             zero_count += zero_entries
-            jpd_tables.append(_random_jpd_table(rng, zero_entries))
+            jpds.append(_random_jpd(rng, zero_entries))
         else:
             parameters.append(_quantum_parameters(rng, index))
     configs, states = zip(*parameters)
-    quantum_tables = _quantum_tables(configs, states)
-    tables = [table for pair in zip(jpd_tables, quantum_tables) for table in pair]
+    quantum_rows = _quantum_tables(configs, states)
+    rows = np.empty((total, len(_COLUMN)))
+    rows[0::2] = _marginal_rows(np.stack(jpds))
+    rows[1::2] = quantum_rows
+    tables = _tables(rows)
+    for table in tables[1::2]:
+        table.validate()
 
-    spots = range(0, len(quantum_tables), 10)
+    quantum_spots = range(0, len(parameters), 10)
     disagreements = sum(
-        vars(fine.table_from_quantum(states[i], configs[i])) != vars(quantum_tables[i])
-        for i in spots
+        not _same_bits(_row(fine.table_from_quantum(states[i], configs[i])), quantum_rows[i])
+        for i in quantum_spots
     )
 
-    feasible_count = 0
-    roundtrip = 0.0
-    for table in tables:
-        holds = fine.chsh_check(table).all_hold
+    pair, single, holds, agree = _chsh_forms(rows)
+    margins, near, feasible, jpd, broken = _reconstructions(rows)
+    oracles = [fine.feasibility_oracle(table) for table in tables]
+    agree &= (holds == feasible) & (feasible == [oracle.feasible for oracle in oracles])
+    agree[feasible] &= ~broken
+    disagreements += int(np.count_nonzero(~agree))
+
+    # Round trips of both routes on the tables all three call feasible.
+    both = agree & feasible
+    order = np.cumsum(both) - 1  # a table's position among them
+    exact = np.reshape([oracles[i].jpd.values for i in np.flatnonzero(both)], (-1, 2, 2, 2, 2))
+    rec_gap, exact_gap = (
+        np.abs(_marginal_rows(values) - rows[both]).max(axis=1, initial=0.0)
+        for values in (jpd[both[feasible]], exact)
+    )
+    roundtrip = float(np.concatenate([rec_gap, exact_gap]).max(initial=0.0))
+
+    spots = [10 * k + k % 10 for k in range(total // 10)]
+    reconstructed = np.cumsum(feasible) - 1  # a feasible table's row of jpd
+    for i in spots:
+        table = tables[i]
+        check = fine.chsh_check(table)
         rec = fine.reconstruct_jpd(table)
-        oracle = fine.feasibility_oracle(table)
-        if not (holds == rec.feasible == oracle.feasible):
-            disagreements += 1
-            continue
-        if rec.feasible:
-            feasible_count += 1
-            for result in (rec, oracle):
-                roundtrip = max(roundtrip, fine.roundtrip_residual(table, result.jpd))
+        same = (
+            check.all_hold == holds[i]
+            and _same_bits(check.pair_form, pair[i])
+            and _same_bits(check.single_form, single[i])
+            and rec.feasible == feasible[i]
+            and _same_bits(rec.margin, margins[i])
+            and rec.near_boundary == near[i]
+        )
+        if same and rec.feasible:
+            same = _same_bits(rec.jpd.values, jpd[reconstructed[i]])
+        if same and both[i]:
+            gaps = [fine.roundtrip_residual(table, result.jpd) for result in (rec, oracles[i])]
+            same = _same_bits(gaps, [rec_gap[order[i]], exact_gap[order[i]]])
+        if same and i % 2 == 0:
+            same = _same_bits(_row(fine.marginals(fine.Jpd4(jpds[i // 2]))), rows[i])
+        disagreements += not same
+    marginal_spots = sum(i % 2 == 0 for i in spots)
+
+    feasible_count = int(np.count_nonzero(both))
     passed = disagreements == 0 and roundtrip <= 1e-8
     detail = (
         f"{total} tables ({zero_count} with zero entries), {feasible_count} feasible, "
-        f"{disagreements} disagreements over the three routes and {len(spots)} spot "
-        f"checks against table_from_quantum, worst marginal round-trip {roundtrip:.3e}"
+        f"{disagreements} disagreements over the three routes, {len(quantum_spots)} spot "
+        f"checks against table_from_quantum and {len(spots)} against chsh_check, "
+        f"reconstruct_jpd and roundtrip_residual ({marginal_spots} also against marginals), "
+        f"worst marginal round-trip {roundtrip:.3e}"
     )
     return _result("fine-equivalence", start, passed, roundtrip, 1e-8, detail)
 
 
+def _singlet_probabilities(sharpness: np.ndarray, axes: np.ndarray):
+    """``singlet_pair_prob`` and the singlet Born rule, for (N,) sharpness and (N, 2, 3) axes.
+
+    The dot product is a per-entry ``matmul`` and the square a per-entry
+    ``float_power``, as in ``spin_povm._pair_effects``, so both equal the
+    public routes bit for bit.
+    """
+    units = axes / _norms(axes)[..., None]
+    cosines = (units[:, 0, None, :] @ units[:, 1, :, None])[:, 0, 0]
+    closed = 0.25 * (1.0 - np.float_power(sharpness, 2.0) * cosines)
+    effects = _effects(sharpness[:, None, None, None], axes)
+    return closed, _born(singlet_state(), tensor(effects[:, 0], effects[:, 1]))
+
+
 def check_singlet_formula(rng) -> CheckResult:
-    """Closed-form singlet pair probabilities match the trace formula."""
+    """Closed-form singlet pair probabilities match the trace formula.
+
+    The draws are made one at a time, then both sides are evaluated for
+    all of them as one batch; every tenth draw also goes through
+    ``singlet_pair_prob`` and the Born rule on ``unsharp_effect`` and
+    ``tensor``, which must match the batch bit for bit.
+    """
     start = time.perf_counter()
     state = singlet_state()
-    worst = 0.0
-    for _ in range(1000):
-        sharpness = float(rng.random())
-        axis_i = random_unit_vector(rng)
-        axis_j = random_unit_vector(rng)
-        closed = singlet_pair_prob(sharpness, axis_i, axis_j)
-        traced = expectation(
-            state,
-            tensor(unsharp_effect(axis_i, sharpness), unsharp_effect(axis_j, sharpness)),
+    draws = 1000
+    sharpness = np.empty(draws)
+    axes = np.empty((draws, 2, 3))
+    for n in range(draws):
+        sharpness[n] = rng.random()
+        axes[n] = random_unit_vector(rng), random_unit_vector(rng)
+    closed, traced = _singlet_probabilities(sharpness, axes)
+    worst = float(np.abs(closed - traced).max())
+
+    spots = range(0, draws, 10)
+    mismatches = 0
+    for n in spots:
+        s, (axis_i, axis_j) = float(sharpness[n]), axes[n]
+        api_closed = singlet_pair_prob(s, axis_i, axis_j)
+        api_traced = expectation(
+            state, tensor(unsharp_effect(axis_i, s), unsharp_effect(axis_j, s))
         )
-        worst = max(worst, abs(closed - traced))
+        mismatches += not _same_bits([api_closed, api_traced], [closed[n], traced[n]])
 
     f_value = chsh_report(coplanar_configuration(1.0, np.pi / 4)).f
     f_dev = abs(f_value - THRESHOLDS.cirelson)
     eps_dev = abs(THRESHOLDS.unsharpness_chsh - 0.5 * (1.0 - 1.0 / np.sqrt(2.0)))
 
     deviation = max(worst, f_dev, eps_dev)
-    passed = deviation <= 1e-12
+    passed = deviation <= 1e-12 and mismatches == 0
     detail = (
-        f"pair probability deviation {worst:.3e} over 1000 draws, optimal f off "
+        f"pair probability deviation {worst:.3e} over {draws} draws, "
+        f"{len(spots)} spot checks against singlet_pair_prob and the Born rule "
+        f"({mismatches} mismatches), optimal f off "
         f"2*sqrt(2) by {f_dev:.3e}, critical unsharpness off by {eps_dev:.3e}"
     )
     return _result("singlet-formula", start, passed, deviation, 1e-12, detail)

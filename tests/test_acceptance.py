@@ -105,8 +105,16 @@ def test_criterion_10_verify_all_cli(results, capsys, monkeypatch):
 CHECK_SIZES = {
     "coexistence-threshold": [r"over 40000 grid points", r"(\d+) spot checks"],
     "cirelson-bound": [r"over 100000 configurations"],
-    "fine-equivalence": [r"^1000 tables"],
-    "singlet-formula": [r"over 1000 draws"],
+    "fine-equivalence": [
+        r"^1000 tables",
+        r"50 spot checks against table_from_quantum",
+        r"100 against chsh_check, reconstruct_jpd and roundtrip_residual "
+        r"\(50 also against marginals\)",
+    ],
+    "singlet-formula": [
+        r"over 1000 draws",
+        r"100 spot checks against singlet_pair_prob and the Born rule \(0 mismatches\)",
+    ],
     "disturbance-bound": [r"^10000 accepted pairs"],
     "chart-consistency": [
         r"over 100 programmes",

@@ -1,8 +1,9 @@
 """The command line's exit contract, fuzzed.
 
 Hypothesis mutates valid programme and table documents (wrong types,
-text, booleans, nulls, nesting, NaN and Infinity literals) and generates
-argv for every subcommand except battery runs.  ``cli.main`` runs in
+text, booleans, nulls, nesting, NaN and Infinity literals, deleted and
+unknown keys, numbers out of range) and generates argv for every
+subcommand except battery runs.  ``cli.main`` runs in
 process.  Every run exits 0, 1 or 2 without a traceback or a numpy
 warning; an exit-1 message is one ``error:`` line, and for a document it
 names the mutated field; a document that exits 0 is written back by its
@@ -81,10 +82,21 @@ def paths(node, prefix=()):
 
 
 def replaced(node, path, value):
+    """A copy of node with the value at path replaced, or added under a new key."""
     if not path:
         return value
     copy = dict(node) if isinstance(node, dict) else list(node)
-    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    copy[path[0]] = value if len(path) == 1 else replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def deleted(node, path):
+    """A copy of node without the key or list item at path."""
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    if len(path) == 1:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = deleted(node[path[0]], path[1:])
     return copy
 
 
@@ -101,17 +113,63 @@ BAD_VALUES = st.one_of(
 )
 
 
+# Keys no reader knows, or knows only elsewhere: an extra table label, a
+# misspelt "outcomes", a measurement flag.
+EXTRA_KEYS = ("extra", "7", "1,5", "outcome", "sharp", "singles", "lambda", "axis")
+
+
+def out_of_range(kind: str, path, old):
+    """Numbers of the right type that the field at path must refuse, or None for another field.
+
+    For a table entry, a perturbation small enough to stay within [0, 1].
+    """
+    if kind == "table" and len(path) == 2:
+        return st.sampled_from([1.5, -0.2]) | st.sampled_from([1e-3, -1e-3, 1e-7, 1e-12]).map(
+            lambda delta: old + delta
+        )
+    keys = [key for key in path if isinstance(key, str)]
+    if keys[-1:] == ["lambda"]:
+        return st.sampled_from([1.5, -0.2])
+    if keys[-1:] in (["subsystem"], ["outcomes"]) and isinstance(old, int):
+        return st.sampled_from([3, 0, -2])
+    return None
+
+
 @st.composite
 def mutated_documents(draw):
-    """(kind, document, mutated path): one value of a valid document replaced or nested."""
+    """(kind, document, mutated path): one value of a valid document replaced,
+    nested, deleted or out of range, or one unknown key added."""
     kind, base = draw(st.sampled_from([("table", TABLE)] + [("programme", p) for p in PROGRAMMES]))
+    how = draw(st.sampled_from(["replace", "list", "object", "delete", "add", "range"]))
+    if how == "delete":
+        path = draw(st.sampled_from([path for path in paths(base) if path]))
+        return kind, deleted(base, path), path
+    if how == "add":
+        parent = draw(st.sampled_from([p for p in paths(base) if isinstance(at(base, p), dict)]))
+        key = draw(st.sampled_from([k for k in EXTRA_KEYS if k not in at(base, parent)]))
+        path = parent + (key,)
+        return kind, replaced(base, path, draw(st.sampled_from([0.0, 1, [1]]))), path
+    if how == "range":
+        ranged = [p for p in paths(base) if out_of_range(kind, p, at(base, p)) is not None]
+        path = draw(st.sampled_from(ranged))
+        return kind, replaced(base, path, draw(out_of_range(kind, path, at(base, path)))), path
     path = draw(st.sampled_from(list(paths(base))))
-    how = draw(st.sampled_from(["replace", "list", "object"]))
     old = at(base, path)
     value = {"replace": None, "list": [old], "object": {"value": old}}[how]
     if how == "replace":
         value = draw(BAD_VALUES)
     return kind, replaced(base, path, value), path
+
+
+def table_label_names(key: str) -> list[str]:
+    """How messages name the table entry under a JSON key: by the key, or by its labels."""
+    try:
+        labels = tuple(int(part) for part in key.split(","))
+    except ValueError:
+        return []
+    if len(labels) == 1:
+        return [f"entry {labels[0]} ", f"single {labels[0]}"]
+    return [f"entry {labels} ", str(labels)]
 
 
 def field_names(kind: str, path) -> list[str]:
@@ -124,8 +182,7 @@ def field_names(kind: str, path) -> list[str]:
         return [f"{kind} JSON", "'value'"]
     key = keys[-1]
     if kind == "table" and key not in ("singles", "pairs"):
-        labels = tuple(int(part) for part in key.split(","))
-        return [repr(key), f"entry {labels[0] if len(labels) == 1 else labels} "]
+        return [repr(key)] + table_label_names(key)
     aliases = {"lambda": ["lambda", "sharpness"], "outcomes": ["outcome"],
                "measurements": ["measurement"]}
     return aliases.get(key, [key]) + ["'value'"]
@@ -151,6 +208,11 @@ def workdir(tmp_path_factory):
         yield path
 
 
+def pinned(kind, base, path, value):
+    """A mutated-document case: the value at path replaced, or added under a new key."""
+    return kind, replaced(base, path, value), path
+
+
 def nan_initial():
     initial = [list(pair) for pair in MIXED]
     initial[5] = [math.nan, 0.0]
@@ -170,6 +232,22 @@ def nan_initial():
     method=None,
     observer=OBSERVERS[1],
 )
+@example(case=pinned("table", TABLE, ("pairs", "1,5"), 0.0), method=None, observer=OBSERVERS[0])
+@example(case=pinned("table", TABLE, ("singles", "7"), 0.0), method="exact", observer=OBSERVERS[0])
+@example(case=pinned("table", TABLE, ("pairs", "1,3"), 0.26), method=None, observer=OBSERVERS[0])
+@example(case=pinned("table", TABLE, ("singles", "-1"), -0.2), method="interval",
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", {k: v for k, v in PROGRAMMES[1].items() if k != "outcomes"},
+                     ("outcome",), [1]),
+         method=None, observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements", 1, "sharp"), 1), method=None,
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("lambda",), 1.5), method=None,
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements", 0, "subsystem"), 3),
+         method=None, observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("outcomes", 1), 3), method=None,
+         observer=OBSERVERS[1])
 def test_documents_keep_the_exit_contract(workdir, case, method, observer):
     kind, document, path = case
     target = workdir / f"mutated-{kind}.json"

@@ -726,6 +726,47 @@ def test_table_json_refuses_text_and_booleans(value, message):
 
 
 @pytest.mark.parametrize(
+    ("part", "key", "message"),
+    [
+        # An extra label used to exit with "(missing [])", naming nothing.
+        ("pairs", "1,5", "table JSON pairs has an unknown label '1,5'"),
+        ("singles", "7", "table JSON singles has an unknown label '7'"),
+        ("pairs", "01,3", "table JSON pairs gives label '01,3' twice"),
+        (None, "extra", "table JSON has an unknown key 'extra'"),
+    ],
+)
+def test_table_json_refuses_unknown_keys_by_name(part, key, message):
+    data = uniform_json()
+    (data if part is None else data[part])[key] = 0.0
+    with pytest.raises(TableError, match=re.escape(message)):
+        ProbabilityTable.from_json_dict(data)
+
+
+def test_table_validation_names_unexpected_labels():
+    table = uniform_table()
+    extra = ProbabilityTable({**table.singles, 7: 0.0}, {**table.pairs, (1, 5): 0.0})
+    with pytest.raises(TableError, match=re.escape("(unexpected single 7, pair (1, 5))")):
+        extra.validate()
+
+
+def test_marginal_inconsistency_names_the_broken_relation():
+    table = uniform_table()
+    broken = ProbabilityTable(dict(table.singles), {**table.pairs, (-2, 4): 0.26})
+    # The value chsh_check reads is unchanged: the largest relation gap.
+    assert broken.consistency_deviation() == abs(0.26 + 0.25 - 0.5)
+    message = "marginal inconsistency 1.000e-02 exceeds 1.0e-09 (pairs (-2, 4) + (-2, -4) vs single -2)"
+    with pytest.raises(TableError, match=re.escape(message)):
+        broken.validate()
+
+
+def test_single_sum_error_names_both_singles():
+    data = uniform_json(**{"-3": 0.51})
+    message = "outcome probabilities of observable 3 sum to 1.01 (single 3 + single -3)"
+    with pytest.raises(TableError, match=re.escape(message)):
+        ProbabilityTable.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
     ("row", "shown"),
     [("1", "'1'"), ("x,3,0.25", "'x,3,0.25'"), ("1,3,half", "'1,3,half'")],
 )
@@ -733,6 +774,14 @@ def test_table_csv_names_the_malformed_row(row, shown):
     lines = uniform_table().to_csv_text().splitlines()
     lines[3] = row
     with pytest.raises(TableError, match=re.escape(f"table CSV row 4 must be i,j,p") + ".*" + re.escape(shown)):
+        ProbabilityTable.from_csv_text("\n".join(lines) + "\n")
+
+
+def test_table_csv_refuses_a_repeated_label():
+    # A repeated row used to be read silently, the last one winning.
+    lines = uniform_table().to_csv_text().splitlines()
+    lines.insert(10, "1,3,0.9")
+    with pytest.raises(TableError, match=re.escape("table CSV row 11 repeats pair (1, 3)")):
         ProbabilityTable.from_csv_text("\n".join(lines) + "\n")
 
 

@@ -506,3 +506,24 @@ def test_programme_json_keeps_integral_numbers():
 def test_programme_json_refuses_text_and_booleans(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         programme_from_json_dict(single_measurement_json(**fields))
+
+
+def with_measurement_key(**fields) -> dict:
+    data = single_measurement_json()
+    data["measurements"][0].update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        # "outcome" for "outcomes" used to chart with no outcomes, silently
+        ({**{k: v for k, v in single_measurement_json().items() if k != "outcomes"},
+          "outcome": [1]},
+         "programme JSON has an unknown key 'outcome'"),
+        (with_measurement_key(sharp=1), "programme measurement 0 has an unknown key 'sharp'"),
+    ],
+)
+def test_programme_json_refuses_unknown_keys_by_name(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        programme_from_json_dict(data)

@@ -11,11 +11,17 @@ from unsharp_bell.bell import (
     bell_operator,
     coplanar_configuration,
     orthogonal_configuration,
+    singlet_pair_prob,
     singlet_state,
 )
+from unsharp_bell.operators import expectation, tensor
 from unsharp_bell.sampling import random_density, random_unit_vectors
+from unsharp_bell.spin_povm import unsharp_effect
 
 SPECIAL_SHARPNESS = (0.0, 1.0, 2.0 ** -0.5, 2.0 ** -0.25)
+# A CHSH form of the optimal singlet table sits about 1e-9 past 1 here,
+# where DECISION_TOL decides (see tests/test_fine.py).
+EDGE_SHARPNESS = 2.0 ** -0.25 * (1 + 1e-9)
 
 
 def bits(table: fine.ProbabilityTable) -> dict:
@@ -40,7 +46,8 @@ def test_batched_quantum_tables_equal_table_from_quantum(seed, sharpness):
         pair = [BellConfiguration(s, *raw), coplanar_configuration(s, rng.uniform(0, np.pi))]
         configs += pair * 2
         states += [singlet_state()] * 2 + [random_density(rng, 4)] * 2
-    for config, state, table in zip(configs, states, verify._quantum_tables(configs, states)):
+    tables = verify._tables(verify._quantum_tables(configs, states))
+    for config, state, table in zip(configs, states, tables):
         assert bits(table) == bits(fine.table_from_quantum(state, config))
 
 
@@ -61,3 +68,113 @@ def test_magic_basis_spectra_equal_bell_operator_spectra(rng):
         assert np.abs(spectra[i] - want).max() <= 1e-12
     # both optimal configurations reach 2*sqrt(2)
     assert np.abs(np.abs(spectra[:2]).max(axis=1) - THRESHOLDS.cirelson).max() <= 1e-12
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def distributions(rng, count: int) -> np.ndarray:
+    """Random joint distributions: plain, with zero entries, and frequencies k/N."""
+    values = []
+    for n in range(count):
+        if n % 3 == 2:
+            runs = int(rng.integers(2, 65))
+            counts = rng.multinomial(runs, rng.dirichlet(np.ones(16)))
+            values.append((counts / runs).reshape(2, 2, 2, 2))
+        else:
+            values.append(verify._random_jpd(rng, zero_entries=n % 3 == 1))
+    return np.stack(values)
+
+
+def rounded_singlet_rows(rng, count: int) -> np.ndarray:
+    """Near-optimal singlet tables with pairs rounded to k/N: mostly infeasible."""
+    rows = []
+    for _ in range(count):
+        runs = int(rng.integers(8, 65))
+        config = coplanar_configuration(1.0 - 0.1 * rng.random(), np.pi / 4 + 0.1 * rng.normal())
+        table = fine.table_from_quantum(singlet_state(), config)
+        pairs = {}
+        for i in (1, 2):
+            for j in (3, 4):
+                block = round(table.pair(i, j) * runs) / runs
+                pairs[(i, j)] = pairs[(-i, -j)] = block
+                pairs[(i, -j)] = pairs[(-i, j)] = 0.5 - block
+        rows.append([0.5] * 8 + [pairs[key] for key in fine.PAIR_KEYS])
+    return np.array(rows)
+
+
+def battery_rows(seed: int, count: int) -> np.ndarray:
+    """Table rows of every kind: marginals of distributions, quantum tables as the
+    battery draws them, k/N tables and the tolerance-edge singlet table."""
+    rng = np.random.default_rng(seed)
+    parameters = [verify._quantum_parameters(rng, index) for index in range(1, 2 * count, 2)]
+    configs, states = zip(*parameters)
+    configs += (coplanar_configuration(EDGE_SHARPNESS, np.pi / 4),)
+    states += (singlet_state(),)
+    return np.concatenate([
+        verify._marginal_rows(distributions(rng, count)),
+        verify._quantum_tables(configs, states),
+        rounded_singlet_rows(rng, count),
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 12))
+def test_batched_marginals_equal_marginals(seed, count):
+    values = distributions(np.random.default_rng(seed), count)
+    for jpd, row in zip(values, verify._marginal_rows(values)):
+        assert same_bits(verify._row(fine.marginals(fine.Jpd4(jpd))), row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 12))
+def test_batched_chsh_forms_equal_chsh_check(seed, count):
+    rows = battery_rows(seed, count)
+    pair, single, holds, agree = verify._chsh_forms(rows)
+    assert agree.all()
+    for n, table in enumerate(verify._tables(rows)):
+        check = fine.chsh_check(table)
+        assert check.all_hold == holds[n]
+        assert same_bits(check.pair_form, pair[n]) and same_bits(check.single_form, single[n])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 12))
+@example(seed=101, count=12)
+def test_batched_reconstruction_equals_reconstruct_jpd(seed, count):
+    # Decision, margin, near-boundary flag, distribution and round trip, bit
+    # for bit.  Forming the rows as pairs @ matrix.T instead changes margins.
+    rows = battery_rows(seed, count)
+    margins, near, feasible, jpd, broken = verify._reconstructions(rows)
+    assert not broken.any()
+    back = verify._marginal_rows(jpd)
+    row_of = np.cumsum(feasible) - 1
+    for n, table in enumerate(verify._tables(rows)):
+        result = fine.reconstruct_jpd(table)
+        assert (result.feasible, result.near_boundary) == (feasible[n], near[n])
+        assert same_bits(result.margin, margins[n])
+        if result.feasible:
+            assert same_bits(result.jpd.values, jpd[row_of[n]])
+            gap = np.abs(back[row_of[n]] - rows[n]).max()
+            assert same_bits(fine.roundtrip_residual(table, result.jpd), gap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sharpness=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+@example(seed=0, sharpness=list(SPECIAL_SHARPNESS) + [EDGE_SHARPNESS])
+def test_batched_singlet_probabilities_equal_public_routes(seed, sharpness):
+    rng = np.random.default_rng(seed)
+    sharpness = np.array(sharpness)
+    axes = rng.normal(size=(len(sharpness), 2, 3))  # unnormalized: both routes normalize
+    axes[0, 1] = -axes[0, 0]  # one antiparallel pair
+    closed, traced = verify._singlet_probabilities(sharpness, axes)
+    state = singlet_state()
+    for n, s in enumerate(sharpness.tolist()):
+        axis_i, axis_j = axes[n]
+        assert same_bits(singlet_pair_prob(s, axis_i, axis_j), closed[n])
+        product = tensor(unsharp_effect(axis_i, s), unsharp_effect(axis_j, s))
+        assert same_bits(expectation(state, product), traced[n])
