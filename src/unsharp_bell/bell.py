@@ -8,7 +8,9 @@ evaluates singlet coincidence probabilities and compares the CHSH
 correlation combination f against the unsharpness-dependent bound
 F = 2 / (1 - 2 eps).  Both formulations change character at the same
 sharpness threshold 2**(-1/4), which ``scan_lambda_threshold`` locates
-numerically.
+numerically.  ``operator_chsh_holds`` builds the smeared operator once and
+returns it with its verdict, so a caller that also reports the operator
+need not build it again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import I2, I4, eigen_hermitian, pauli_dot, tensor
-from .spin_povm import PAIR_SHARPNESS_LIMIT, unit_vector, unsharp_effect
+from .spin_povm import PAIR_SHARPNESS_LIMIT, check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
     "THRESHOLDS",
@@ -78,8 +80,7 @@ class BellConfiguration:
     axis4: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.sharpness <= 1.0:
-            raise ValueError(f"sharpness must lie in [0, 1], got {self.sharpness}")
+        check_sharpness(self.sharpness)
         for name in ("axis1", "axis2", "axis3", "axis4"):
             object.__setattr__(self, name, unit_vector(getattr(self, name)))
 
@@ -103,6 +104,9 @@ def coplanar_configuration(sharpness: float, angle: float) -> BellConfiguration:
     """
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
+    if not math.isfinite(2.0 * angle):
+        # sin(-2 angle) would be sin(-inf), a math domain error naming nothing.
+        raise ValueError(f"angle {angle!r} is out of range: twice it overflows a float")
 
     def at(alpha: float) -> np.ndarray:
         return np.array([math.sin(alpha), 0.0, math.cos(alpha)])
@@ -156,14 +160,16 @@ class OperatorChshResult(NamedTuple):
     holds: bool
     min_eig: float
     max_eig: float
+    operator: np.ndarray  # the smeared Bell combination that was eigensolved
 
 
 def operator_chsh_holds(config: BellConfiguration) -> OperatorChshResult:
-    """Whether O <= Btilde <= I for the smeared Bell combination."""
-    vals, _ = eigen_hermitian(generalized_bell_operator(config))
+    """Whether O <= Btilde <= I for the smeared Bell combination, which the result carries."""
+    operator = generalized_bell_operator(config)
+    vals, _ = eigen_hermitian(operator)
     low, high = float(vals[0]), float(vals[-1])
     holds = low >= -CHSH_VIOLATION_TOL and high <= 1.0 + CHSH_VIOLATION_TOL
-    return OperatorChshResult(holds, low, high)
+    return OperatorChshResult(holds, low, high, operator)
 
 
 def singlet_state(axis=None) -> np.ndarray:
@@ -190,8 +196,7 @@ def singlet_pair_prob(sharpness: float, axis_i, axis_j) -> float:
     Equals (1/4)(1 - sharpness^2 * n_i.n_j), the trace of the singlet
     against the product effect.
     """
-    if not 0.0 <= sharpness <= 1.0:
-        raise ValueError(f"sharpness must lie in [0, 1], got {sharpness}")
+    check_sharpness(sharpness)
     ni, nj = unit_vector(axis_i), unit_vector(axis_j)
     return 0.25 * (1.0 - sharpness**2 * float(ni @ nj))
 

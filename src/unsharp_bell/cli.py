@@ -42,7 +42,6 @@ from .bell import (
     bell_operator,
     chsh_report,
     coplanar_configuration,
-    generalized_bell_operator,
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
@@ -126,7 +125,6 @@ def _cmd_joint(args) -> dict:
 def _cmd_bell_op(args) -> dict:
     config = _configuration(args)
     operator = bell_operator(config)
-    smeared = generalized_bell_operator(config)
     eigs = np.linalg.eigvalsh(operator)
     op_result = operator_chsh_holds(config)
     return {
@@ -135,7 +133,7 @@ def _cmd_bell_op(args) -> dict:
         "bell_operator": matrix_to_pairs(operator),
         "norm_closed_form": bell_norm(config),
         "norm_eigensolver": float(np.max(np.abs(eigs))),
-        "smeared_operator": matrix_to_pairs(smeared),
+        "smeared_operator": matrix_to_pairs(op_result.operator),
         "operator_chsh_holds": op_result.holds,
         "smeared_min_eig": op_result.min_eig,
         "smeared_max_eig": op_result.max_eig,
@@ -146,13 +144,9 @@ def _cmd_chsh(args) -> dict:
     config = _configuration(args)
     report = chsh_report(config)
     return {
-        "sharpness": report.sharpness,
-        "epsilon": report.epsilon,
-        "f": report.f,
-        "bound": report.bound,
-        "violated": report.violated,
-        "operator_chsh_holds": operator_chsh_holds(config).holds,
+        **asdict(report),
         "pair_probs": {f"{i},{j}": p for (i, j), p in report.pair_probs.items()},
+        "operator_chsh_holds": operator_chsh_holds(config).holds,
     }
 
 
@@ -268,17 +262,7 @@ def _cmd_chart(args) -> dict:
         data["chart"] = observer_chart(programme, observer).to_json_dict()
     if args.check or args.observer is None:
         report = check_consistency(programme)
-        data["consistency"] = {
-            "order_deviation": report.order_deviation,
-            "mixture_deviation": report.mixture_deviation,
-            "signalling_deviation": report.signalling_deviation,
-            "grouping_deviation": report.grouping_deviation,
-            "flags_monotone": report.flags_monotone,
-            "regions_visited": [
-                [list(m), list(n)] for m, n in report.regions_visited
-            ],
-            "all_pass": report.all_pass,
-        }
+        data["consistency"] = {**asdict(report), "all_pass": report.all_pass}
     return data
 
 

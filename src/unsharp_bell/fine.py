@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fme
 from .bell import BellConfiguration
-from .operators import I2, expectation, json_number
+from .operators import I2, expectation, json_known_keys, json_number
 from .spin_povm import unsharp_effect
 
 __all__ = [
@@ -156,11 +156,7 @@ class ProbabilityTable:
             raw_pairs = data["pairs"]
         except (KeyError, TypeError):
             raise TableError("table JSON needs 'singles' and 'pairs' objects") from None
-        for key in data:
-            if key not in ("singles", "pairs"):
-                raise TableError(
-                    f"table JSON has an unknown key {key!r} (known: singles, pairs)"
-                )
+        json_known_keys(data, ("singles", "pairs"), "table JSON", TableError)
         if not isinstance(raw_singles, dict) or not isinstance(raw_pairs, dict):
             raise TableError("table JSON 'singles' and 'pairs' must be objects")
         singles = _table_entries(raw_singles, "singles")

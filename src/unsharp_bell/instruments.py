@@ -9,6 +9,12 @@ all outcomes); the instrument functions here and the observer charts of
 bound on how little a nearly-certain effect disturbs the state, and the
 correlated two-particle measurement that motivates all of it: an unsharp
 spin reading on one side of a singlet pair steering the other side.
+
+Each public entry point checks its outside inputs once.  After that,
+``disturbance_report`` and ``epr_measurement`` take the effects' roots
+with ``sqrt_psd`` and apply ``lueders_update`` to the state they have
+already checked, without building an ``Instrument`` (whose methods check
+the state and the effects again on every call).
 """
 
 from __future__ import annotations
@@ -163,9 +169,8 @@ def disturbance_report(state, effect, epsilon: float | None = None) -> Disturban
         raise ValueError(
             f"bound hypothesis not met: tr[rho E] = {prob!r} below 1 - epsilon = {1.0 - epsilon!r}"
         )
-    dim = state.shape[0]
-    complement = np.eye(dim) - effect
-    post = lueders_nonselective(state, [effect, complement])
+    complement = np.eye(state.shape[0]) - effect
+    post = lueders_update(state, {0: sqrt_psd(effect), 1: sqrt_psd(complement)})
     distance = trace_norm(state - post)
     bound = 2.0 * (epsilon + np.sqrt(epsilon))
     return DisturbanceReport(
@@ -209,17 +214,17 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
     if state.shape != (4, 4):
         raise ValueError("epr_measurement needs a two-particle (4x4) state")
 
-    effects = {
-        1: tensor(unsharp_effect(axis, sharpness), I2),
-        -1: tensor(unsharp_effect(-axis, sharpness), I2),
+    # The effects are valid by construction, so their roots are taken directly.
+    roots = {
+        1: sqrt_psd(tensor(unsharp_effect(axis, sharpness), I2)),
+        -1: sqrt_psd(tensor(unsharp_effect(-axis, sharpness), I2)),
     }
-    instrument = Instrument(effects)
-    records = {k: instrument.select(state, k) for k in (1, -1)}
+    records = {k: _selective_record(state, roots, k) for k in (1, -1)}
     probabilities = {k: rec.probability for k, rec in records.items()}
     component_posts = {
         k: rec.post_state for k, rec in records.items() if rec.post_state is not None
     }
-    joint_post = instrument.nonselective(state)
+    joint_post = lueders_update(state, roots)
 
     reduced_pre = partial_trace(state, keep=2)
     # components follow the two terms of the nonselective sum, so they

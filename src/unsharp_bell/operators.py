@@ -41,6 +41,7 @@ __all__ = [
     "matrix_from_pairs",
     "json_number",
     "json_list",
+    "json_known_keys",
 ]
 
 # Absolute tolerance for structural identities that hold by construction
@@ -184,24 +185,24 @@ def expectation(state, observable) -> float:
     return float(np.real(np.trace(np.asarray(state) @ np.asarray(observable))))
 
 
-def check_density(matrix, tol: float = STRUCT_TOL, name: str = "state") -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, positive."""
-    herm = check_hermitian(matrix, tol, name)
+def check_density(matrix, name: str = "state") -> np.ndarray:
+    """Validate a density operator: Hermitian, unit trace, positive, each to ``STRUCT_TOL``."""
+    herm = check_hermitian(matrix, STRUCT_TOL, name)
     tr = float(np.real(np.trace(herm)))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STRUCT_TOL:
         raise ValueError(f"{name} must have unit trace, got {tr!r}")
     low = float(np.linalg.eigvalsh(herm).min())
-    if low < -tol:
+    if low < -STRUCT_TOL:
         raise ValueError(f"{name} has a negative eigenvalue ({low:.3e})")
     return herm
 
 
-def check_effect(matrix, tol: float = STRUCT_TOL, name: str = "effect") -> np.ndarray:
-    """Validate an effect operator: Hermitian with spectrum in [0, 1]."""
-    herm = check_hermitian(matrix, tol, name)
+def check_effect(matrix, name: str = "effect") -> np.ndarray:
+    """Validate an effect operator: Hermitian with spectrum in [0, 1], each to ``STRUCT_TOL``."""
+    herm = check_hermitian(matrix, STRUCT_TOL, name)
     vals = np.linalg.eigvalsh(herm)
     low, high = float(vals.min()), float(vals.max())
-    if low < -tol or high > 1.0 + tol:
+    if low < -STRUCT_TOL or high > 1.0 + STRUCT_TOL:
         raise ValueError(
             f"{name} spectrum [{low:.6f}, {high:.6f}] is not contained in [0, 1]"
         )
@@ -235,3 +236,10 @@ def json_list(value, field: str, kind: str = "a list") -> list:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field} must be {kind}, got {value!r}")
     return list(value)
+
+
+def json_known_keys(data: dict, known: tuple, where: str, error=ValueError) -> None:
+    """Refuse a JSON object with a key outside ``known``, naming the key and the known ones."""
+    for key in data:
+        if key not in known:
+            raise error(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")

@@ -35,6 +35,7 @@ from .operators import (
     I2,
     check_density,
     expectation,
+    json_known_keys,
     json_list,
     json_number,
     matrix_from_pairs,
@@ -43,7 +44,7 @@ from .operators import (
     sqrt_psd,
     tensor,
 )
-from .spin_povm import unit_vector, unsharp_effect
+from .spin_povm import check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
     "SpacetimeEvent",
@@ -113,11 +114,32 @@ class CausalRelation(Enum):
     SPACELIKE = "spacelike"
 
 
+# A separation whose coordinates are all at most this large squares and
+# sums to below the largest float (3 * 2**1020 < 2**1022).
+_SQUARE_SAFE = 2.0 ** 510
+
+
 def interval(a: SpacetimeEvent, b: SpacetimeEvent) -> float:
-    """Squared invariant interval of the separation from a to b."""
-    dt = b.t - a.t
-    dx = np.array([b.x - a.x, b.y - a.y, b.z - a.z])
-    return float(dt * dt - dx @ dx)
+    """Squared invariant interval of the separation from a to b.
+
+    Where the squares overflow (separations beyond about 1.3e154), the
+    sign is decided on the separation divided by its largest coordinate
+    and the value scaled back: 0, +-inf or the rescaled value, never NaN.
+    """
+    dt, dx, dy, dz = b.t - a.t, b.x - a.x, b.y - a.y, b.z - a.z
+    space = np.array([dx, dy, dz])
+    if max(abs(dt), abs(dx), abs(dy), abs(dz)) <= _SQUARE_SAFE:
+        return float(dt * dt - space @ space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(dt * dt - space @ space)
+        if math.isfinite(value):
+            return value
+        # Halving is exact, so the halved separation rounds as b - a does, and
+        # it stays finite where b - a overflows.
+        half = 0.5 * b.coords - 0.5 * a.coords
+        largest = float(np.max(np.abs(half)))
+        unit = half / largest
+        return float(unit[0] * unit[0] - unit[1:] @ unit[1:]) * largest * largest * 4.0
 
 
 def causal_relation(a: SpacetimeEvent, b: SpacetimeEvent) -> CausalRelation:
@@ -190,9 +212,7 @@ class Cover:
     regions: tuple[CoverRegion, ...]
 
     def flags_at(self, point: SpacetimeEvent) -> tuple[int, ...]:
-        inside, _ = _COVER_KINDS[self.kind]
-        in_cone = in_forward_cone if inside else in_backward_cone
-        return tuple(inside if in_cone(point, e) else 1 - inside for e in self.events)
+        return _flags_at(self.kind, self.events, point)
 
     def region_index(self, point: SpacetimeEvent) -> int:
         flags = self.flags_at(point)
@@ -200,6 +220,13 @@ class Cover:
             if region.flags == flags:
                 return idx
         raise ValueError(f"flags {flags} not in cover")  # unreachable by construction
+
+
+def _flags_at(kind: str, events, point: SpacetimeEvent) -> tuple[int, ...]:
+    """The point's flag for each event under the cover kind's rule."""
+    inside, _ = _COVER_KINDS[kind]
+    in_cone = in_forward_cone if inside else in_backward_cone
+    return tuple(inside if in_cone(point, e) else 1 - inside for e in events)
 
 
 def _as_events(events) -> tuple[SpacetimeEvent, ...]:
@@ -326,8 +353,7 @@ class MeasurementProgramme:
         if len(self.measurements) == 2:
             if self.measurements[0].subsystem == self.measurements[1].subsystem:
                 raise ValueError("two measurements must address distinct subsystems")
-        if not 0.0 <= self.sharpness <= 1.0:
-            raise ValueError(f"sharpness must lie in [0, 1], got {self.sharpness!r}")
+        check_sharpness(self.sharpness)
         object.__setattr__(self, "sharpness", float(self.sharpness))
         if self.outcomes is not None:
             outs = tuple(self.outcomes)
@@ -495,7 +521,7 @@ def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: lis
     cover = influence_cover(events)
     region_index = cover.region_index(observer)
     m_flags = cover.regions[region_index].flags
-    n_flags = information_cover(events).flags_at(observer)
+    n_flags = _flags_at("information", events, observer)
     k = len(programme.measurements)
     informed = tuple(i for i in range(k) if n_flags[i] == 1)
 
@@ -717,12 +743,6 @@ def programme_to_json_dict(programme: MeasurementProgramme) -> dict:
     return data
 
 
-def _refuse_unknown_keys(data: dict, known: tuple, where: str) -> None:
-    for key in data:
-        if key not in known:
-            raise ValueError(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")
-
-
 def _integer(value, name: str) -> int:
     """An integer read from JSON, refusing a bool, a string or a fractional part."""
     number = json_number(value, f"programme {name}", "an integer")
@@ -758,7 +778,7 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
     if missing:
         raise ValueError(f"programme measurement {index} is missing a field: {', '.join(missing)}")
     where = f"programme measurement {index}"
-    _refuse_unknown_keys(entry, ("event", "axis", "subsystem"), where)
+    json_known_keys(entry, ("event", "axis", "subsystem"), where)
     event = _numbers(entry["event"], f"{where} event")
     try:
         event = SpacetimeEvent.from_sequence(event)
@@ -778,7 +798,7 @@ def _measurement_from_json_dict(index: int, entry) -> Measurement:
 def programme_from_json_dict(data: dict) -> MeasurementProgramme:
     if not isinstance(data, dict):
         raise ValueError(f"programme JSON must be an object, got {type(data).__name__}")
-    _refuse_unknown_keys(data, ("initial", "lambda", "measurements", "outcomes"), "programme JSON")
+    json_known_keys(data, ("initial", "lambda", "measurements", "outcomes"), "programme JSON")
     try:
         initial = data["initial"]
         sharpness = json_number(data["lambda"], "programme lambda")

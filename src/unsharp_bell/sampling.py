@@ -28,9 +28,9 @@ def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return v / norms
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+    return (g + g.conj().T) / 2.0
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

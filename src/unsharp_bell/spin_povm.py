@@ -27,6 +27,7 @@ __all__ = [
     "CoexistenceError",
     "UnsharpSpinObservable",
     "JointObservable",
+    "check_sharpness",
     "unit_vector",
     "parse_direction",
     "spin_projector",
@@ -57,6 +58,12 @@ class CoexistenceError(ValueError):
         super().__init__(message)
         self.margin = margin
         self.min_eigenvalue = min_eigenvalue
+
+
+def check_sharpness(sharpness) -> None:
+    """Refuse a sharpness outside [0, 1] (NaN included)."""
+    if not 0.0 <= sharpness <= 1.0:
+        raise ValueError(f"sharpness must lie in [0, 1], got {sharpness}")
 
 
 def unit_vector(vec) -> np.ndarray:
@@ -94,8 +101,7 @@ def spin_projector(axis) -> np.ndarray:
 
 def unsharp_effect(axis, sharpness: float) -> np.ndarray:
     """Effect (1/2)(I + sharpness * axis.sigma) of an unsharp spin observable."""
-    if not 0.0 <= sharpness <= 1.0:
-        raise ValueError(f"sharpness must lie in [0, 1], got {sharpness}")
+    check_sharpness(sharpness)
     n = unit_vector(axis)
     return (I2 + sharpness * pauli_dot(n)) / 2.0
 
@@ -109,8 +115,7 @@ class UnsharpSpinObservable:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis))
-        if not 0.0 <= self.sharpness <= 1.0:
-            raise ValueError(f"sharpness must lie in [0, 1], got {self.sharpness}")
+        check_sharpness(self.sharpness)
 
     def effect(self, outcome: int) -> np.ndarray:
         if outcome not in (+1, -1):
@@ -158,8 +163,7 @@ class JointObservable:
 
 def coexistence_margin(sharpness: float, axis1, axis2) -> float:
     """Slack of the pair coexistence condition; nonnegative means coexistent."""
-    if not 0.0 <= sharpness <= 1.0:
-        raise ValueError(f"sharpness must lie in [0, 1], got {sharpness}")
+    check_sharpness(sharpness)
     n1, n2 = unit_vector(axis1), unit_vector(axis2)
     return 2.0 - sharpness * (
         float(np.linalg.norm(n1 + n2)) + float(np.linalg.norm(n1 - n2))

@@ -306,7 +306,7 @@ def _quantum_parameters(rng, index: int) -> tuple[BellConfiguration, np.ndarray]
         angle = float(np.pi / 4 + 0.1 * rng.normal())
         return coplanar_configuration(sharpness, angle), singlet_state()
     config = BellConfiguration(sharpness, *(random_unit_vector(rng) for _ in range(4)))
-    return config, singlet_state() if index % 2 == 0 else random_density(rng, 4)
+    return config, random_density(rng, 4)
 
 
 def _effects(sharpness, axes: np.ndarray) -> np.ndarray:
@@ -474,8 +474,9 @@ def check_fine_equivalence(rng) -> CheckResult:
 
     Half the tables are marginals of random joint distributions, and half
     of those have zero entries; the other half come from quantum states
-    under unsharp spin pairs, every fifth of them near the optimal CHSH
-    configuration.  The marginals, the quantum tables (one Born-rule
+    under unsharp spin pairs: every fifth of them the singlet near the
+    optimal CHSH configuration, the rest random density operators under
+    random axes.  The marginals, the quantum tables (one Born-rule
     batch), the CHSH forms and the float reconstruction are array
     arithmetic over all tables; the exact oracle decides every table one
     call at a time, and its integer arithmetic has no batch.  Both

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,24 @@ def test_coplanar_combination_formula():
 def test_coplanar_rejects_non_finite_angle(angle):
     with pytest.raises(ValueError, match="angle must be finite"):
         coplanar_configuration(0.5, angle)
+
+
+@pytest.mark.parametrize("angle", [1e308, -9e307])
+def test_coplanar_refuses_an_angle_whose_double_overflows(angle):
+    # sin(-2 angle) would be sin(-inf): a math domain error that names nothing
+    with pytest.raises(ValueError, match=re.escape(f"angle {angle!r} is out of range")):
+        coplanar_configuration(0.5, angle)
+
+
+def test_coplanar_accepts_the_largest_angles_with_a_finite_double():
+    for angle in (8e307, -8e307):
+        chsh_report(coplanar_configuration(0.5, angle))
+
+
+def test_operator_chsh_result_carries_its_operator(rng):
+    for config in (orthogonal_configuration(0.84), random_configuration(rng)):
+        result = operator_chsh_holds(config)
+        assert result.operator.tobytes() == generalized_bell_operator(config).tobytes()
 
 
 def test_coplanar_maximum_at_quarter_pi():

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unsharp_bell import cli
+from unsharp_bell import bell, cli
 from unsharp_bell.fine import PAIR_KEYS, SINGLE_KEYS
+from unsharp_bell.operators import matrix_to_pairs
 from unsharp_bell.sampling import DEFAULT_SEED
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -383,6 +384,31 @@ def test_config_refuses_non_finite_angle(capsys, command, angle):
     assert code == 1
     assert out == ""
     assert err == f"error: angle must be finite, got {angle}\n"
+
+
+@pytest.mark.parametrize("command", ["bell-op", "chsh"])
+@pytest.mark.parametrize("angle", ["1e308", "-9e307"])
+def test_config_refuses_an_angle_whose_double_overflows(capsys, command, angle):
+    code, out, err = run_cli(capsys, command, "--lambda", "0.5", f"--angle={angle}")
+    assert (code, out) == (1, "")
+    assert err == f"error: angle {float(angle)!r} is out of range: twice it overflows a float\n"
+    code, out, err = run_cli(capsys, command, "--lambda", "0.5", "--angle=-8e307")
+    assert (code, err) == (0, "")
+
+
+def test_bell_op_builds_the_smeared_operator_once(capsys, monkeypatch):
+    built = []
+    build = bell.generalized_bell_operator
+
+    def counting(config):
+        built.append(config)
+        return build(config)
+
+    monkeypatch.setattr(bell, "generalized_bell_operator", counting)
+    monkeypatch.setattr(cli, "generalized_bell_operator", counting, raising=False)
+    code, out, _ = run_cli(capsys, "bell-op", "--lambda", "0.9", "--angle", "0.3")
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["smeared_operator"] == matrix_to_pairs(build(built[0]))
 
 
 def every_subcommand(tmp_path):

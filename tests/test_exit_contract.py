@@ -343,6 +343,9 @@ def argvs(draw):
 @given(argv=argvs())
 @example(argv=["coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "1e308,1e308,0"])
 @example(argv=["verify-all", "--seed", "-1"])
+@example(argv=["chart", "--programme", "programme.json", "--observer=1e155,1e155,0,0"])
+@example(argv=["chsh", "--lambda", "0.5", "--angle", "1e308"])
+@example(argv=["bell-op", "--lambda", "0.5", "--angle=-9e307"])
 def test_argv_keeps_the_exit_contract(workdir, argv):
     def resolve(token):
         flag, equals, value = token.rpartition("=")

@@ -193,3 +193,59 @@ def test_disturbance_bound_random(seed, dim):
     report = disturbance_report(rho, effect)
     assert report.epsilon < 0.5
     assert report.distance <= report.bound + 1e-10
+
+
+def counted_eigensolves(monkeypatch) -> list:
+    """Names of the ``np.linalg`` eigensolvers called from here on, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda matrix, *args, _name=name, _solver=solver, **kwargs: (
+                calls.append(_name) or _solver(matrix, *args, **kwargs)
+            ),
+        )
+    return calls
+
+
+def test_epr_measurement_checks_its_state_once(monkeypatch):
+    # one eigvalsh checks the state; the two effects are valid by
+    # construction, so only their roots are eigensolved
+    calls = counted_eigensolves(monkeypatch)
+    epr_measurement(np.array([0.3, 0.0, 1.0]), 0.8)
+    assert calls == ["eigvalsh", "eigh", "eigh"]
+
+
+def test_disturbance_report_checks_each_input_once(monkeypatch):
+    # state and effect checks, the two roots, then the trace norm
+    rho = spin_projector(np.array([0.0, 0, 1]))
+    effect = unsharp_effect(np.array([0.1, 0, 1]), 0.9)
+    calls = counted_eigensolves(monkeypatch)
+    disturbance_report(rho, effect)
+    assert calls == ["eigvalsh", "eigvalsh", "eigh", "eigh", "eigvalsh"]
+
+
+def test_direct_roots_equal_the_instrument_bit_for_bit(rng):
+    # dropping the Instrument changes no bit of either result
+    for _ in range(20):
+        rho = spin_projector(random_unit_vector(rng))
+        effect = unsharp_effect(random_unit_vector(rng), rng.uniform(0.9, 1.0))
+        try:
+            report = disturbance_report(rho, effect)
+        except ValueError:
+            continue
+        post = Instrument({0: effect, 1: I2 - effect}).nonselective(rho)
+        assert report.distance == trace_norm(rho - post)
+
+        axis, s = random_unit_vector(rng), rng.uniform(0.0, 1.0)
+        state = random_density(rng, 4)
+        result = epr_measurement(axis, s, state)
+        instrument = Instrument({
+            1: np.kron(unsharp_effect(axis, s), I2), -1: np.kron(unsharp_effect(-axis, s), I2)
+        })
+        assert result.joint_post_mixture.tobytes() == instrument.nonselective(state).tobytes()
+        for k in (1, -1):
+            record = instrument.select(state, k)
+            assert result.probabilities[k] == record.probability
+            assert result.component_posts[k].tobytes() == record.post_state.tobytes()

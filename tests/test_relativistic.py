@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,61 @@ def test_interval_signs():
     assert interval(o, SpacetimeEvent(2.0, 1.0)) > 0
     assert interval(o, SpacetimeEvent(1.0, 2.0)) < 0
     assert interval(o, SpacetimeEvent(1.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e170, 1e200])
+def test_interval_beyond_the_square_range(scale):
+    # the squares overflow here; the sign comes from the rescaled separation
+    o = SpacetimeEvent(0.0)
+    cases = [
+        ((scale, scale, 0.0, 0.0), 0.0, CausalRelation.LIGHTLIKE_FUTURE),
+        ((-scale, 0.0, 0.0, scale), 0.0, CausalRelation.LIGHTLIKE_PAST),
+        ((2.0 * scale, scale, 0.0, 0.0), math.inf, CausalRelation.TIMELIKE_FUTURE),
+        ((-2.0 * scale, 0.0, scale, 0.0), math.inf, CausalRelation.TIMELIKE_PAST),
+        ((scale, 0.0, 2.0 * scale, 0.0), -math.inf, CausalRelation.SPACELIKE),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coords, value, relation in cases:
+            point = SpacetimeEvent(*coords)
+            assert interval(o, point) == value
+            assert causal_relation(o, point) is relation
+        # a nearly lightlike pair keeps its sign: about 4.4e294 at 1e155, +inf beyond
+        near = interval(o, SpacetimeEvent(scale, scale * (1.0 - 2.0**-52)))
+        assert near > 0.0 and math.isfinite(near) == (scale == 1e155)
+        # a separation that itself overflows the float range
+        a, b = SpacetimeEvent(-1e308, 1e308), SpacetimeEvent(1e308, -1e308)
+        assert causal_relation(a, b) is CausalRelation.LIGHTLIKE_FUTURE
+
+
+def test_interval_keeps_its_rounding_inside_the_square_range(rng):
+    for coords in rng.normal(size=(200, 2, 4)) * 10.0 ** rng.integers(-3, 150, size=(200, 1, 1)):
+        a, b = SpacetimeEvent(*coords[0]), SpacetimeEvent(*coords[1])
+        dt, dx = b.t - a.t, b.coords[1:] - a.coords[1:]
+        assert interval(a, b) == float(dt * dt - dx @ dx)
+
+
+def test_far_observer_on_a_light_cone_is_informed():
+    # 1e155 away the squared interval overflows; the observer still lies on
+    # the light cones of both events and holds both outcomes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chart = observer_chart(two_sided_programme(), SpacetimeEvent(1e155, 1e155, 0.0, 0.0))
+    assert chart.information_flags == (1, 1)
+    assert chart.influence_flags == (1, 1)
+
+
+def test_observer_chart_builds_one_cover(monkeypatch):
+    # the information flags come from the flag rule, not from a second cover
+    built = []
+    cover = relativistic._cover
+    monkeypatch.setattr(
+        relativistic, "_cover", lambda kind, events: built.append(kind) or cover(kind, events)
+    )
+    chart = observer_chart(two_sided_programme(), SpacetimeEvent(3.0, 1.0))
+    assert built == ["influence"]
+    events = two_sided_programme().events()
+    assert chart.information_flags == information_cover(events).flags_at(SpacetimeEvent(3.0, 1.0))
 
 
 def test_causal_relation_cases():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unsharp_bell.bell import BellConfiguration, singlet_pair_prob
 from unsharp_bell.operators import I2
+from unsharp_bell.relativistic import Measurement, MeasurementProgramme, SpacetimeEvent
 from unsharp_bell.sampling import random_unit_vector
 from unsharp_bell.spin_povm import (
     PAIR_OUTCOMES,
@@ -39,6 +41,27 @@ def test_effect_pair_sums_to_identity(rng):
     n = random_unit_vector(rng)
     total = unsharp_effect(n, 0.37) + unsharp_effect(-n, 0.37)
     np.testing.assert_allclose(total, I2, atol=1e-15)
+
+
+Z = np.array([0.0, 0, 1])
+SHARPNESS_TAKERS = {
+    "unsharp_effect": lambda s: unsharp_effect(Z, s),
+    "UnsharpSpinObservable": lambda s: UnsharpSpinObservable(Z, s),
+    "coexistence_margin": lambda s: coexistence_margin(s, *ORTHO),
+    "BellConfiguration": lambda s: BellConfiguration(s, Z, Z, Z, Z),
+    "singlet_pair_prob": lambda s: singlet_pair_prob(s, Z, Z),
+    "MeasurementProgramme": lambda s: MeasurementProgramme(
+        "singlet", s, (Measurement(SpacetimeEvent(0.0), Z, 1),)
+    ),
+}
+
+
+@pytest.mark.parametrize("take", SHARPNESS_TAKERS.values(), ids=SHARPNESS_TAKERS.keys())
+@pytest.mark.parametrize("sharpness", [1.5, -0.2, float("nan")])
+def test_every_sharpness_taker_states_one_precondition(take, sharpness):
+    with pytest.raises(ValueError) as refused:
+        take(sharpness)
+    assert str(refused.value) == f"sharpness must lie in [0, 1], got {sharpness}"
 
 
 def test_unsharp_effect_rejects_bad_sharpness():
