@@ -12,9 +12,11 @@ spin reading on one side of a singlet pair steering the other side.
 
 Each public entry point checks its outside inputs once.  After that,
 ``disturbance_report`` and ``epr_measurement`` take the effects' roots
-with ``sqrt_psd`` and apply ``lueders_update`` to the state they have
-already checked, without building an ``Instrument`` (whose methods check
-the state and the effects again on every call).
+and apply ``lueders_update`` to the state they have already checked,
+without building an ``Instrument`` (whose methods check the state and
+the effects again on every call).  ``disturbance_report`` roots a general
+effect with ``sqrt_psd``; ``epr_measurement`` roots an unsharp spin
+effect with the closed form ``spin_povm.effect_root``, no eigensolve.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .operators import (
     tensor,
     trace_norm,
 )
-from .spin_povm import unit_vector, unsharp_effect
+from .spin_povm import effect_root, unit_vector, unsharp_effect
 from .bell import singlet_state
 
 __all__ = [
@@ -205,7 +207,9 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
     tracks what the measurement does to the second particle, including
     the probability that the opposite-direction effect fires on it
     afterwards.  Defaults to the singlet state, where that probability is
-    (1 + sharpness^2) / 2 for either outcome.
+    (1 + sharpness^2) / 2 for either outcome.  The Lueders roots are
+    ``effect_root``'s closed form, equal to ``sqrt_psd``'s eigensolved roots
+    up to rounding (exactly the projectors at sharpness 1).
     """
     axis = unit_vector(axis)
     if state is None:
@@ -214,10 +218,11 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
     if state.shape != (4, 4):
         raise ValueError("epr_measurement needs a two-particle (4x4) state")
 
-    # The effects are valid by construction, so their roots are taken directly.
+    # The effects are valid by construction, so their roots are taken
+    # directly, in closed form: the root of E (x) I is sqrt(E) (x) I.
     roots = {
-        1: sqrt_psd(tensor(unsharp_effect(axis, sharpness), I2)),
-        -1: sqrt_psd(tensor(unsharp_effect(-axis, sharpness), I2)),
+        1: tensor(effect_root(axis, sharpness), I2),
+        -1: tensor(effect_root(-axis, sharpness), I2),
     }
     records = {k: _selective_record(state, roots, k) for k in (1, -1)}
     probabilities = {k: rec.probability for k, rec in records.items()}

@@ -41,10 +41,9 @@ from .operators import (
     matrix_from_pairs,
     matrix_to_pairs,
     partial_trace,
-    sqrt_psd,
     tensor,
 )
-from .spin_povm import check_sharpness, unit_vector, unsharp_effect
+from .spin_povm import check_sharpness, effect_root, unit_vector, unsharp_effect
 
 __all__ = [
     "SpacetimeEvent",
@@ -389,9 +388,12 @@ def _embed(operator: np.ndarray, subsystem: int) -> np.ndarray:
 
 
 def _measurement_roots(measurement: Measurement, sharpness: float) -> dict:
-    """Square roots of the two outcome effects, embedded in the pair."""
+    """Square roots of the two outcome effects, embedded in the pair.
+
+    Each root is ``spin_povm.effect_root``'s closed form, not an eigensolve.
+    """
     return {
-        o: _embed(sqrt_psd(unsharp_effect(o * measurement.axis, sharpness)), measurement.subsystem)
+        o: _embed(effect_root(o * measurement.axis, sharpness), measurement.subsystem)
         for o in (1, -1)
     }
 
@@ -640,11 +642,24 @@ class ConsistencyReport:
 
 
 def _default_worldline(events) -> tuple[Worldline, np.ndarray]:
+    """A worldline at rest at the events' centre, sampled from 3 spans before it to 3 after.
+
+    A span is the events' largest coordinate deviation from the centre,
+    plus 1.  Events so far apart that a sample leaves the float range are
+    refused.
+    """
     coords = np.stack([e.coords for e in events])
-    center = coords.mean(axis=0)
-    span = float(np.max(np.abs(coords - center))) + 1.0
-    origin = SpacetimeEvent(center[0] - 3.0 * span, *center[1:])
-    return Worldline(origin), np.linspace(0.0, 6.0 * span, 61)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        center = coords.mean(axis=0)
+        span = float(np.max(np.abs(coords - center))) + 1.0
+        start, length = center[0] - 3.0 * span, 6.0 * span
+        if not np.isfinite([*center, start, length, start + length]).all():
+            raise ValueError(
+                "measurement events are too far apart for the default worldline: "
+                "its sample times, 3 spans before and after their centre, leave the float range"
+            )
+    origin = SpacetimeEvent(start, *center[1:])
+    return Worldline(origin), np.linspace(0.0, length, 61)
 
 
 def check_consistency(programme: MeasurementProgramme, worldline: Worldline | None = None,

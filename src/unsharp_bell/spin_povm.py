@@ -32,6 +32,7 @@ __all__ = [
     "parse_direction",
     "spin_projector",
     "unsharp_effect",
+    "effect_root",
     "coexistence_margin",
     "pair_coexistent",
     "joint_observable_pair",
@@ -104,6 +105,21 @@ def unsharp_effect(axis, sharpness: float) -> np.ndarray:
     check_sharpness(sharpness)
     n = unit_vector(axis)
     return (I2 + sharpness * pauli_dot(n)) / 2.0
+
+
+def effect_root(axis, sharpness: float) -> np.ndarray:
+    """Positive square root of ``unsharp_effect(axis, sharpness)``, in closed form.
+
+    The effect has eigenvalues (1 +- s)/2 on the eigenvectors of n.sigma,
+    so its root is alpha I + beta n.sigma with alpha, beta =
+    (sqrt((1 + s)/2) +- sqrt((1 - s)/2)) / 2: no eigensolve.  At s = 1 it is
+    ``spin_projector(axis)`` bit for bit, at s = 0 the identity over sqrt(2).
+    Refuses what ``unsharp_effect`` refuses, with the same messages.
+    """
+    check_sharpness(sharpness)
+    n = unit_vector(axis)
+    up, down = math.sqrt((1.0 + sharpness) / 2.0), math.sqrt((1.0 - sharpness) / 2.0)
+    return ((up + down) * I2 + (up - down) * pauli_dot(n)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

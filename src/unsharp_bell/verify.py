@@ -33,7 +33,10 @@ evaluates its 1000 draws as one batch.
 ``relativistic._measurement_roots``, as charts do, but it and
 ``check_disturbance`` write the Luders sandwich out rather than call
 ``instruments.lueders_update``, the one step charts and instruments
-apply.  The cover-partition check flags its points with
+apply.  Those roots are ``spin_povm.effect_root``'s closed form; the
+chart check compares every programme's roots, and fixed ones at the
+boundary sharpness values, with ``operators.sqrt_psd``'s eigensolve
+within ``ROOT_TOL``.  The cover-partition check flags its points with
 ``_causal_codes``; its spot checks go through ``Cover.flags_at``, which
 charts use and which decides every cone through
 ``relativistic.causal_relation``.
@@ -62,12 +65,13 @@ from .bell import (
     singlet_state,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import I2, PAULI, expectation, pauli_dot, tensor
+from .operators import I2, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
     CausalRelation,
     Measurement,
     MeasurementProgramme,
     SpacetimeEvent,
+    _embed,
     _measurement_roots,
     boost_event,
     causal_relation,
@@ -790,6 +794,31 @@ def _sequential_vs_joint(programme: MeasurementProgramme) -> float:
     return worst
 
 
+# Largest entry gap allowed between the charts' closed-form roots and
+# sqrt_psd's.  Up to sharpness 1 - 1e-9 they agree to about 5e-12.  At
+# sharpness 1 eigh returns an eigenvalue of rounding size, about
+# eps * |E| = 2.2e-16, whose square root, about 1.5e-8, enters the
+# eigensolved root; the closed form is the exact projector there.
+ROOT_TOL = 1e-7
+# The maximally unsharp effect, the pair-coexistence and operator-CHSH
+# thresholds and the projector, each rooted along fixed axes; at sharpness
+# 1, eigh's root along the last axis is 3.7e-9 off (numpy with OpenBLAS
+# 0.3.31 on x86-64).
+_ROOT_SHARPNESS = (0.0, PAIR_SHARPNESS_LIMIT, THRESHOLDS.operator_chsh, 1.0)
+_ROOT_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (2.0, 1.0, 1.0))
+
+
+def _root_gap(measurement: Measurement, sharpness: float) -> float:
+    """Largest entry gap between a measurement's chart roots and their eigensolved roots."""
+    roots = _measurement_roots(measurement, sharpness)
+    return max(
+        float(np.max(np.abs(roots[o] - _embed(
+            sqrt_psd(unsharp_effect(o * measurement.axis, sharpness)), measurement.subsystem
+        ))))
+        for o in (1, -1)
+    )
+
+
 def _partition_violations(rng, events, samples: int) -> int:
     """Sampled points landing outside the enumerated or inside empty regions.
 
@@ -895,9 +924,17 @@ def check_chart_consistency(rng) -> CheckResult:
     worst = 0.0
     monotone = True
     programmes = 100
+    # Drawn without the rng, so the random programmes stay those of the seed.
+    fixed = [
+        (Measurement(SpacetimeEvent(0.0), axis, subsystem), s)
+        for s in _ROOT_SHARPNESS for axis in _ROOT_AXES for subsystem in (1, 2)
+    ]
+    root_gap = max(_root_gap(m, s) for m, s in fixed)
     for index in range(programmes):
         programme = _random_programme(rng)
         worst = max(worst, _sequential_vs_joint(programme))
+        for m in programme.measurements:
+            root_gap = max(root_gap, _root_gap(m, programme.sharpness))
         if index < 10:
             # The full four-check consistency report, including the
             # worldline sweep, on a subsample; the sequential/joint
@@ -929,9 +966,14 @@ def check_chart_consistency(rng) -> CheckResult:
     boosts = 100
     mismatches, boosted_pairs = _boost_mismatches(rng, boosts, pairs_per_boost=100)
 
-    passed = worst <= 1e-12 and monotone and violations == 0 and mismatches == 0
+    passed = (
+        worst <= 1e-12 and root_gap <= ROOT_TOL and monotone and violations == 0
+        and mismatches == 0
+    )
     detail = (
-        f"max algebraic deviation {worst:.3e} over {programmes} programmes, cover "
+        f"max algebraic deviation {worst:.3e} over {programmes} programmes, "
+        f"closed-form root gap {root_gap:.3e} to sqrt_psd (tolerance {ROOT_TOL:.0e}) "
+        f"over their roots and {len(fixed)} fixed ones, cover "
         f"partition violations {violations} on {samples * len(cases)} points "
         f"({spots} spot checks), causal "
         f"classification mismatches {mismatches} under {boosts} boosts x "

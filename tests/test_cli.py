@@ -296,6 +296,21 @@ def test_chart_refuses_non_finite_event(tmp_path, capsys):
     assert "coordinate t must be finite" in err
 
 
+def test_chart_report_refuses_events_beyond_its_worldline(tmp_path, capsys):
+    # Without --observer the report samples a worldline about the events; at
+    # t = 1e308 it would leave the float range, so the events are refused
+    # by name, without a numpy warning.
+    path = tmp_path / "prog.json"
+    first, second = PROGRAMME["measurements"]
+    write_programme(path, measurements=[{**first, "event": [1e308, 0.0, 0.0, 0.0]}, second])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "chart", "--programme", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert err.startswith("error: measurement events are too far apart for the default worldline")
+
+
 def test_chart_observer_needs_four_coordinates(tmp_path, capsys):
     path = tmp_path / "prog.json"
     write_programme(path)

@@ -1,9 +1,11 @@
 """The command line's exit contract, fuzzed.
 
 Hypothesis mutates valid programme and table documents (wrong types,
-text, booleans, nulls, nesting, NaN and Infinity literals, deleted and
-unknown keys, numbers out of range) and generates argv for every
-subcommand except battery runs.  ``cli.main`` runs in
+text, booleans, nulls, nesting, NaN and Infinity literals, finite event
+coordinates up to the largest float, deleted and unknown keys, numbers
+out of range) and generates argv for every subcommand except battery
+runs; a programme is charted at an observer or, without one, checked
+for consistency along its default worldline.  ``cli.main`` runs in
 process.  Every run exits 0, 1 or 2 without a traceback or a numpy
 warning; an exit-1 message is one ``error:`` line, and for a document it
 names the mutated field; a document that exits 0 is written back by its
@@ -49,6 +51,8 @@ TABLE = {
 }
 # Observers informed of every measurement of both programmes, and of none.
 OBSERVERS = ("10,2,0,0", "-10,0,0,0")
+# Finite event coordinates at and near the largest float.
+HUGE = (1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
 
 
 def run(argv):
@@ -138,9 +142,14 @@ def out_of_range(kind: str, path, old):
 @st.composite
 def mutated_documents(draw):
     """(kind, document, mutated path): one value of a valid document replaced,
-    nested, deleted or out of range, or one unknown key added."""
+    nested, deleted or out of range, one event coordinate made huge, or one
+    unknown key added."""
     kind, base = draw(st.sampled_from([("table", TABLE)] + [("programme", p) for p in PROGRAMMES]))
-    how = draw(st.sampled_from(["replace", "list", "object", "delete", "add", "range"]))
+    hows = ["replace", "list", "object", "delete", "add", "range"]
+    how = draw(st.sampled_from(hows + (["huge"] if kind == "programme" else [])))
+    if how == "huge":
+        path = draw(st.sampled_from([p for p in paths(base) if p[-2:-1] == ("event",)]))
+        return kind, replaced(base, path, draw(st.sampled_from(HUGE))), path
     if how == "delete":
         path = draw(st.sampled_from([path for path in paths(base) if path]))
         return kind, deleted(base, path), path
@@ -223,7 +232,7 @@ def nan_initial():
 @given(
     case=mutated_documents(),
     method=st.sampled_from([None, "interval", "exact"]),  # None: fine-check
-    observer=st.sampled_from(OBSERVERS),
+    observer=st.sampled_from(OBSERVERS + (None,)),  # None: the consistency report
 )
 @example(case=("programme", nan_initial(), ("initial", 5, 0)), method=None, observer=OBSERVERS[0])
 @example(
@@ -248,11 +257,14 @@ def nan_initial():
          method=None, observer=OBSERVERS[0])
 @example(case=pinned("programme", PROGRAMMES[0], ("outcomes", 1), 3), method=None,
          observer=OBSERVERS[1])
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements", 0, "event", 0), 1e308),
+         method=None, observer=None)
 def test_documents_keep_the_exit_contract(workdir, case, method, observer):
     kind, document, path = case
     target = workdir / f"mutated-{kind}.json"
     if kind == "programme":
-        argv = ["chart", "--programme", str(target), "--observer", observer]
+        argv = ["chart", "--programme", str(target)]
+        argv += [] if observer is None else ["--observer", observer]
     elif method is None:
         argv = ["fine-check", "--table", str(target)]
     else:

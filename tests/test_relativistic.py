@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unsharp_bell import operators, relativistic, verify
+from unsharp_bell import relativistic, verify
 from unsharp_bell.relativistic import (
     CausalRelation,
     Measurement,
@@ -416,9 +416,11 @@ def test_consistency_charts_from_shared_roots_equal_observer_charts(monkeypatch,
         return chart
 
     roots_built = []
-    sqrt_psd = operators.sqrt_psd
+    effect_root = relativistic.effect_root
     monkeypatch.setattr(relativistic, "_chart", recording)
-    monkeypatch.setattr(relativistic, "sqrt_psd", lambda m: roots_built.append(m) or sqrt_psd(m))
+    monkeypatch.setattr(
+        relativistic, "effect_root", lambda *args: roots_built.append(args) or effect_root(*args)
+    )
     offsets = np.linspace(-2.0, 12.0, 15)
     check_consistency(programme, Worldline(SpacetimeEvent(-3.0, 1.0, 0.0, 0.0)), offsets)
     monkeypatch.undo()
@@ -427,6 +429,29 @@ def test_consistency_charts_from_shared_roots_equal_observer_charts(monkeypatch,
     for prog, observer, chart in built:
         want = observer_chart(prog, observer).to_json_dict()
         assert json.dumps(chart.to_json_dict()) == json.dumps(want)
+
+
+@pytest.mark.parametrize("t", [1e308, -1.7976931348623157e308])
+def test_default_worldline_beyond_the_float_range_is_refused(t):
+    # The default worldline runs 3 event spans either side of the events'
+    # centre; at t = +-1e308 its times overflow, and the events are
+    # refused by name rather than charted from a NaN coordinate.
+    e2 = SpacetimeEvent(0.0, 5.0, 0.0, 0.0)
+    programme = MeasurementProgramme(
+        "singlet", 0.8, (Measurement(SpacetimeEvent(t), Z, 1), Measurement(e2, Z, 2))
+    )
+    with pytest.raises(ValueError, match="measurement events are too far apart"):
+        check_consistency(programme)
+    # a worldline of the caller's own is still followed
+    assert check_consistency(programme, Worldline(SpacetimeEvent(0.0)), [0.0, 1.0]).all_pass
+
+
+def test_default_worldline_near_the_float_range_is_kept():
+    # one event at the largest float: the worldline's times round onto it
+    programme = MeasurementProgramme(
+        "singlet", 0.8, (Measurement(SpacetimeEvent(1.7976931348623157e308), Z, 1),)
+    )
+    assert check_consistency(programme).all_pass
 
 
 def test_consistency_regions_progress():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell.bell import BellConfiguration, singlet_pair_prob
-from unsharp_bell.operators import I2
+from unsharp_bell.operators import I2, sqrt_psd
 from unsharp_bell.relativistic import Measurement, MeasurementProgramme, SpacetimeEvent
 from unsharp_bell.sampling import random_unit_vector
 from unsharp_bell.spin_povm import (
@@ -14,6 +14,7 @@ from unsharp_bell.spin_povm import (
     _pair_effects,
     UnsharpSpinObservable,
     coexistence_margin,
+    effect_root,
     joint_observable_pair,
     pair_coexistent,
     parse_direction,
@@ -46,6 +47,7 @@ def test_effect_pair_sums_to_identity(rng):
 Z = np.array([0.0, 0, 1])
 SHARPNESS_TAKERS = {
     "unsharp_effect": lambda s: unsharp_effect(Z, s),
+    "effect_root": lambda s: effect_root(Z, s),
     "UnsharpSpinObservable": lambda s: UnsharpSpinObservable(Z, s),
     "coexistence_margin": lambda s: coexistence_margin(s, *ORTHO),
     "BellConfiguration": lambda s: BellConfiguration(s, Z, Z, Z, Z),
@@ -269,3 +271,64 @@ def test_batched_pair_effects_equal_scalar_construction(seed, special, count):
             with pytest.raises(CoexistenceError) as info:
                 joint_observable_pair(s, raw1[i], raw2[i])
             assert info.value.min_eigenvalue == np.linalg.eigvalsh(batch[i]).min()
+
+
+# The maximally unsharp effect, the two thresholds, the last sharpness at
+# which eigh's root still agrees to 1e-11, and the projector.
+ROOT_SHARPNESS = (0.0, PAIR_SHARPNESS_LIMIT, 2.0 ** -0.25, 1.0 - 1e-9, 1.0)
+# Directions of unit length, far from it, and near the zero norm refused below 1e-12.
+AXES = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: max(map(abs, v)) >= 0.1
+    ),
+    st.sampled_from([1e-11, 1e-6, 1.0, 1e6, 1e150]),
+).map(lambda pair: np.array(pair[0]) * pair[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=AXES, sharpness=st.sampled_from(ROOT_SHARPNESS) | st.floats(0.0, 1.0))
+def test_effect_root_squares_to_the_effect(axis, sharpness):
+    root = effect_root(axis, sharpness)
+    assert np.abs(root @ root - unsharp_effect(axis, sharpness)).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=AXES, sharpness=st.sampled_from(ROOT_SHARPNESS[:-1]) | st.floats(0.0, 1.0 - 1e-9))
+def test_effect_root_equals_the_eigensolved_root(axis, sharpness):
+    # eigh's error in the small eigenvalue (1 - s)/2 grows through its square
+    # root to about 5e-12 at s = 1 - 1e-9
+    gap = np.abs(effect_root(axis, sharpness) - sqrt_psd(unsharp_effect(axis, sharpness)))
+    assert gap.max() <= 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis=AXES)
+def test_effect_root_at_the_ends_of_the_sharpness_range(axis):
+    # s = 1: the projector, bit for bit (eigh's root is up to about 1.3e-8
+    # away there); s = 0: the identity over sqrt(2)
+    assert effect_root(axis, 1.0).tobytes() == spin_projector(axis).tobytes()
+    np.testing.assert_array_equal(effect_root(axis, 0.0), np.sqrt(0.5) * I2)
+
+
+def refusal(build, axis, sharpness):
+    """The message of the ValueError ``build`` raises, or None when it builds."""
+    try:
+        build(axis, sharpness)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    axis=AXES | st.lists(st.floats() | st.sampled_from([0.0, 1e-13]), min_size=3, max_size=3),
+    sharpness=st.sampled_from(ROOT_SHARPNESS) | st.floats(),
+)
+@example(axis=[0.0, 0.0, 0.0], sharpness=0.5)
+@example(axis=[1e-13, 0.0, 0.0], sharpness=0.5)
+@example(axis=[float("nan"), 0.0, 1.0], sharpness=0.5)
+@example(axis=[1e308, 1e308, 0.0], sharpness=0.5)
+@example(axis=[0.0, 0.0, 1.0], sharpness=1.0000000000000002)
+@example(axis=[0.0, 0.0, 0.0], sharpness=float("nan"))
+def test_effect_root_refuses_what_unsharp_effect_refuses(axis, sharpness):
+    assert refusal(effect_root, axis, sharpness) == refusal(unsharp_effect, axis, sharpness)

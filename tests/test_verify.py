@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_bell import fine, verify
+from unsharp_bell import fine, relativistic, verify
 from unsharp_bell.bell import (
     THRESHOLDS,
     BellConfiguration,
@@ -14,8 +14,9 @@ from unsharp_bell.bell import (
     singlet_pair_prob,
     singlet_state,
 )
-from unsharp_bell.operators import expectation, tensor
-from unsharp_bell.sampling import random_density, random_unit_vectors
+from unsharp_bell.operators import I2, expectation, tensor
+from unsharp_bell.relativistic import Measurement, SpacetimeEvent
+from unsharp_bell.sampling import DEFAULT_SEED, random_density, random_unit_vectors
 from unsharp_bell.spin_povm import unsharp_effect
 
 SPECIAL_SHARPNESS = (0.0, 1.0, 2.0 ** -0.5, 2.0 ** -0.25)
@@ -178,3 +179,25 @@ def test_batched_singlet_probabilities_equal_public_routes(seed, sharpness):
         assert same_bits(singlet_pair_prob(s, axis_i, axis_j), closed[n])
         product = tensor(unsharp_effect(axis_i, s), unsharp_effect(axis_j, s))
         assert same_bits(expectation(state, product), traced[n])
+
+
+def test_chart_check_reports_the_root_gap_within_its_tolerance():
+    # The closed-form chart roots against sqrt_psd: the tolerance leaves room
+    # for eigh's root at sharpness 1 (about sqrt(eps) = 1.5e-8), and the
+    # battery's fixed roots reach that case.
+    assert verify.ROOT_TOL == 1e-7 and np.sqrt(np.finfo(float).eps) < verify.ROOT_TOL
+    result = {r.name: r for r in verify.run_all(DEFAULT_SEED)}["chart-consistency"]
+    gap = float(result.detail.split("closed-form root gap ")[1].split()[0])
+    assert result.passed and gap <= verify.ROOT_TOL and 1.0 in verify._ROOT_SHARPNESS
+    assert "(tolerance 1e-07)" in result.detail
+
+
+def test_root_gap_catches_a_wrong_root(monkeypatch):
+    # roots off by 1e-6, or no root taken at all, fail the cross-check
+    measurement = Measurement(SpacetimeEvent(0.0), np.array([2.0, 1.0, 1.0]), 2)
+    assert verify._root_gap(measurement, 0.6) <= 1e-14
+    root = relativistic.effect_root
+    monkeypatch.setattr(relativistic, "effect_root", lambda n, s: root(n, s) + 1e-6 * I2)
+    assert verify._root_gap(measurement, 0.6) > verify.ROOT_TOL
+    monkeypatch.setattr(relativistic, "effect_root", unsharp_effect)
+    assert verify._root_gap(measurement, 0.6) > verify.ROOT_TOL
