@@ -144,7 +144,7 @@ def _cmd_chsh(args) -> dict:
     config = _configuration(args)
     report = chsh_report(config)
     return {
-        **asdict(report),
+        **vars(report),  # shallow: asdict would deep-copy the pair_probs replaced below
         "pair_probs": {f"{i},{j}": p for (i, j), p in report.pair_probs.items()},
         "operator_chsh_holds": operator_chsh_holds(config).holds,
     }

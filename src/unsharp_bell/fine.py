@@ -18,7 +18,10 @@ vectors over the pair values (``_SYSTEMS``).  A table is decided by
 evaluating the final rows on its pair values and extended by
 back-substitution, in one body (``_joint_entries``); the routes differ
 only in those values (the table's floats, or a rational surrogate scaled
-to ints).  With coefficients of 0 and +-1, back-substitution only adds,
+to ints).  The float route multiplies float64 copies of the matrices,
+made at import; the exact route has no dense product, and adds the nonzero
+terms of its rows, each one generator times a coefficient in -2..2.
+With coefficients of 0 and +-1, back-substitution only adds,
 negates, takes a min or max and halves, once per free entry, so constants
 scaled by ``2**7`` keep it in Python ints.  ``chsh_check`` never reads the
 compiled system, so the routes still check each other.
@@ -525,6 +528,10 @@ def _compile_systems() -> tuple:
 
 _SYSTEMS, _RUN_STARTS, _BOUND_RUNS = _compile_systems()
 _COMPILED_ROWS = sum(len(matrix) for matrix, _, _ in _SYSTEMS)
+# The stacked rows' integer matrices, and the float route's copies, cast
+# once: ``matrix @ pair_values`` would cast on every call, to the same values.
+_MATRICES = [m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]
+_FLOAT_MATRICES = [m.astype(float) for m in _MATRICES]
 _TOL_NUMERATOR, _TOL_DENOMINATOR = DECISION_TOL.as_integer_ratio()
 
 
@@ -560,10 +567,12 @@ def _joint_entries(rows: np.ndarray, scale, divide):
                 f"empty interval for variable {index}: [{lower / scale}, {upper / scale}]"
             )
         free[index] = divide(lower + upper, 2)
-    entries = [
-        value + sum(c * free[j] for j, c in terms)
-        for value, terms in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_TERMS)
-    ]
+    entries = []
+    for value, terms in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_TERMS):
+        total = 0  # an int, as ``sum`` starts: exact ints stay ints, and ``0 + -0.0`` is ``0.0``
+        for j, c in terms:
+            total += c * free[j]
+        entries.append(value + total)
     return margin, near_boundary, entries
 
 
@@ -586,9 +595,7 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
     pair_values = np.array([table.pair(*key) for key in PAIR_KEYS])
-    rows = np.concatenate(
-        [matrix @ pair_values for matrix, _, _ in _SYSTEMS] + [_ENTRY_CONSTS @ pair_values]
-    )
+    rows = np.concatenate([matrix @ pair_values for matrix in _FLOAT_MATRICES])
     margin, near, entries = _joint_entries(rows, 1, operator.truediv)
     if entries is None:
         return FeasibilityResult(
@@ -640,10 +647,26 @@ def _generator_pairs() -> np.ndarray:
     return pairs
 
 
-# The distinct stacked compiled and entry rows over the generators.
-_EXACT_ROWS = np.vstack([m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]) @ _generator_pairs()
+# The distinct stacked compiled and entry rows over the generators, as slots
+# into the generators' multiples by ``_EXACT_COEFFS``: coefficient c of
+# generator j picks slot ``len(_EXACT_COEFFS) * j + c + span``.  A row
+# without terms picks the 0 multiple, so that no segment of ``reduceat`` is empty.
+_EXACT_ROWS = np.vstack(_MATRICES) @ _generator_pairs()
 _EXACT_ROWS, _EXACT_ROW_OF = np.unique(_EXACT_ROWS, axis=0, return_inverse=True)
-_EXACT_ROWS, _EXACT_ROW_OF = _EXACT_ROWS.astype(object), _EXACT_ROW_OF.reshape(-1)
+_EXACT_ROW_OF, _EXACT_SPAN = _EXACT_ROW_OF.reshape(-1), int(np.abs(_EXACT_ROWS).max())
+_EXACT_COEFFS = range(-_EXACT_SPAN, _EXACT_SPAN + 1)
+_EXACT_PICKS = [
+    [len(_EXACT_COEFFS) * j + c + _EXACT_SPAN for j, c in enumerate(row.tolist()) if c]
+    or [_EXACT_SPAN] for row in _EXACT_ROWS
+]
+_EXACT_STARTS = np.cumsum([0] + [len(picks) for picks in _EXACT_PICKS[:-1]])
+_EXACT_PICKS = np.concatenate(_EXACT_PICKS)
+
+
+def _exact_rows(generators: list) -> np.ndarray:
+    """The stacked rows on Python-int generators: Python ints, each a sum of multiples."""
+    multiples = np.array([c * g for g in generators for c in _EXACT_COEFFS], dtype=object)
+    return np.add.reduceat(multiples[_EXACT_PICKS], _EXACT_STARTS)[_EXACT_ROW_OF]
 
 
 def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
@@ -662,8 +685,7 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     # Back-substitution halves once per free entry.
     scale = math.lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
     generators = [scale] + [p * (scale // q) for p, q in ratios]
-    rows = (_EXACT_ROWS @ np.array(generators, dtype=object))[_EXACT_ROW_OF]
-    margin, near, entries = _joint_entries(rows, scale, operator.floordiv)
+    margin, near, entries = _joint_entries(_exact_rows(generators), scale, operator.floordiv)
     if entries is None:
         return FeasibilityResult(
             False, None, find_witness(table), "exact-elimination", margin, near

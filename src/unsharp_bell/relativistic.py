@@ -651,6 +651,8 @@ def _default_worldline(events) -> tuple[Worldline, np.ndarray]:
     coords = np.stack([e.coords for e in events])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         center = coords.mean(axis=0)
+        if not np.isfinite(center).all():  # a sum beyond the float range: scale first
+            center = (coords / len(coords)).sum(axis=0)
         span = float(np.max(np.abs(coords - center))) + 1.0
         start, length = center[0] - 3.0 * span, 6.0 * span
         if not np.isfinite([*center, start, length, start + length]).all():

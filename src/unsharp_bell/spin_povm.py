@@ -72,8 +72,11 @@ def unit_vector(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-        norm = float(np.linalg.norm(v))
+    if max(map(abs, v.tolist())) < 1e150:  # no square overflows: np.linalg.norm's sum, bare
+        norm = math.sqrt(float(v.dot(v)))
+    else:
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            norm = float(np.linalg.norm(v))
     if not math.isfinite(norm):
         # NaN or infinite components, or a norm beyond the float range.
         raise ValueError(f"direction must be finite with a finite norm, got {v.tolist()}")

@@ -433,9 +433,7 @@ def _reconstructions(rows: np.ndarray):
     # One matrix-vector product per table rounds as ``matrix @ pair_values``
     # does; the BLAS matrix product ``pairs @ matrix.T`` does not.
     products = np.concatenate(
-        [np.matmul(matrix, column) for matrix, _, _ in fine._SYSTEMS]
-        + [np.matmul(fine._ENTRY_CONSTS, column)],
-        axis=1,
+        [np.matmul(matrix, column) for matrix in fine._FLOAT_MATRICES], axis=1
     )[..., 0]
     minima = np.minimum.reduceat(products[:, : fine._COMPILED_ROWS], fine._RUN_STARTS, axis=1)
     numerator, denominator = fine._TOL_NUMERATOR, float(fine._TOL_DENOMINATOR)

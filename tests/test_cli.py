@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +130,96 @@ def test_fine_solve_exact_at_the_tolerance_edge(tmp_path, capsys):
     data = json.loads(out)
     assert data["feasible"] is True and data["near_boundary"] is True
     assert data["roundtrip_residual"] <= 1e-8
+
+
+SIGN_QUADRUPLES = list(itertools.product((1, -1), repeat=4))
+
+
+def count_table_json(weights) -> dict:
+    """The table of a joint distribution given as integer weights, each entry one int / int."""
+    total = sum(weights)
+
+    def share(*labels):
+        return sum(
+            w for w, signs in zip(weights, SIGN_QUADRUPLES)
+            if all(signs[abs(k) - 1] == (1 if k > 0 else -1) for k in labels)
+        ) / total
+
+    return {"singles": {str(k): share(k) for k in SINGLE_KEYS},
+            "pairs": {f"{i},{j}": share(i, j) for i, j in PAIR_KEYS}}
+
+
+def correlation_table_json(e: int, n: int) -> dict:
+    """Unbiased singles and correlation e/n on three pairs, -e/n on (2, 3): infeasible past e/n = 1/2."""
+    pairs = {}
+    for i, j in PAIR_KEYS:
+        sign = (1 if i > 0 else -1) * (1 if j > 0 else -1) * (-1 if (abs(i), abs(j)) == (2, 3) else 1)
+        pairs[f"{i},{j}"] = (n + sign * e) / (4 * n)
+    return {"singles": {str(k): 0.5 for k in SINGLE_KEYS}, "pairs": pairs}
+
+
+def pinned_tables() -> list[dict]:
+    """Count tables (some with zero entries, some with denominators past 10^9) and
+    correlation tables on both sides of the CHSH bound and of its tolerance."""
+    tables, state = [], 12345
+
+    def draw():
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        return state
+
+    for n in range(12):
+        weights = [(draw() >> 33) % (7 + 50 * n) for _ in range(16)]
+        if n % 3 == 0:
+            weights[n] = weights[15 - n] = 0
+        tables.append(count_table_json(weights))
+    for _ in range(4):
+        tables.append(count_table_json([draw() % (2**61 - 1) for _ in range(16)]))
+    for e, n in ((400, 1000), (500, 1000), (501, 1000), (600, 1000), (1000, 1000),
+                 (1_500_000_001, 3_000_000_007), (1_499_999_999, 3_000_000_007),
+                 (1_500_000_006, 3_000_000_007), (1_500_000_010, 3_000_000_007)):
+        tables.append(correlation_table_json(e, n))
+    return tables
+
+
+# sha256 of the concatenated ``fine-solve --method exact`` output over
+# ``pinned_tables()``.  The tables are int / int quotients and the exact route
+# decides in integers, so the digest depends on no math library or BLAS.
+EXACT_SOLVE_DIGEST = "3883ec8dbe8651649444574efb58a3f85615f109f88805890b10063a2e774271"
+
+
+def test_exact_fine_solve_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    outcomes = set()
+    for n, data in enumerate(pinned_tables()):
+        path = tmp_path / f"table-{n}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "fine-solve", "--table", str(path), "--method", "exact")
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        outcomes.add((document["feasible"], document["near_boundary"]))
+        digest.update(out.encode())
+    # both decisions, and feasible tables on and off the tolerance edge
+    assert outcomes == {(True, False), (True, True), (False, False)}
+    assert digest.hexdigest() == EXACT_SOLVE_DIGEST
+
+
+@pytest.mark.parametrize("angle", ["0.7853981633974483", "0.3", None])
+def test_chsh_document_is_the_reports_fields(capsys, angle):
+    # The handler copies the report's fields shallowly; the bytes are those of
+    # the deep asdict copy it replaced.
+    config = (bell.coplanar_configuration(0.9, float(angle)) if angle
+              else bell.orthogonal_configuration(0.9))
+    report = bell.chsh_report(config)
+    want = {
+        **asdict(report),
+        "pair_probs": {f"{i},{j}": p for (i, j), p in report.pair_probs.items()},
+        "operator_chsh_holds": bell.operator_chsh_holds(config).holds,
+    }
+    argv = ["chsh", "--lambda", "0.9"] + (["--angle", angle] if angle else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_fine_check_reads_csv(tmp_path, capsys):

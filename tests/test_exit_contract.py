@@ -104,6 +104,14 @@ def deleted(node, path):
     return copy
 
 
+def moved(programme, shift):
+    """A copy of a programme document with every event's time moved by shift."""
+    for n, measurement in enumerate(programme["measurements"]):
+        path = ("measurements", n, "event", 0)
+        programme = replaced(programme, path, measurement["event"][0] + shift)
+    return programme
+
+
 def at(node, path):
     for key in path:
         node = node[key]
@@ -281,6 +289,23 @@ def test_documents_keep_the_exit_contract(workdir, case, method, observer):
     assert json.dumps(read_back(kind, document), sort_keys=True) == json.dumps(
         expected, sort_keys=True
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    programme=st.sampled_from(PROGRAMMES),
+    shift=st.sampled_from(HUGE) | st.floats(min_value=-HUGE[2], max_value=HUGE[2]),
+    observer=st.sampled_from(OBSERVERS + (None,)),
+)
+@example(programme=PROGRAMMES[0], shift=1.7e308, observer=None)  # the mean time overflows
+def test_programmes_moved_far_in_time_are_charted(workdir, programme, shift, observer):
+    # The events stay close together wherever they are in time, so the
+    # default worldline exists and every chart is drawn.
+    target = workdir / "moved-programme.json"
+    target.write_text(json.dumps(moved(programme, shift)))
+    argv = ["chart", "--programme", str(target)]
+    code, _, err = run(argv + ([] if observer is None else ["--observer", observer]))
+    assert (code, err) == (0, "")
 
 
 def usually(valid, invalid):

@@ -14,7 +14,10 @@ from unsharp_bell import fine, fme
 from unsharp_bell.bell import coplanar_configuration, singlet_state
 from unsharp_bell.fine import (
     _ELIMINATION_ORDER,
+    _ENTRY_CONSTS,
     _SYSTEMS,
+    _exact_rows,
+    _generator_pairs,
     _limit_denominator,
     BELL_PAIR_FORMS,
     DECISION_TOL,
@@ -570,6 +573,60 @@ def test_compiled_coefficients_keep_integers_exact():
         assert {c for row in coeffs for c in row} <= {-1, 0, 1}
     for (_, _, coeffs), index in zip(_SYSTEMS, _ELIMINATION_ORDER):
         assert {row[index] for row in coeffs} == {-1, 1}
+
+
+# The compiled and entry rows' integer matrices, and their stacked rows over
+# the generators as one dense integer matrix.
+INTEGER_MATRICES = [m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]
+DENSE_EXACT_ROWS = np.vstack(INTEGER_MATRICES) @ _generator_pairs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators=st.lists(
+    st.integers(-(2**310), 2**310) | st.sampled_from([0, 1, -1, 2**300 + 1, -(2**300)]),
+    min_size=9, max_size=9,
+))
+@example(generators=[0] * 9)
+@example(generators=[2**300 + k for k in range(9)])
+def test_exact_rows_are_the_dense_product(generators):
+    rows = _exact_rows(generators)
+    dense = DENSE_EXACT_ROWS.astype(object) @ np.array(generators, dtype=object)
+    assert rows.tolist() == dense.tolist()
+    assert all(type(value) is int for value in rows.tolist())
+
+
+def captured_rows(monkeypatch, route, tables):
+    """The rows each table's ``route`` call hands to ``fine._joint_entries``."""
+    seen, joint_entries = [], fine._joint_entries
+
+    def record(rows, *args):
+        seen.append(rows)
+        return joint_entries(rows, *args)
+
+    monkeypatch.setattr(fine, "_joint_entries", record)
+    for table in tables:
+        route(table)
+    monkeypatch.undo()
+    return seen
+
+
+def test_exact_rows_stay_python_ints(monkeypatch, rng):
+    tables = [count_table(rng) for _ in range(20)] + [past_chsh_bound_table(rng) for _ in range(5)]
+    for rows in captured_rows(monkeypatch, feasibility_oracle, tables):
+        assert len(rows) == len(DENSE_EXACT_ROWS)
+        assert all(type(value) is int for value in rows.tolist())
+
+
+def test_float_route_rows_match_the_integer_matrices(monkeypatch, rng):
+    # The float matrices are cast once; numpy casting the int64 ones on
+    # every product must give the same bits.
+    tables = [random_jpd_table(rng)[0] for _ in range(20)]
+    tables += [zero_entry_table(rng) for _ in range(20)] + [past_chsh_bound_table(rng)]
+    assert all(m.dtype == np.int64 for m in INTEGER_MATRICES)
+    for table, rows in zip(tables, captured_rows(monkeypatch, reconstruct_jpd, tables)):
+        pair_values = np.array([table.pair(*key) for key in PAIR_KEYS])
+        want = np.concatenate([m @ pair_values for m in INTEGER_MATRICES])
+        assert rows.tobytes() == want.tobytes()
 
 
 @settings(max_examples=500, deadline=None)

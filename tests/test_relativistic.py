@@ -446,6 +446,20 @@ def test_default_worldline_beyond_the_float_range_is_refused(t):
     assert check_consistency(programme, Worldline(SpacetimeEvent(0.0)), [0.0, 1.0]).all_pass
 
 
+@pytest.mark.parametrize("t", [1.7e308, -1.7976931348623157e308])
+def test_default_worldline_centres_close_events_near_the_float_range(t):
+    # The mean of the two times overflows, but the events are a unit apart:
+    # the centre comes from the scaled times, not a refusal.
+    e1, e2 = SpacetimeEvent(t), SpacetimeEvent(t, 1.0)
+    programme = MeasurementProgramme("singlet", 0.8, (Measurement(e1, Z, 1), Measurement(e2, Z, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worldline, offsets = relativistic._default_worldline(programme.events())
+        assert check_consistency(programme).all_pass
+    assert worldline.origin.coords.tolist() == [t - 4.5, 0.5, 0.0, 0.0]
+    assert offsets[-1] == 9.0
+
+
 def test_default_worldline_near_the_float_range_is_kept():
     # one event at the largest float: the worldline's times round onto it
     programme = MeasurementProgramme(

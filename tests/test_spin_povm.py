@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -332,3 +334,40 @@ def refusal(build, axis, sharpness):
 @example(axis=[0.0, 0.0, 0.0], sharpness=float("nan"))
 def test_effect_root_refuses_what_unsharp_effect_refuses(axis, sharpness):
     assert refusal(effect_root, axis, sharpness) == refusal(unsharp_effect, axis, sharpness)
+
+
+def reference_unit_vector(vec):
+    """``unit_vector`` as it read with ``np.linalg.norm``: its result, or its refusal."""
+    v = np.asarray(vec, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):
+        return f"direction must be finite with a finite norm, got {v.tolist()}"
+    if norm < 1e-12:
+        return "direction must be a nonzero vector"
+    return (v / norm).tobytes()
+
+
+MAGNITUDES = st.floats(min_value=-150.0, max_value=155.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    unit=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+    magnitude=MAGNITUDES,
+)
+@example(unit=[1.0, 1.0, 0.0], magnitude=1e200)  # the norm overflows: refused
+@example(unit=[1.0, 1.0, 1.0], magnitude=1e154)  # the sum of squares overflows
+@example(unit=[1.0, 0.5, 0.0], magnitude=1.5e150)  # past the guard, with a finite norm
+@example(unit=[1.0, 1.0, 1.0], magnitude=1e-150)  # squares underflow: refused as zero
+@example(unit=[1.0, -0.0, 0.0], magnitude=1e-12)
+@example(unit=[math.nan, 1.0, 0.0], magnitude=1.0)
+@example(unit=[1.0, math.nan, 1e200], magnitude=1.0)  # NaN ahead of a huge component
+@example(unit=[0.0, 1.0, math.inf], magnitude=1.0)
+def test_unit_vector_is_numpys_norm_bit_for_bit(unit, magnitude):
+    vec = [c * magnitude for c in unit]
+    try:
+        got = unit_vector(vec).tobytes()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == reference_unit_vector(vec)
