@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import I2, I4, eigen_hermitian, pauli_dot, tensor
+from .operators import I4, eigen_hermitian, pauli_dot, tensor
 from .spin_povm import PAIR_SHARPNESS_LIMIT, check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
@@ -172,21 +172,9 @@ def operator_chsh_holds(config: BellConfiguration) -> OperatorChshResult:
     return OperatorChshResult(holds, low, high, operator)
 
 
-def singlet_state(axis=None) -> np.ndarray:
-    """Two-qubit singlet density matrix.
-
-    The optional ``axis`` picks the spin basis used for the construction;
-    the resulting matrix is the same for every choice.
-    """
-    if axis is None:
-        psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    else:
-        n = unit_vector(axis)
-        theta = math.acos(max(-1.0, min(1.0, n[2])))
-        phi = math.atan2(n[1], n[0])
-        up = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
-        down = np.array([-math.sin(theta / 2.0) * np.exp(-1j * phi), math.cos(theta / 2.0)])
-        psi = (np.kron(up, down) - np.kron(down, up)) / math.sqrt(2.0)
+def singlet_state() -> np.ndarray:
+    """Two-qubit singlet density matrix."""
+    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     return np.outer(psi, psi.conj())
 
 

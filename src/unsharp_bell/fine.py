@@ -14,17 +14,23 @@ all four sign outcomes.  Three routes answer it:
 The last two share one system: nonnegativity of the sixteen joint entries
 over seven free ones, with constants linear in the pair values.  Its
 Fourier-Motzkin elimination runs once, at import, on integer coefficient
-vectors over the pair values (``_SYSTEMS``).  A table is decided by
-evaluating the final rows on its pair values and extended by
-back-substitution, in one body (``_joint_entries``); the routes differ
-only in those values (the table's floats, or a rational surrogate scaled
-to ints).  The float route multiplies float64 copies of the matrices,
-made at import; the exact route has no dense product, and adds the nonzero
-terms of its rows, each one generator times a coefficient in -2..2.
-With coefficients of 0 and +-1, back-substitution only adds,
-negates, takes a min or max and halves, once per free entry, so constants
-scaled by ``2**7`` keep it in Python ints.  ``chsh_check`` never reads the
-compiled system, so the routes still check each other.
+vectors over the pair values (``_SYSTEMS``).  A table is decided on the
+final rows evaluated on its pair values (``_decision``) and extended by
+back-substitution (``_back_substitution``); the routes differ only in
+those values (the table's floats, or a rational surrogate scaled to
+ints).  The float route multiplies float64 copies of the matrices, made
+at import, one table at a time; the exact route has no dense product, and
+adds the nonzero terms of its rows, each one generator times a
+coefficient in -2..2.  With coefficients of 0 and +-1, back-substitution
+only adds, negates, takes a min or max and halves, once per free entry,
+so constants scaled by ``2**7`` keep it in Python ints.  ``chsh_check``
+never reads the compiled system, so the routes still check each other.
+
+Each body serves one table and a batch: the marginals, the CHSH forms,
+the decision and the back-substitution take one table's 24 entries in
+``SINGLE_KEYS + PAIR_KEYS`` order as Python numbers, or a batch's as 24
+columns, and round alike; only a min or max picks elementwise on columns
+(``_picks``).  The verification battery decides its tables through them.
 
 One rule decides on every route: a table is feasible when no inequality
 is violated by more than ``DECISION_TOL``; the exact route applies it in
@@ -111,6 +117,10 @@ class ProbabilityTable:
         """The gap of each of ``MARGINAL_RELATIONS``, in its order."""
         singles, pairs = self.singles, self.pairs
         return [abs(pairs[a] + pairs[b] - singles[k]) for a, b, k in MARGINAL_RELATIONS]
+
+    def _entries(self) -> list:
+        """The 24 entries, in ``SINGLE_KEYS + PAIR_KEYS`` order."""
+        return [self.singles[k] for k in SINGLE_KEYS] + [self.pairs[k] for k in PAIR_KEYS]
 
     def consistency_deviation(self) -> float:
         """Largest violation of the marginal consistency relations."""
@@ -294,37 +304,43 @@ def _all_sign_quadruples():
                     yield (s1, s2, s3, s4)
 
 
+def _marginal_entries(values: np.ndarray) -> np.ndarray:
+    """The marginals of a (2, 2, 2, 2) distribution, or of a batch of them.
+
+    The 24 entries lie on the last axis in ``SINGLE_KEYS + PAIR_KEYS`` order,
+    each the sum over the other observables' axes.
+    """
+    lead = values.shape[:-4]
+
+    def kept(*slots):  # ``values.sum``'s reduction, called without its slower wrapper
+        return np.add.reduce(values, axis=tuple(len(lead) + a for a in range(4) if a not in slots))
+
+    entries = np.empty(lead + (len(SINGLE_KEYS + PAIR_KEYS),))
+    for slot in range(4):
+        entries[..., 2 * slot:2 * slot + 2] = kept(slot)
+    # A view of the pairs as axes (i, sign of i, j, sign of j), in PAIR_KEYS order.
+    pairs = entries[..., 8:].reshape(lead + (2, 2, 2, 2))
+    for i in (0, 1):
+        for j in (2, 3):
+            pairs[..., i, :, j - 2, :] = kept(i, j)
+    return entries
+
+
+def _tables(rows) -> list[ProbabilityTable]:
+    """The tables of rows of 24 entries in ``SINGLE_KEYS + PAIR_KEYS`` order."""
+    return [ProbabilityTable(dict(zip(SINGLE_KEYS, row[:8])), dict(zip(PAIR_KEYS, row[8:])))
+            for row in rows]
+
+
 def marginals(jpd: Jpd4) -> ProbabilityTable:
     """Singles and pair probabilities of a four-observable distribution."""
-    vals = jpd.values
-    singles = {}
-    for slot in range(4):
-        others = tuple(axis for axis in range(4) if axis != slot)
-        sums = vals.sum(axis=others)
-        singles[slot + 1] = float(sums[0])
-        singles[-(slot + 1)] = float(sums[1])
-    pairs = {}
-    for i_label in (1, 2):
-        for j_label in (3, 4):
-            others = tuple(
-                axis for axis in range(4) if axis not in (i_label - 1, j_label - 1)
-            )
-            block = vals.sum(axis=others)
-            for si in (1, -1):
-                for sj in (1, -1):
-                    pairs[(si * i_label, sj * j_label)] = float(
-                        block[_SIGN_INDEX[si], _SIGN_INDEX[sj]]
-                    )
-    return ProbabilityTable(singles, pairs)
+    return _tables([_marginal_entries(jpd.values).tolist()])[0]
 
 
 def roundtrip_residual(table: ProbabilityTable, jpd: Jpd4) -> float:
     """Largest gap between a table and the marginals of a distribution built for it."""
-    back = marginals(jpd)
-    return max(
-        max(abs(back.single(k) - table.single(k)) for k in SINGLE_KEYS),
-        max(abs(back.pair(i, j) - table.pair(i, j)) for i, j in PAIR_KEYS),
-    )
+    back = _marginal_entries(jpd.values).tolist()
+    return max(abs(a - b) for a, b in zip(back, table._entries()))
 
 
 # The four CHSH expressions in their pair form; each must lie in [0, 1].
@@ -365,19 +381,58 @@ class ChshCheck:
         return self.pair_form + self.single_form
 
 
-def _pair_form_values(table: ProbabilityTable) -> tuple[float, ...]:
-    return tuple(
-        sum(sign * table.pair(*key) for key, sign in form) for form in BELL_PAIR_FORMS
-    )
+# Each label's position among a table's 24 entries, and the CHSH forms
+# over those positions.
+_COLUMN = {label: n for n, label in enumerate(SINGLE_KEYS + PAIR_KEYS)}
+_PAIR_FORMS = [[(_COLUMN[key], sign) for key, sign in form] for form in BELL_PAIR_FORMS]
+_SINGLE_FORMS = [
+    ((_COLUMN[k1], _COLUMN[k2]), [(_COLUMN[key], sign) for key, sign in part])
+    for (k1, k2), part in BELL_SINGLE_FORMS
+]
 
 
-def _single_form_values(table: ProbabilityTable) -> tuple[float, ...]:
-    values = []
-    for (k1, k2), pair_part in BELL_SINGLE_FORMS:
-        total = table.single(k1) + table.single(k2)
-        total += sum(sign * table.pair(*key) for key, sign in pair_part)
-        values.append(total)
-    return tuple(values)
+def _entries(array: np.ndarray) -> list:
+    """The first axis of an array as a list: numbers for one table, arrays over a batch."""
+    return array.tolist() if array.ndim == 1 else list(array)
+
+
+def _picks(value) -> tuple:
+    """``max`` and ``min`` for numbers, or for float arrays elementwise picks like them.
+
+    Numbers keep the exact route's ints out of int64.  The picks keep the
+    first value on a tie, as ``max`` and ``min`` do (``np.maximum`` keeps
+    the second, and so the sign of a zero).
+    """
+    if isinstance(value, np.ndarray):
+        return (lambda a, b: np.where(b > a, b, a)), (lambda a, b: np.where(b < a, b, a))
+    return max, min
+
+
+def _signed_sum(entries, terms):
+    """``sum(sign * entries[n] for n, sign in terms)``, added left to right."""
+    total = 0
+    for n, sign in terms:
+        total = total + sign * entries[n]
+    return total
+
+
+def _chsh_forms(entries) -> tuple:
+    """The CHSH forms of one table's 24 entries, or of a batch's 24 columns.
+
+    Returns the four pair forms, the four singles forms, whether all eight
+    inequalities hold within ``DECISION_TOL``, and the largest gap between
+    the two forms of an expression.
+    """
+    pair = [_signed_sum(entries, form) for form in _PAIR_FORMS]
+    single = [
+        entries[a] + entries[b] + _signed_sum(entries, part) for (a, b), part in _SINGLE_FORMS
+    ]
+    larger, _ = _picks(pair[0])
+    holds, gap = True, 0.0
+    for p, s in zip(pair, single):
+        holds = holds & (p >= -DECISION_TOL) & (p <= 1.0 + DECISION_TOL)
+        gap = larger(gap, abs(p - s))
+    return pair, single, holds, gap
 
 
 def chsh_check(table: ProbabilityTable) -> ChshCheck:
@@ -389,23 +444,17 @@ def chsh_check(table: ProbabilityTable) -> ChshCheck:
     incomparable.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    pair_vals = _pair_form_values(table)
-    single_vals = _single_form_values(table)
+    pair, single, all_hold, gap = _chsh_forms(table._entries())
     # Exact equivalence of the two forms holds for exactly consistent
     # tables; allow the residual the measured inconsistency can induce.
-    agreement_tol = DECISION_TOL + 4.0 * table.consistency_deviation()
-    worst = max(abs(p - s) for p, s in zip(pair_vals, single_vals))
-    if worst > agreement_tol:
-        raise ArithmeticError(
-            f"pair-form and singles-form CHSH values disagree by {worst:.3e}"
-        )
-    all_hold = all(-DECISION_TOL <= v <= 1.0 + DECISION_TOL for v in pair_vals)
-    return ChshCheck(all_hold=all_hold, pair_form=pair_vals, single_form=single_vals)
+    if gap > DECISION_TOL + 4.0 * table.consistency_deviation():
+        raise ArithmeticError(f"pair-form and singles-form CHSH values disagree by {gap:.3e}")
+    return ChshCheck(all_hold=all_hold, pair_form=tuple(pair), single_form=tuple(single))
 
 
 def find_witness(table: ProbabilityTable) -> ChshWitness:
     """Most violated CHSH inequality of a table."""
-    values = _pair_form_values(table)
+    values = _chsh_forms(table._entries())[0]
     best = None
     for idx, value in enumerate(values):
         for side, slack in (("lower", -value), ("upper", value - 1.0)):
@@ -484,10 +533,11 @@ _ENTRY_ROWS = _build_system()
 _ENTRY_CONSTS = np.array([const for const, _ in _ENTRY_ROWS], dtype=np.int64)
 # Each entry row's nonzero (free index, coefficient) terms, in index order.
 _ENTRY_TERMS = [[(j, c) for j, c in enumerate(coeffs) if c] for _, coeffs in _ENTRY_ROWS]
-_ENTRY_INDICES = [
-    tuple(_SIGN_INDEX[s] for s in outcome)
+# Which entry lands at each position of a flattened (2, 2, 2, 2) distribution.
+_ENTRY_ORDER = np.argsort([
+    np.ravel_multi_index(tuple(_SIGN_INDEX[s] for s in outcome), (2, 2, 2, 2))
     for outcome in FREE_OUTCOMES + tuple(DEPENDENT_OUTCOMES)
-]
+]).tolist()
 
 
 def _compile_systems() -> tuple:
@@ -535,23 +585,40 @@ _FLOAT_MATRICES = [m.astype(float) for m in _MATRICES]
 _TOL_NUMERATOR, _TOL_DENOMINATOR = DECISION_TOL.as_integer_ratio()
 
 
-def _joint_entries(rows: np.ndarray, scale, divide):
-    """Margin, whether it is within ``DECISION_TOL``, and entries times ``scale`` (None past it).
+def _float_rows(pairs) -> np.ndarray:
+    """The stacked rows on one table's 16 pair values, or a column per table of (N, 16) ones.
 
-    The one body of both routes.  ``rows`` holds the stacked compiled rows,
-    then the 16 entry constants, times ``scale``: floats, ``scale=1`` and
-    ``divide=operator.truediv``, or ints and ``operator.floordiv``.  Each
-    bound is ``-+(const + sum c_j x_j)`` with c = +-1, so constants divisible
-    by ``2**7`` keep every midpoint an exact int.
+    Each table takes its own matrix-vector products: the BLAS matrix
+    product ``pairs @ matrix.T`` rounds differently.
     """
-    minima = np.minimum.reduceat(rows[:_COMPILED_ROWS], _RUN_STARTS).tolist()
+    column = np.asarray(pairs, dtype=float)[..., None]
+    return np.concatenate([np.matmul(m, column) for m in _FLOAT_MATRICES], axis=-2)[..., 0].T
+
+
+def _decision(rows: np.ndarray, scale) -> tuple:
+    """The decision on the stacked rows, times ``scale``, of one table or a batch.
+
+    Returns each run's minimum (only it binds), the margin, whether it is
+    within ``DECISION_TOL``, and feasibility: no final row below it.
+    """
+    minima = _entries(np.minimum.reduceat(rows[:_COMPILED_ROWS], _RUN_STARTS))
     lowest = minima[-1]
     tolerance = _TOL_NUMERATOR * scale
-    margin = lowest / scale
     near_boundary = abs(lowest) * _TOL_DENOMINATOR <= tolerance
-    if lowest * _TOL_DENOMINATOR < -tolerance:
-        return margin, near_boundary, None
+    return minima, lowest / scale, near_boundary, lowest * _TOL_DENOMINATOR >= -tolerance
+
+
+def _back_substitution(minima: list, rows: np.ndarray, scale, divide) -> tuple:
+    """The 16 joint entries times ``scale``, and whether an interval was empty.
+
+    Each free entry takes its interval's midpoint, by ``operator.truediv``
+    on floats or ``floordiv`` on ints.  Each bound is ``-+(const + sum c_j x_j)``
+    with c = +-1, so constants divisible by ``2**7`` keep every midpoint an
+    exact int.  An interval is empty past ``DECISION_TOL``.
+    """
+    larger, smaller = _picks(minima[-1])
     free = [0] * len(_ELIMINATION_ORDER)
+    widest = -math.inf  # the most a lower end passes its upper end by
     for index, runs in zip(reversed(_ELIMINATION_ORDER), reversed(_BOUND_RUNS)):
         lower, upper = -math.inf, math.inf
         for run, below, terms in runs:
@@ -559,29 +626,25 @@ def _joint_entries(rows: np.ndarray, scale, divide):
             for j, c in terms:
                 rest = rest + c * free[j]
             if below:
-                lower = max(lower, -rest)
+                lower = larger(lower, -rest)
             else:
-                upper = min(upper, rest)
-        if (lower - upper) * _TOL_DENOMINATOR > tolerance:
-            raise ArithmeticError(
-                f"empty interval for variable {index}: [{lower / scale}, {upper / scale}]"
-            )
+                upper = smaller(upper, rest)
+        widest = larger(widest, lower - upper)
         free[index] = divide(lower + upper, 2)
     entries = []
-    for value, terms in zip(rows[_COMPILED_ROWS:].tolist(), _ENTRY_TERMS):
+    for value, terms in zip(_entries(rows[_COMPILED_ROWS:]), _ENTRY_TERMS):
         total = 0  # an int, as ``sum`` starts: exact ints stay ints, and ``0 + -0.0`` is ``0.0``
         for j, c in terms:
-            total += c * free[j]
+            total = total + c * free[j]
         entries.append(value + total)
-    return margin, near_boundary, entries
+    return entries, widest * _TOL_DENOMINATOR > _TOL_NUMERATOR * scale
 
 
 def _jpd_values(entries: list, scale=1) -> np.ndarray:
-    """The (2, 2, 2, 2) array of ``_joint_entries``'s entries, divided by ``scale``."""
-    values = np.zeros((2, 2, 2, 2))
-    for index, entry in zip(_ENTRY_INDICES, entries):
-        values[index] = entry / scale
-    return values
+    """The (2, 2, 2, 2) distributions of ``_back_substitution``'s entries, divided by ``scale``."""
+    values = np.array([entries[n] / scale for n in _ENTRY_ORDER])
+    # In C order, so that a batch's marginals round as one table's do.
+    return np.ascontiguousarray(values.T).reshape(values.shape[1:] + (2, 2, 2, 2))
 
 
 def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
@@ -594,13 +657,15 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     compiled row is violated by more than ``DECISION_TOL``.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    pair_values = np.array([table.pair(*key) for key in PAIR_KEYS])
-    rows = np.concatenate([matrix @ pair_values for matrix in _FLOAT_MATRICES])
-    margin, near, entries = _joint_entries(rows, 1, operator.truediv)
-    if entries is None:
+    rows = _float_rows([table.pairs[key] for key in PAIR_KEYS])
+    minima, margin, near, feasible = _decision(rows, 1)
+    if not feasible:
         return FeasibilityResult(
             False, None, find_witness(table), "interval-reconstruction", margin, near
         )
+    entries, empty = _back_substitution(minima, rows, 1, operator.truediv)
+    if empty:
+        raise ArithmeticError("back-substitution met an empty interval")
     # Interval midpoints can sit a rounding error below zero at
     # degenerate vertices; that is within the distribution tolerance.
     jpd = Jpd4(np.clip(_jpd_values(entries), -RANGE_TOL, None))
@@ -685,11 +750,15 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     # Back-substitution halves once per free entry.
     scale = math.lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
     generators = [scale] + [p * (scale // q) for p, q in ratios]
-    margin, near, entries = _joint_entries(_exact_rows(generators), scale, operator.floordiv)
-    if entries is None:
+    rows = _exact_rows(generators)
+    minima, margin, near, feasible = _decision(rows, scale)
+    if not feasible:
         return FeasibilityResult(
             False, None, find_witness(table), "exact-elimination", margin, near
         )
+    entries, empty = _back_substitution(minima, rows, scale, operator.floordiv)
+    if empty:
+        raise ArithmeticError("back-substitution met an empty interval")
     # A table feasible only within DECISION_TOL leaves entries up to that far
     # below zero.  They become zero and the largest entry gives up their
     # mass, so the entries still sum to exactly ``scale``.

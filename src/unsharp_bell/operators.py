@@ -228,7 +228,10 @@ def json_number(value, field: str, kind: str = "a number", error=ValueError) -> 
     """A number read from JSON, as a float: an int or a float, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{field} must be {kind}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range, refused without its digits
+        raise error(f"{field} must be {kind}, got an integer beyond the float range") from None
 
 
 def json_list(value, field: str, kind: str = "a list") -> list:

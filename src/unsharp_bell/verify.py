@@ -24,10 +24,11 @@ one Born-rule batch, the operations of ``fine.table_from_quantum``
 broadcast over a leading axis (``operators.tensor`` broadcasts, and
 multiplies entry by entry as ``np.kron`` does); every tenth table also
 goes through ``table_from_quantum`` and must match bit for bit.  Its
-marginals, CHSH forms, float reconstruction and round trips are batches
-over all 1000 tables too; only the exact oracle, whose Python-int
-arithmetic has no batch, runs once per table.  The singlet check
-evaluates its 1000 draws as one batch.
+marginals, CHSH forms, float reconstruction and round trips run over all
+1000 tables at once through the bodies of the public routes themselves
+(``fine``'s routes take one table's entries or a batch's columns); only
+the exact oracle, whose Python-int arithmetic has no batch, runs once per
+table.  The singlet check evaluates its 1000 draws as one batch.
 
 ``_sequential_vs_joint`` takes its effect roots from
 ``relativistic._measurement_roots``, as charts do, but it and
@@ -44,6 +45,7 @@ charts use and which decides every cone through
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,6 +69,8 @@ from .bell import (
 from .instruments import disturbance_report, epr_measurement
 from .operators import I2, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
+    _FUTURE_RELATIONS,
+    _PAST_RELATIONS,
     CausalRelation,
     Measurement,
     MeasurementProgramme,
@@ -327,24 +331,6 @@ def _born(states, observables) -> np.ndarray:
     return np.trace(np.matmul(states, observables), axis1=-2, axis2=-1).real
 
 
-# A table row holds the singles in SINGLE_KEYS order, then the pairs in
-# PAIR_KEYS order; _COLUMN gives the position of each label.
-_COLUMN = {label: n for n, label in enumerate(fine.SINGLE_KEYS + fine.PAIR_KEYS)}
-
-
-def _tables(rows: np.ndarray) -> list[fine.ProbabilityTable]:
-    return [
-        fine.ProbabilityTable(
-            dict(zip(fine.SINGLE_KEYS, row[:8])), dict(zip(fine.PAIR_KEYS, row[8:]))
-        )
-        for row in rows.tolist()
-    ]
-
-
-def _row(table: fine.ProbabilityTable) -> list[float]:
-    return [table.singles[k] for k in fine.SINGLE_KEYS] + [table.pairs[k] for k in fine.PAIR_KEYS]
-
-
 def _quantum_tables(configs, states) -> np.ndarray:
     """``fine.table_from_quantum`` of each configuration and state, as rows of one Born-rule batch.
 
@@ -362,111 +348,6 @@ def _quantum_tables(configs, states) -> np.ndarray:
     return _born(np.asarray(states, dtype=complex)[:, None], observables)
 
 
-def _marginal_rows(values: np.ndarray) -> np.ndarray:
-    """``fine.marginals`` of each (2, 2, 2, 2) distribution along the leading axis, as table rows.
-
-    Each marginal is the sum over the other axes that ``marginals`` takes,
-    with the leading axis kept, and equals it bit for bit.
-    """
-    def kept(*observables):
-        return values.sum(axis=tuple(a for a in range(1, 5) if a not in observables))
-
-    singles = np.concatenate([kept(a) for a in range(1, 5)], axis=1)
-    # Axes (table, i, j, sign of i, sign of j), reordered to PAIR_KEYS order.
-    pairs = np.stack([np.stack([kept(i, j) for j in (3, 4)], 1) for i in (1, 2)], 1)
-    return np.concatenate([singles, pairs.transpose(0, 1, 3, 2, 4).reshape(-1, 16)], axis=1)
-
-
-def _signed_sum(rows: np.ndarray, terms) -> np.ndarray:
-    """``sum(sign * row[column] for column, sign in terms)`` of each row, added left to right."""
-    total = 0.0
-    for column, sign in terms:
-        total = total + sign * rows[:, column]
-    return total
-
-
-def _labelled(terms) -> list:
-    return [(_COLUMN[label], sign) for label, sign in terms]
-
-
-def _chsh_forms(rows: np.ndarray):
-    """``chsh_check`` of each table row, as array arithmetic.
-
-    Returns the pair forms, the single forms, whether every inequality
-    holds, and whether the two forms agree as ``chsh_check`` requires
-    (where they do not, it raises).
-    """
-    pair = np.stack([_signed_sum(rows, _labelled(form)) for form in fine.BELL_PAIR_FORMS], axis=1)
-    single = np.stack(
-        [
-            rows[:, _COLUMN[k1]] + rows[:, _COLUMN[k2]] + _signed_sum(rows, _labelled(part))
-            for (k1, k2), part in fine.BELL_SINGLE_FORMS
-        ],
-        axis=1,
-    )
-    tol = fine.DECISION_TOL
-    holds = ((pair >= -tol) & (pair <= 1.0 + tol)).all(axis=1)
-    inconsistency = np.max(
-        [
-            np.abs(rows[:, _COLUMN[a]] + rows[:, _COLUMN[b]] - rows[:, _COLUMN[k]])
-            for a, b, k in fine.MARGINAL_RELATIONS
-        ],
-        axis=0,
-    )
-    agree = np.abs(pair - single).max(axis=1) <= tol + 4.0 * inconsistency
-    return pair, single, holds, agree
-
-
-# Where each entry of _joint_entries lands in the flattened (2, 2, 2, 2) distribution.
-_ENTRY_FLAT = [int(np.ravel_multi_index(index, (2, 2, 2, 2))) for index in fine._ENTRY_INDICES]
-
-
-def _reconstructions(rows: np.ndarray):
-    """``fine.reconstruct_jpd`` of each table row: ``fine._joint_entries`` over a leading axis.
-
-    Returns the margins, the near-boundary flags and the feasibility of
-    every row; then, for the feasible rows only, their clipped (2, 2, 2, 2)
-    distributions and whether ``reconstruct_jpd`` would raise on them (an
-    empty interval, or a distribution ``Jpd4`` refuses).
-    """
-    column = rows[:, 8:, None]
-    # One matrix-vector product per table rounds as ``matrix @ pair_values``
-    # does; the BLAS matrix product ``pairs @ matrix.T`` does not.
-    products = np.concatenate(
-        [np.matmul(matrix, column) for matrix in fine._FLOAT_MATRICES], axis=1
-    )[..., 0]
-    minima = np.minimum.reduceat(products[:, : fine._COMPILED_ROWS], fine._RUN_STARTS, axis=1)
-    numerator, denominator = fine._TOL_NUMERATOR, float(fine._TOL_DENOMINATOR)
-    margins = minima[:, -1]
-    near = np.abs(margins) * denominator <= numerator
-    feasible = margins * denominator >= -numerator
-
-    minima = minima[feasible]
-    free = np.zeros((len(minima), len(fine._ELIMINATION_ORDER)))
-    broken = np.zeros(len(minima), dtype=bool)
-    for index, runs in zip(reversed(fine._ELIMINATION_ORDER), reversed(fine._BOUND_RUNS)):
-        lower, upper = np.full(len(minima), -np.inf), np.full(len(minima), np.inf)
-        for run, below, terms in runs:
-            rest = minima[:, run]
-            for j, c in terms:
-                rest = rest + c * free[:, j]
-            # np.where keeps the first of two equal bounds, as Python's max
-            # and min do (np.maximum keeps the second), so zeros keep their sign.
-            if below:
-                lower = np.where(-rest > lower, -rest, lower)
-            else:
-                upper = np.where(rest < upper, rest, upper)
-        broken |= (lower - upper) * denominator > numerator
-        free[:, index] = (lower + upper) / 2
-    entries = products[feasible, fine._COMPILED_ROWS :]
-    jpd = np.zeros((len(minima), 16))
-    for n, terms in enumerate(fine._ENTRY_TERMS):
-        jpd[:, _ENTRY_FLAT[n]] = entries[:, n] + _signed_sum(free, terms)
-    jpd = np.clip(jpd, -fine.RANGE_TOL, None)
-    broken |= np.abs(jpd.sum(axis=1) - 1.0) > fine.SUM_TOL
-    return margins, near, feasible, jpd.reshape(-1, 2, 2, 2, 2), broken
-
-
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -478,11 +359,12 @@ def check_fine_equivalence(rng) -> CheckResult:
     of those have zero entries; the other half come from quantum states
     under unsharp spin pairs: every fifth of them the singlet near the
     optimal CHSH configuration, the rest random density operators under
-    random axes.  The marginals, the quantum tables (one Born-rule
-    batch), the CHSH forms and the float reconstruction are array
-    arithmetic over all tables; the exact oracle decides every table one
-    call at a time, and its integer arithmetic has no batch.  Both
-    routes' round trips are one batch of marginals.
+    random axes.  The quantum tables are one Born-rule batch.  The
+    marginals, the CHSH forms and the float reconstruction run over all
+    tables as columns, through the bodies ``fine``'s routes run on one
+    table; the exact oracle decides every table one call at a time, and
+    its integer arithmetic has no batch.  Both routes' round trips are one
+    batch of marginals.
 
     Spot checks compare the batches with the public API bit for bit: every
     tenth quantum table with ``fine.table_from_quantum``; one table in each
@@ -504,24 +386,34 @@ def check_fine_equivalence(rng) -> CheckResult:
             parameters.append(_quantum_parameters(rng, index))
     configs, states = zip(*parameters)
     quantum_rows = _quantum_tables(configs, states)
-    rows = np.empty((total, len(_COLUMN)))
-    rows[0::2] = _marginal_rows(np.stack(jpds))
+    rows = np.empty((total, len(fine.SINGLE_KEYS + fine.PAIR_KEYS)))
+    rows[0::2] = fine._marginal_entries(np.stack(jpds))
     rows[1::2] = quantum_rows
-    tables = _tables(rows)
+    tables = fine._tables(rows.tolist())
     for table in tables[1::2]:
         table.validate()
 
     quantum_spots = range(0, len(parameters), 10)
     disagreements = sum(
-        not _same_bits(_row(fine.table_from_quantum(states[i], configs[i])), quantum_rows[i])
+        not _same_bits(fine.table_from_quantum(states[i], configs[i])._entries(), quantum_rows[i])
         for i in quantum_spots
     )
 
-    pair, single, holds, agree = _chsh_forms(rows)
-    margins, near, feasible, jpd, broken = _reconstructions(rows)
+    # The routes' own bodies, given the tables as 24 columns.
+    columns = list(rows.T)
+    pair, single, holds, gap = fine._chsh_forms(columns)
+    pair, single = np.stack(pair, axis=1), np.stack(single, axis=1)
+    inconsistency = np.array([table.consistency_deviation() for table in tables])
+    agree = gap <= fine.DECISION_TOL + 4.0 * inconsistency  # else chsh_check raises
+    system = fine._float_rows(rows[:, 8:])
+    minima, margins, near, feasible = fine._decision(system, 1)
+    entries, broken = fine._back_substitution(minima, system, 1, operator.truediv)
+    jpd = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
+    # Where reconstruct_jpd would raise: an empty interval, or a sum Jpd4 refuses.
+    broken |= np.abs(jpd.reshape(-1, 16).sum(axis=1) - 1.0) > fine.SUM_TOL
     oracles = [fine.feasibility_oracle(table) for table in tables]
     agree &= (holds == feasible) & (feasible == [oracle.feasible for oracle in oracles])
-    agree[feasible] &= ~broken
+    agree &= ~(feasible & broken)
     disagreements += int(np.count_nonzero(~agree))
 
     # Round trips of both routes on the tables all three call feasible.
@@ -529,13 +421,12 @@ def check_fine_equivalence(rng) -> CheckResult:
     order = np.cumsum(both) - 1  # a table's position among them
     exact = np.reshape([oracles[i].jpd.values for i in np.flatnonzero(both)], (-1, 2, 2, 2, 2))
     rec_gap, exact_gap = (
-        np.abs(_marginal_rows(values) - rows[both]).max(axis=1, initial=0.0)
-        for values in (jpd[both[feasible]], exact)
+        np.abs(fine._marginal_entries(values) - rows[both]).max(axis=1, initial=0.0)
+        for values in (jpd[both], exact)
     )
     roundtrip = float(np.concatenate([rec_gap, exact_gap]).max(initial=0.0))
 
     spots = [10 * k + k % 10 for k in range(total // 10)]
-    reconstructed = np.cumsum(feasible) - 1  # a feasible table's row of jpd
     for i in spots:
         table = tables[i]
         check = fine.chsh_check(table)
@@ -549,12 +440,12 @@ def check_fine_equivalence(rng) -> CheckResult:
             and rec.near_boundary == near[i]
         )
         if same and rec.feasible:
-            same = _same_bits(rec.jpd.values, jpd[reconstructed[i]])
+            same = _same_bits(rec.jpd.values, jpd[i])
         if same and both[i]:
             gaps = [fine.roundtrip_residual(table, result.jpd) for result in (rec, oracles[i])]
             same = _same_bits(gaps, [rec_gap[order[i]], exact_gap[order[i]]])
         if same and i % 2 == 0:
-            same = _same_bits(_row(fine.marginals(fine.Jpd4(jpds[i // 2]))), rows[i])
+            same = _same_bits(fine.marginals(fine.Jpd4(jpds[i // 2]))._entries(), rows[i])
         disagreements += not same
     marginal_spots = sum(i % 2 == 0 for i in spots)
 
@@ -866,9 +757,10 @@ def _causal_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cover_flags(cover, points: np.ndarray) -> np.ndarray:
     """``cover.flags_at`` of every row of points, as array arithmetic."""
-    # The codes of the closed backward cone that influence flags test (0
-    # inside) or of the closed forward cone that information flags test (1).
-    codes, inside = ([0, 2, 4], 0) if cover.kind == "influence" else ([0, 1, 3], 1)
+    # Influence flags test the closed backward cone (0 inside), information
+    # flags the closed forward cone (1 inside).
+    cone, inside = (_PAST_RELATIONS, 0) if cover.kind == "influence" else (_FUTURE_RELATIONS, 1)
+    codes = [_RELATIONS.index(relation) for relation in cone]
     in_cone = [
         np.isin(_causal_codes(np.broadcast_to(e.coords, points.shape), points), codes)
         for e in cover.events

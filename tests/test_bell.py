@@ -125,9 +125,12 @@ def test_singlet_state_basics():
     rho = singlet_state()
     np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-15)
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
-    # rotation invariance: same matrix in any basis
+    # rotation invariance: the same matrix from the spin basis along any axis
     rng = np.random.default_rng(11)
-    np.testing.assert_allclose(singlet_state(random_unit_vector(rng)), rho, atol=1e-12)
+    for _ in range(5):
+        down, up = np.linalg.eigh(pauli_dot(random_unit_vector(rng)))[1].T  # eigenvalues -1, +1
+        psi = (np.kron(up, down) - np.kron(down, up)) / np.sqrt(2.0)
+        np.testing.assert_allclose(np.outer(psi, psi.conj()), rho, atol=1e-12)
 
 
 def test_singlet_pair_prob_trace_oracle(rng):

@@ -118,8 +118,10 @@ def at(node, path):
     return node
 
 
+# Integers beyond the float range, which JSON carries exactly.
+HUGE_INTEGERS = (10**400, -(10**400))
 BAD_VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, [], {}]),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, [], {}, *HUGE_INTEGERS]),
     st.text(max_size=4),
     st.sampled_from(["1", "0.5", "nan", "singlet"]),
 )
@@ -267,6 +269,14 @@ def nan_initial():
          observer=OBSERVERS[1])
 @example(case=pinned("programme", PROGRAMMES[0], ("measurements", 0, "event", 0), 1e308),
          method=None, observer=None)
+@example(case=pinned("table", TABLE, ("pairs", "1,3"), 10**400), method="exact",
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements", 1, "event", 2), -(10**400)),
+         method=None, observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("outcomes", 0), 10**400), method=None,
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[1], ("initial", 0, 1), 10**400), method=None,
+         observer=None)
 def test_documents_keep_the_exit_contract(workdir, case, method, observer):
     kind, document, path = case
     target = workdir / f"mutated-{kind}.json"

@@ -596,14 +596,14 @@ def test_exact_rows_are_the_dense_product(generators):
 
 
 def captured_rows(monkeypatch, route, tables):
-    """The rows each table's ``route`` call hands to ``fine._joint_entries``."""
-    seen, joint_entries = [], fine._joint_entries
+    """The rows each table's ``route`` call hands to ``fine._decision``."""
+    seen, decision = [], fine._decision
 
     def record(rows, *args):
         seen.append(rows)
-        return joint_entries(rows, *args)
+        return decision(rows, *args)
 
-    monkeypatch.setattr(fine, "_joint_entries", record)
+    monkeypatch.setattr(fine, "_decision", record)
     for table in tables:
         route(table)
     monkeypatch.undo()
@@ -615,6 +615,27 @@ def test_exact_rows_stay_python_ints(monkeypatch, rng):
     for rows in captured_rows(monkeypatch, feasibility_oracle, tables):
         assert len(rows) == len(DENSE_EXACT_ROWS)
         assert all(type(value) is int for value in rows.tolist())
+
+
+def test_exact_route_beyond_int64_matches_fraction_reference(monkeypatch, rng):
+    # Denominators of about 10^9 per generator put the common denominator, and
+    # the scaled rows, far past 2**63, where int64 would wrap: the exact route
+    # still equals the Fraction reference, on feasible, tolerance-edge and
+    # infeasible tables.
+    tables = [zero_entry_table(rng) for _ in range(10)] + [past_chsh_bound_table(rng) for _ in range(5)]
+    tables.append(table_from_quantum(singlet_state(), coplanar_configuration(1.0, np.pi / 4)))
+    beyond = set()  # (feasible, near boundary) of the tables whose rows pass 2**63
+    for table, rows in zip(tables, captured_rows(monkeypatch, feasibility_oracle, tables)):
+        oracle = feasibility_oracle(table)
+        reference = reference_exact_jpd(table)
+        assert oracle.feasible == (reference is not None)
+        if reference is not None:
+            np.testing.assert_array_equal(oracle.jpd.values, reference)
+        systems, _ = reference_systems(table)
+        assert oracle.margin == float(min(const for const, _ in systems[-1]))
+        if max(abs(value) for value in rows.tolist()) > 2**63:
+            beyond.add((oracle.feasible, oracle.near_boundary))
+    assert beyond == {(True, False), (True, True), (False, False)}
 
 
 def test_float_route_rows_match_the_integer_matrices(monkeypatch, rng):

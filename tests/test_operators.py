@@ -14,6 +14,7 @@ from unsharp_bell.operators import (
     eigen_hermitian,
     expectation,
     identity,
+    json_number,
     matrix_from_pairs,
     matrix_to_pairs,
     partial_trace,
@@ -211,3 +212,14 @@ def test_random_effect_spectrum(seed):
     e = random_effect(rng, 2)
     vals = np.linalg.eigvalsh(e)
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+def test_json_number_refuses_integers_beyond_floats_by_field(value):
+    # float() of such an int raises OverflowError, whose message names no field.
+    with pytest.raises(ValueError) as refusal:
+        json_number(value, "programme lambda")
+    message = str(refusal.value)
+    assert message.startswith("programme lambda must be a number, got an integer beyond the float range")
+    assert "000000" not in message and len(message) < 120
+    assert json_number(2**1023, "x") == float(2**1023)

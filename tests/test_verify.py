@@ -1,5 +1,7 @@
 """The verification battery's batched arithmetic against the public API it stands for."""
 
+import operator
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,7 +49,7 @@ def test_batched_quantum_tables_equal_table_from_quantum(seed, sharpness):
         pair = [BellConfiguration(s, *raw), coplanar_configuration(s, rng.uniform(0, np.pi))]
         configs += pair * 2
         states += [singlet_state()] * 2 + [random_density(rng, 4)] * 2
-    tables = verify._tables(verify._quantum_tables(configs, states))
+    tables = fine._tables(verify._quantum_tables(configs, states).tolist())
     for config, state, table in zip(configs, states, tables):
         assert bits(table) == bits(fine.table_from_quantum(state, config))
 
@@ -114,7 +116,7 @@ def battery_rows(seed: int, count: int) -> np.ndarray:
     configs += (coplanar_configuration(EDGE_SHARPNESS, np.pi / 4),)
     states += (singlet_state(),)
     return np.concatenate([
-        verify._marginal_rows(distributions(rng, count)),
+        fine._marginal_entries(distributions(rng, count)),
         verify._quantum_tables(configs, states),
         rounded_singlet_rows(rng, count),
     ])
@@ -124,18 +126,20 @@ def battery_rows(seed: int, count: int) -> np.ndarray:
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 12))
 def test_batched_marginals_equal_marginals(seed, count):
     values = distributions(np.random.default_rng(seed), count)
-    for jpd, row in zip(values, verify._marginal_rows(values)):
-        assert same_bits(verify._row(fine.marginals(fine.Jpd4(jpd))), row)
+    for jpd, row in zip(values, fine._marginal_entries(values)):
+        assert same_bits(fine.marginals(fine.Jpd4(jpd))._entries(), row)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 12))
 def test_batched_chsh_forms_equal_chsh_check(seed, count):
+    # The CHSH body on a batch's columns against chsh_check, which runs it on one table.
     rows = battery_rows(seed, count)
-    pair, single, holds, agree = verify._chsh_forms(rows)
-    assert agree.all()
-    for n, table in enumerate(verify._tables(rows)):
+    pair, single, holds, gap = fine._chsh_forms(list(rows.T))
+    pair, single = np.stack(pair, axis=1), np.stack(single, axis=1)
+    for n, table in enumerate(fine._tables(rows.tolist())):
         check = fine.chsh_check(table)
+        assert gap[n] <= fine.DECISION_TOL + 4.0 * table.consistency_deviation()
         assert check.all_hold == holds[n]
         assert same_bits(check.pair_form, pair[n]) and same_bits(check.single_form, single[n])
 
@@ -147,17 +151,19 @@ def test_batched_reconstruction_equals_reconstruct_jpd(seed, count):
     # Decision, margin, near-boundary flag, distribution and round trip, bit
     # for bit.  Forming the rows as pairs @ matrix.T instead changes margins.
     rows = battery_rows(seed, count)
-    margins, near, feasible, jpd, broken = verify._reconstructions(rows)
-    assert not broken.any()
-    back = verify._marginal_rows(jpd)
-    row_of = np.cumsum(feasible) - 1
-    for n, table in enumerate(verify._tables(rows)):
+    system = fine._float_rows(rows[:, 8:])
+    minima, margins, near, feasible = fine._decision(system, 1)
+    entries, empty = fine._back_substitution(minima, system, 1, operator.truediv)
+    assert not (feasible & empty).any()
+    jpd = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
+    back = fine._marginal_entries(jpd)
+    for n, table in enumerate(fine._tables(rows.tolist())):
         result = fine.reconstruct_jpd(table)
         assert (result.feasible, result.near_boundary) == (feasible[n], near[n])
         assert same_bits(result.margin, margins[n])
         if result.feasible:
-            assert same_bits(result.jpd.values, jpd[row_of[n]])
-            gap = np.abs(back[row_of[n]] - rows[n]).max()
+            assert same_bits(result.jpd.values, jpd[n])
+            gap = np.abs(back[n] - rows[n]).max()
             assert same_bits(fine.roundtrip_residual(table, result.jpd), gap)
 
 
