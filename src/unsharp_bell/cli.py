@@ -45,10 +45,9 @@ from .bell import (
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
-    singlet_state,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import matrix_to_pairs
+from .operators import _json_int, matrix_to_pairs
 from .relativistic import (
     SpacetimeEvent,
     check_consistency,
@@ -177,11 +176,15 @@ def _cmd_scan(args) -> dict | str:
     return out.getvalue()
 
 
+def _read_json(path: str):
+    """A JSON document from a file, whose reader refuses an overlong integer literal by field."""
+    return json.loads(Path(path).read_text(), parse_int=_json_int)
+
+
 def _load_table(path: str) -> fine.ProbabilityTable:
-    text = Path(path).read_text()
     if path.endswith(".csv"):
-        return fine.ProbabilityTable.from_csv_text(text)
-    return fine.ProbabilityTable.from_json_dict(json.loads(text))
+        return fine.ProbabilityTable.from_csv_text(Path(path).read_text())
+    return fine.ProbabilityTable.from_json_dict(_read_json(path))
 
 
 def _cmd_fine_check(args) -> dict:
@@ -250,7 +253,7 @@ def _cmd_epr(args) -> dict:
 
 
 def _cmd_chart(args) -> dict:
-    programme = programme_from_json_dict(json.loads(Path(args.programme).read_text()))
+    programme = programme_from_json_dict(_read_json(args.programme))
     data = {}
     if args.observer is not None:
         parts = args.observer.split(",")
@@ -425,7 +428,7 @@ def main(argv=None) -> int:
         else:
             Path(args.out).write_text(text)
         return status
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,13 +44,14 @@ import csv
 import io
 import operator
 from dataclasses import dataclass
+from itertools import product
 import math
 
 import numpy as np
 
 from . import fme
 from .bell import BellConfiguration
-from .operators import I2, expectation, json_known_keys, json_number
+from .operators import I2, _echo, expectation, json_known_keys, json_number
 from .spin_povm import unsharp_effect
 
 __all__ = [
@@ -207,7 +208,7 @@ class ProbabilityTable:
             except ValueError:
                 raise TableError(
                     f"table CSV row {reader.line_num} must be i,j,p (integer labels, j empty "
-                    f"for a single, p a number), got {','.join(row)!r}"
+                    f"for a single, p a number), got {_echo(','.join(row))}"
                 ) from None
             if label in entries:
                 raise TableError(f"table CSV row {reader.line_num} repeats {_label_name(label)}")
@@ -235,18 +236,20 @@ def _table_entries(raw: dict, part: str) -> dict:
             labels = ()
         if len(labels) != count:
             raise TableError(
-                f"malformed table JSON entry {key!r}: expected {count} integer label(s)"
+                f"malformed table JSON entry {_echo(key)}: expected {count} integer label(s)"
             )
         label = labels[0] if count == 1 else labels
         if label not in keys:
-            raise TableError(f"table JSON {part} has an unknown label {key!r}")
+            raise TableError(f"table JSON {part} has an unknown label {_echo(key)}")
         if label in entries:
-            raise TableError(f"table JSON {part} gives label {key!r} twice")
-        entries[label] = json_number(value, f"table JSON entry {key!r}", error=TableError)
+            raise TableError(f"table JSON {part} gives label {_echo(key)} twice")
+        entries[label] = json_number(value, f"table JSON entry {_echo(key)}", error=TableError)
     return entries
 
 
 _SIGN_INDEX = {1: 0, -1: 1}
+# Jpd4's JSON keys "s1,s2,s3,s4", in the order to_json_dict writes them, and their signs.
+_SIGN_LABELS = {",".join(str(s) for s in signs): signs for signs in product((1, -1), repeat=4)}
 
 
 @dataclass(eq=False)
@@ -270,38 +273,26 @@ class Jpd4:
         return float(self.values[tuple(_SIGN_INDEX[s] for s in signs)])
 
     def to_json_dict(self) -> dict:
-        return {
-            ",".join(str(s) for s in signs): self.entry(signs)
-            for signs in _all_sign_quadruples()
-        }
+        return {key: self.entry(signs) for key, signs in _SIGN_LABELS.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Jpd4":
         """Read the 16 entries ``to_json_dict`` writes, keyed "s1,s2,s3,s4" with each sign 1 or -1."""
         if not isinstance(data, dict):
-            raise ValueError(f"joint distribution JSON must be an object, got {data!r}")
-        labels = {",".join(str(s) for s in signs): signs for signs in _all_sign_quadruples()}
+            raise ValueError(f"joint distribution JSON must be an object, got {_echo(data)}")
         for key in data:
-            if key not in labels:
+            if key not in _SIGN_LABELS:
                 raise ValueError(
-                    f"joint distribution JSON key {key!r} is not a sign quadruple such as "
+                    f"joint distribution JSON key {_echo(key)} is not a sign quadruple such as "
                     f"'1,-1,1,1'"
                 )
         values = np.zeros((2, 2, 2, 2))
-        for key, signs in labels.items():
+        for key, signs in _SIGN_LABELS.items():
             if key not in data:
                 raise ValueError(f"joint distribution JSON is missing the entry {key!r}")
             field = f"joint distribution JSON entry {key!r}"
             values[tuple(_SIGN_INDEX[s] for s in signs)] = json_number(data[key], field)
         return cls(values)
-
-
-def _all_sign_quadruples():
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    yield (s1, s2, s3, s4)
 
 
 def _marginal_entries(values: np.ndarray) -> np.ndarray:

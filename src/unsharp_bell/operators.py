@@ -13,6 +13,7 @@ the same two functions as single requests, bit for bit.
 from __future__ import annotations
 
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "STRUCT_TOL",
     "HERMITICITY_TOL",
     "PSD_TOL",
-    "identity",
     "pauli_dot",
     "tensor",
     "eigen_hermitian",
@@ -59,13 +59,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-def identity(dim: int) -> np.ndarray:
-    """Identity operator of dimension 2 or 4."""
-    if dim not in (2, 4):
-        raise ValueError(f"dimension must be 2 or 4, got {dim}")
-    return np.eye(dim, dtype=complex)
 
 
 def _as_matrix(matrix, name: str = "operator") -> np.ndarray:
@@ -224,20 +217,48 @@ def matrix_from_pairs(pairs) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(dim, dim)
 
 
+class _LongInteger:
+    """A JSON integer literal past ``int``'s digit limit (4,300 by default): past the floats too.
+
+    It is left unconverted, as conversion takes time quadratic in its digits.
+    """
+
+
+class _Echo(reprlib.Repr):
+    def repr_int(self, x, level):  # past floats, named by size: repr converts 4,300 digits at most
+        if x.bit_length() > 1024:
+            return self.repr__LongInteger(x, level)
+        return super().repr_int(x, level)
+
+    def repr__LongInteger(self, x, level):  # reprlib dispatches on the type's name
+        return "an integer beyond the float range"
+
+
+_echo = _Echo().repr  # a refused value as a message quotes it, cut to a bounded length
+
+
+def _json_int(text: str):
+    """``json.loads``'s ``parse_int``: ``int``, or a :class:`_LongInteger` past its digit limit."""
+    try:
+        return int(text)
+    except ValueError:  # refused on its length, before any conversion
+        return _LongInteger()
+
+
 def json_number(value, field: str, kind: str = "a number", error=ValueError) -> float:
     """A number read from JSON, as a float: an int or a float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{field} must be {kind}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the float range, refused without its digits
-        raise error(f"{field} must be {kind}, got an integer beyond the float range") from None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range, quoted by its size
+            pass
+    raise error(f"{field} must be {kind}, got {_echo(value)}")
 
 
 def json_list(value, field: str, kind: str = "a list") -> list:
     """A sequence read from JSON: a list (or a tuple), never a string."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{field} must be {kind}, got {value!r}")
+        raise ValueError(f"{field} must be {kind}, got {_echo(value)}")
     return list(value)
 
 
@@ -245,4 +266,4 @@ def json_known_keys(data: dict, known: tuple, where: str, error=ValueError) -> N
     """Refuse a JSON object with a key outside ``known``, naming the key and the known ones."""
     for key in data:
         if key not in known:
-            raise error(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")
+            raise error(f"{where} has an unknown key {_echo(key)} (known: {', '.join(known)})")

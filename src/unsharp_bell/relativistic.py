@@ -33,8 +33,8 @@ from .bell import singlet_state
 from .instruments import NULL_PROBABILITY, lueders_update
 from .operators import (
     I2,
+    _echo,
     check_density,
-    expectation,
     json_known_keys,
     json_list,
     json_number,
@@ -43,7 +43,7 @@ from .operators import (
     partial_trace,
     tensor,
 )
-from .spin_povm import check_sharpness, effect_root, unit_vector, unsharp_effect
+from .spin_povm import check_sharpness, effect_root, unit_vector
 
 __all__ = [
     "SpacetimeEvent",
@@ -360,7 +360,7 @@ class MeasurementProgramme:
                 raise ValueError("outcomes must match measurements one to one")
             for o in outs:
                 if o not in (1, -1, None):
-                    raise ValueError(f"outcomes must be +1, -1 or None, got {o!r}")
+                    raise ValueError(f"outcomes must be +1, -1 or None, got {_echo(o)}")
             object.__setattr__(self, "outcomes", outs)
         if not (isinstance(self.initial, str) and self.initial == "singlet"):
             object.__setattr__(self, "initial", check_density(self.initial, name="initial state"))
@@ -482,20 +482,6 @@ def _axis_text(axis: np.ndarray) -> str:
     return "(" + ", ".join(f"{c:g}" for c in axis) + ")"
 
 
-def _partner_assertion(measurement: Measurement, roots: dict, outcome: int,
-                       sharpness: float, initial: np.ndarray) -> str:
-    """What the registered outcome implies for the other particle."""
-    sub = lueders_update(initial, roots, outcome)
-    prob = float(np.trace(sub).real)
-    other = 2 if measurement.subsystem == 1 else 1
-    reduced = partial_trace(sub / prob, keep=other)
-    partner_prob = expectation(reduced, unsharp_effect(-outcome * measurement.axis, sharpness))
-    return (
-        f"subsystem {other} along {_axis_text(measurement.axis)}: value {-outcome:+d} "
-        f"anticipated with probability {partner_prob:.6g} (anticorrelated partner)"
-    )
-
-
 def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     """Build the region-by-region state assignment of an observation point.
 
@@ -536,18 +522,19 @@ def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: lis
             )
 
     initial = programme.initial_state
-    # What a registered outcome asserts is fixed at the registration
-    # itself, so the lines are built once from the initial state and
-    # repeated in every region the outcome conditions.
+    # What a registered outcome asserts is fixed at the registration, so the
+    # lines are built once and repeated in every region the outcome conditions.
     lines: dict[int, tuple[str, ...]] = {}
     for i in informed:
         m = programme.measurements[i]
         entry = [
             f"subsystem {m.subsystem} along {_axis_text(m.axis)}: registered {outcomes[i]:+d}"
         ]
-        if programme.is_singlet:
+        if programme.is_singlet:  # the paper's (1 + lambda^2)/2; epr-calculus checks it
             entry.append(
-                _partner_assertion(m, roots[i], outcomes[i], programme.sharpness, initial)
+                f"subsystem {3 - m.subsystem} along {_axis_text(m.axis)}: value {-outcomes[i]:+d} "
+                f"anticipated with probability {0.5 * (1.0 + programme.sharpness**2):.6g} "
+                f"(anticorrelated partner)"
             )
         lines[i] = tuple(entry)
 
@@ -764,7 +751,7 @@ def _integer(value, name: str) -> int:
     """An integer read from JSON, refusing a bool, a string or a fractional part."""
     number = json_number(value, f"programme {name}", "an integer")
     if not number.is_integer():
-        raise ValueError(f"programme {name} must be an integer, got {value!r}")
+        raise ValueError(f"programme {name} must be an integer, got {_echo(value)}")
     return int(number)
 
 
@@ -780,7 +767,7 @@ def _initial_from_json(initial):
     field = "programme initial"
     pairs = [_numbers(pair, field, kind) for pair in json_list(initial, field, kind)]
     if any(len(pair) != 2 for pair in pairs):
-        raise ValueError(f"programme initial must be {kind}, got {initial!r}")
+        raise ValueError(f"programme initial must be {kind}, got {_echo(initial)}")
     try:
         return matrix_from_pairs(pairs)
     except ValueError as exc:

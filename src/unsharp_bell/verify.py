@@ -1,10 +1,11 @@
 """Self-verification of the package's headline numerical claims.
 
 Each check reproduces one quantitative statement end to end (thresholds,
-bounds, equivalences) and reports the largest deviation it measured
-against the tolerance it must meet.  ``run_all`` executes every check
-for a given seed and is memoized, so repeated calls (library use plus
-the command-line ``verify-all``) cost one computation.
+bounds, equivalences) and returns (passed, deviation, tolerance, detail):
+the largest deviation it measured against the tolerance it must meet.
+``_CHECKS`` names every check once.  ``run_all`` seeds, runs and times
+each for a given seed and is memoized, so repeated calls (library use
+plus the command-line ``verify-all``) cost one computation.
 
 The checks follow one rule.  Large samples are evaluated as batched
 array arithmetic, never as one public call per point; a strided subset
@@ -109,17 +110,6 @@ class CheckResult:
     seconds: float
 
 
-def _result(name, start, passed, deviation, tolerance, detail) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        deviation=float(deviation),
-        tolerance=float(tolerance),
-        detail=detail,
-        seconds=time.perf_counter() - start,
-    )
-
-
 def _squares(vectors: np.ndarray) -> np.ndarray:
     """Squared norms of the rows, each rounded as the dot product ``v @ v`` of that row."""
     return (vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0]
@@ -136,7 +126,7 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 SPOT_STRIDE = 97
 
 
-def check_coexistence_threshold() -> CheckResult:
+def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     """Pair coexistence flips exactly at the margin sign change.
 
     Boundary: orthogonal axes at sharpness 1/sqrt(2) sit on the margin
@@ -148,7 +138,6 @@ def check_coexistence_threshold() -> CheckResult:
     coexistent side, raise :class:`CoexistenceError` on the other, and
     report the grid's minimum eigenvalue.
     """
-    start = time.perf_counter()
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
     boundary = abs(coexistence_margin(PAIR_SHARPNESS_LIMIT, x, y))
@@ -196,12 +185,11 @@ def check_coexistence_threshold() -> CheckResult:
         f"over {sharpness.size} grid points ({int(coexistent.sum())} coexistent), "
         f"{len(spots)} spot checks ({refused} refused), API gap {api_gap:.3e}"
     )
-    return _result("coexistence-threshold", start, passed, deviation, 1e-10, detail)
+    return passed, deviation, 1e-10, detail
 
 
-def check_chsh_threshold() -> CheckResult:
+def check_chsh_threshold() -> tuple[bool, float, float, str]:
     """The scanned critical sharpness agrees with 2^(-1/4) on both routes."""
-    start = time.perf_counter()
     scan = scan_lambda_threshold(10000)
     target = THRESHOLDS.operator_chsh
     dev_scan = abs(scan.threshold - target)
@@ -213,12 +201,11 @@ def check_chsh_threshold() -> CheckResult:
         f"singlet route {scan.singlet_threshold:.6f}, operator route "
         f"{scan.operator_threshold:.6f}"
     )
-    return _result("chsh-threshold", start, passed, deviation, 2e-4, detail)
+    return passed, deviation, 2e-4, detail
 
 
-def check_gap_region() -> CheckResult:
+def check_gap_region() -> tuple[bool, float, float, str]:
     """At sharpness 0.78 orthogonal pairs fail coexistence yet satisfy CHSH."""
-    start = time.perf_counter()
     config = orthogonal_configuration(0.78)
     coexistent, margin = pair_coexistent(0.78, config.axis1, config.axis2)
     op = operator_chsh_holds(config)
@@ -229,7 +216,7 @@ def check_gap_region() -> CheckResult:
         f"coexistence margin {margin:.6f} (negative as required), operator "
         f"violation {op_violation:.3e} (nonpositive as required)"
     )
-    return _result("gap-region", start, passed, deviation, 1e-12, detail)
+    return passed, deviation, 1e-12, detail
 
 
 # The magic basis, as columns.  In it every sigma_i (x) sigma_j is real
@@ -256,13 +243,12 @@ def _bell_spectra(axes: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((t.reshape(-1, 9) @ _MAGIC_PAULI).reshape(-1, 4, 4))
 
 
-def check_cirelson(rng) -> CheckResult:
+def check_cirelson(rng) -> tuple[bool, float, float, str]:
     """The Bell operator norm never exceeds 2*sqrt(2) and attains it.
 
     Every ``SPOT_STRIDE``-th configuration is also eigensolved as the
     complex ``bell_operator``, whose spectrum must match within 1e-12.
     """
-    start = time.perf_counter()
     count = 100_000
     axes = np.stack([random_unit_vectors(rng, count) for _ in range(4)])
     spectra = _bell_spectra(axes)
@@ -290,7 +276,7 @@ def check_cirelson(rng) -> CheckResult:
         f"over {count} configurations, {len(spots)} spot checks against "
         f"bell_operator off by {spot_gap:.3e}"
     )
-    return _result("cirelson-bound", start, passed, deviation, 1e-9, detail)
+    return passed, deviation, 1e-9, detail
 
 
 def _random_jpd(rng, zero_entries: bool) -> np.ndarray:
@@ -352,7 +338,7 @@ def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-def check_fine_equivalence(rng) -> CheckResult:
+def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     """CHSH inequalities, interval reconstruction and the exact oracle agree.
 
     Half the tables are marginals of random joint distributions, and half
@@ -373,7 +359,6 @@ def check_fine_equivalence(rng) -> CheckResult:
     ``roundtrip_residual``; and the joint-distribution tables among those
     with ``marginals``.  Any mismatch counts as a disagreement.
     """
-    start = time.perf_counter()
     total = 1000
     jpds, parameters = [], []
     zero_count = 0
@@ -458,7 +443,7 @@ def check_fine_equivalence(rng) -> CheckResult:
         f"reconstruct_jpd and roundtrip_residual ({marginal_spots} also against marginals), "
         f"worst marginal round-trip {roundtrip:.3e}"
     )
-    return _result("fine-equivalence", start, passed, roundtrip, 1e-8, detail)
+    return passed, roundtrip, 1e-8, detail
 
 
 def _singlet_probabilities(sharpness: np.ndarray, axes: np.ndarray):
@@ -475,7 +460,7 @@ def _singlet_probabilities(sharpness: np.ndarray, axes: np.ndarray):
     return closed, _born(singlet_state(), tensor(effects[:, 0], effects[:, 1]))
 
 
-def check_singlet_formula(rng) -> CheckResult:
+def check_singlet_formula(rng) -> tuple[bool, float, float, str]:
     """Closed-form singlet pair probabilities match the trace formula.
 
     The draws are made one at a time, then both sides are evaluated for
@@ -483,7 +468,6 @@ def check_singlet_formula(rng) -> CheckResult:
     ``singlet_pair_prob`` and the Born rule on ``unsharp_effect`` and
     ``tensor``, which must match the batch bit for bit.
     """
-    start = time.perf_counter()
     state = singlet_state()
     draws = 1000
     sharpness = np.empty(draws)
@@ -516,7 +500,7 @@ def check_singlet_formula(rng) -> CheckResult:
         f"({mismatches} mismatches), optimal f off "
         f"2*sqrt(2) by {f_dev:.3e}, critical unsharpness off by {eps_dev:.3e}"
     )
-    return _result("singlet-formula", start, passed, deviation, 1e-12, detail)
+    return passed, deviation, 1e-12, detail
 
 
 def _batched_densities(rng, count: int, dim: int) -> np.ndarray:
@@ -533,7 +517,7 @@ def _batched_effects(rng, count: int, dim: int):
     return basis, spectra
 
 
-def check_disturbance(rng) -> CheckResult:
+def check_disturbance(rng) -> tuple[bool, float, float, str]:
     """Nearly-certain effects disturb states by at most 2(eps + sqrt(eps)).
 
     Pairs (state, effect) are drawn at random in dimensions 2 and 4 and
@@ -542,7 +526,6 @@ def check_disturbance(rng) -> CheckResult:
     well represented).  Checks the trace-norm bound and that the effect's
     probability does not decrease under its own nonselective measurement.
     """
-    start = time.perf_counter()
     per_dim = 5000
     bound_excess = 0.0
     monotone_deficit = 0.0
@@ -603,12 +586,11 @@ def check_disturbance(rng) -> CheckResult:
         f"probability monotonicity deficit {monotone_deficit:.3e}, API gap "
         f"{api_gap:.3e}"
     )
-    return _result("disturbance-bound", start, passed, deviation, 1e-10, detail)
+    return passed, deviation, 1e-10, detail
 
 
-def check_epr_calculus() -> CheckResult:
+def check_epr_calculus() -> tuple[bool, float, float, str]:
     """Steering arithmetic on the singlet matches its closed forms."""
-    start = time.perf_counter()
     axes = (
         np.array([0.0, 0.0, 1.0]),
         np.array([1.0, 0.0, 0.0]),
@@ -636,7 +618,7 @@ def check_epr_calculus() -> CheckResult:
         f"max deviation {worst:.3e} across sharpness 0, 0.5, 0.8, 1 and three "
         f"axes (components, conditional probability, nonselective reduction)"
     )
-    return _result("epr-calculus", start, passed, worst, 1e-12, detail)
+    return passed, worst, 1e-12, detail
 
 
 def _random_spacelike_events(rng) -> tuple[SpacetimeEvent, SpacetimeEvent]:
@@ -808,9 +790,8 @@ def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int]
     return mismatches, checked
 
 
-def check_chart_consistency(rng) -> CheckResult:
+def check_chart_consistency(rng) -> tuple[bool, float, float, str]:
     """Observer charts are order-independent, local and region-constant."""
-    start = time.perf_counter()
     worst = 0.0
     monotone = True
     programmes = 100
@@ -869,32 +850,21 @@ def check_chart_consistency(rng) -> CheckResult:
         f"classification mismatches {mismatches} under {boosts} boosts x "
         f"{boosted_pairs // boosts} pairs"
     )
-    return _result("chart-consistency", start, passed, worst, 1e-12, detail)
+    return passed, worst, 1e-12, detail
 
 
-CHECK_NAMES = (
-    "coexistence-threshold",
-    "chsh-threshold",
-    "gap-region",
-    "cirelson-bound",
-    "fine-equivalence",
-    "singlet-formula",
-    "disturbance-bound",
-    "epr-calculus",
-    "chart-consistency",
+_CHECKS = (  # (name, check, needs_rng)
+    ("coexistence-threshold", check_coexistence_threshold, False),
+    ("chsh-threshold", check_chsh_threshold, False),
+    ("gap-region", check_gap_region, False),
+    ("cirelson-bound", check_cirelson, True),
+    ("fine-equivalence", check_fine_equivalence, True),
+    ("singlet-formula", check_singlet_formula, True),
+    ("disturbance-bound", check_disturbance, True),
+    ("epr-calculus", check_epr_calculus, False),
+    ("chart-consistency", check_chart_consistency, True),
 )
-
-_CHECKS = (
-    (check_coexistence_threshold, False),
-    (check_chsh_threshold, False),
-    (check_gap_region, False),
-    (check_cirelson, True),
-    (check_fine_equivalence, True),
-    (check_singlet_formula, True),
-    (check_disturbance, True),
-    (check_epr_calculus, False),
-    (check_chart_consistency, True),
-)
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 @lru_cache(maxsize=None)
@@ -903,9 +873,11 @@ def run_all(seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     results = []
-    for index, (func, needs_rng) in enumerate(_CHECKS):
-        if needs_rng:
-            results.append(func(np.random.default_rng([seed, index])))
-        else:
-            results.append(func())
+    for index, (name, check, needs_rng) in enumerate(_CHECKS):
+        args = (np.random.default_rng([seed, index]),) if needs_rng else ()
+        start = time.perf_counter()
+        passed, deviation, tolerance, detail = check(*args)
+        seconds = time.perf_counter() - start
+        results.append(CheckResult(name, bool(passed), float(deviation), float(tolerance),
+                                   detail, seconds))
     return tuple(results)

@@ -71,6 +71,7 @@ def run(argv):
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert len(err.getvalue()) < 300, err.getvalue()
     return code, out.getvalue(), err.getvalue()
 
 
@@ -120,6 +121,17 @@ def at(node, path):
 
 # Integers beyond the float range, which JSON carries exactly.
 HUGE_INTEGERS = (10**400, -(10**400))
+# An integer literal of more digits than int converts (4,300 by default).
+# json.dumps cannot print such an int, so a document carries LONG in its
+# place and is written by document_text.
+LONG = "<a 5001-digit integer>"
+LONG_DIGITS = "1" + "0" * 5000
+
+
+def document_text(document) -> str:
+    return json.dumps(document).replace(json.dumps(LONG), LONG_DIGITS)
+
+
 BAD_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, [], {}, *HUGE_INTEGERS]),
     st.text(max_size=4),
@@ -277,6 +289,17 @@ def nan_initial():
          observer=OBSERVERS[0])
 @example(case=pinned("programme", PROGRAMMES[1], ("initial", 0, 1), 10**400), method=None,
          observer=None)
+@example(case=pinned("table", TABLE, ("pairs", "1,3"), LONG), method=None, observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[0], ("lambda",), LONG), method=None,
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[1], ("measurements", 0, "event", 1), LONG),
+         method=None, observer=None)
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements", 1, "subsystem"), LONG),
+         method=None, observer=OBSERVERS[1])
+@example(case=pinned("programme", PROGRAMMES[0], ("measurements",), 10**400), method=None,
+         observer=OBSERVERS[0])
+@example(case=pinned("programme", PROGRAMMES[1], ("initial",), "x" * 3000), method=None,
+         observer=None)
 def test_documents_keep_the_exit_contract(workdir, case, method, observer):
     kind, document, path = case
     target = workdir / f"mutated-{kind}.json"
@@ -287,7 +310,7 @@ def test_documents_keep_the_exit_contract(workdir, case, method, observer):
         argv = ["fine-check", "--table", str(target)]
     else:
         argv = ["fine-solve", "--table", str(target), "--method", method]
-    target.write_text(json.dumps(document))
+    target.write_text(document_text(document))
     code, _, err = run(argv)
     event(f"{argv[0]} exit {code}")
     assert code != 2

@@ -13,7 +13,7 @@ from unsharp_bell.operators import (
     check_hermitian,
     eigen_hermitian,
     expectation,
-    identity,
+    json_list,
     json_number,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -178,13 +178,6 @@ def test_check_hermitian_rejects_skew():
         check_hermitian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def test_identity_dims():
-    assert identity(2).shape == (2, 2)
-    assert identity(4).shape == (4, 4)
-    with pytest.raises(ValueError):
-        identity(3)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 4]))
 def test_matrix_pairs_round_trip(seed, dim):
@@ -223,3 +216,18 @@ def test_json_number_refuses_integers_beyond_floats_by_field(value):
     assert message.startswith("programme lambda must be a number, got an integer beyond the float range")
     assert "000000" not in message and len(message) < 120
     assert json_number(2**1023, "x") == float(2**1023)
+
+
+@pytest.mark.parametrize(
+    "value, quoted",
+    [
+        (10**5000, "an integer beyond the float range"),  # repr refuses past 4,300 digits
+        ({"entry": -(10**5000)}, "{'entry': an integer beyond the float range}"),
+        ("x" * 3000, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ],
+    ids=["int", "nested-int", "text"],  # pytest's own ids would print the int's digits
+)
+def test_json_list_quotes_a_refused_value_shortened(value, quoted):
+    with pytest.raises(ValueError) as refusal:
+        json_list(value, "programme measurements")
+    assert str(refusal.value) == f"programme measurements must be a list, got {quoted}"

@@ -6,8 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unsharp_bell import relativistic, verify
+from unsharp_bell.bell import THRESHOLDS, singlet_state
+from unsharp_bell.instruments import epr_measurement
 from unsharp_bell.relativistic import (
     CausalRelation,
     Measurement,
@@ -27,6 +31,7 @@ from unsharp_bell.relativistic import (
     programme_from_json_dict,
     programme_to_json_dict,
 )
+from unsharp_bell.spin_povm import PAIR_SHARPNESS_LIMIT
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -282,6 +287,46 @@ def test_singlet_anticorrelation_assertion():
     assert len(partner_lines) == 2
     # sharp singlet: partner value is certain
     assert all("probability 1" in a for a in partner_lines)
+
+
+AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sharpness=st.floats(0.0, 1.0),
+    axis=AXES,
+    subsystem=st.sampled_from([1, 2]),
+    outcome=st.sampled_from([1, -1]),
+    as_matrix=st.booleans(),
+)
+@example(sharpness=0.0, axis=(0.0, 0.0, 1.0), subsystem=1, outcome=1, as_matrix=False)
+@example(sharpness=PAIR_SHARPNESS_LIMIT, axis=(1.0, 0.0, 0.0), subsystem=2, outcome=-1,
+         as_matrix=True)
+@example(sharpness=THRESHOLDS.operator_chsh, axis=(0.0, -1.0, 0.0), subsystem=1, outcome=-1,
+         as_matrix=False)
+@example(sharpness=1.0, axis=(2.0, 1.0, 1.0), subsystem=2, outcome=1, as_matrix=True)
+def test_partner_line_prints_the_closed_form(sharpness, axis, subsystem, outcome, as_matrix):
+    # The singlet partner's value is unsharply real with probability
+    # (1 + lambda^2)/2, given as "singlet" or as its matrix; the Lueders
+    # update of epr_measurement gives the same number.
+    programme = MeasurementProgramme(
+        initial=singlet_state() if as_matrix else "singlet",
+        sharpness=sharpness,
+        measurements=(Measurement(SpacetimeEvent(0.0), np.array(axis), subsystem),),
+        outcomes=(outcome,),
+    )
+    chart = observer_chart(programme, SpacetimeEvent(1.0))
+    closed = 0.5 * (1 + sharpness**2)
+    partner = [line for line in chart.assertions if "anticipated" in line]
+    assert len(partner) == 1
+    assert partner[0].startswith(f"subsystem {3 - subsystem} along ")
+    assert partner[0].endswith(
+        f": value {-outcome:+d} anticipated with probability {format(closed, '.6g')} "
+        f"(anticorrelated partner)"
+    )
+    after = epr_measurement(np.array(axis), sharpness).outcome_prob_after[outcome]
+    assert abs(closed - after) <= 1e-15
 
 
 def test_sequential_order_invariance(rng):
