@@ -47,7 +47,7 @@ from .bell import (
     scan_lambda_threshold,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import _json_int, matrix_to_pairs
+from .operators import _echo, _json_int, comma_floats, matrix_to_pairs
 from .relativistic import (
     SpacetimeEvent,
     check_consistency,
@@ -72,6 +72,11 @@ def _axis_list(axis) -> list[float]:
     return [float(c) for c in axis]
 
 
+def _axes(values) -> list:
+    """``--n1``, ``--n2``, ... in order, as parsed directions."""
+    return [parse_direction(text, f"--n{n}") for n, text in enumerate(values, start=1)]
+
+
 def _configuration(args) -> BellConfiguration:
     axes = [args.n1, args.n2, args.n3, args.n4]
     if args.angle is not None:
@@ -82,12 +87,11 @@ def _configuration(args) -> BellConfiguration:
         return orthogonal_configuration(args.sharpness)
     if any(a is None for a in axes):
         raise ValueError("explicit axes need all of --n1 --n2 --n3 --n4")
-    return BellConfiguration(args.sharpness, *(parse_direction(a) for a in axes))
+    return BellConfiguration(args.sharpness, *_axes(axes))
 
 
 def _cmd_coexist(args) -> dict:
-    n1 = parse_direction(args.n1)
-    n2 = parse_direction(args.n2)
+    n1, n2 = _axes([args.n1, args.n2])
     coexistent, margin = pair_coexistent(args.sharpness, n1, n2)
     return {
         "sharpness": args.sharpness,
@@ -102,13 +106,9 @@ def _cmd_joint(args) -> dict:
     axes = [args.n1, args.n2, args.n3, args.n4]
     given = [a for a in axes if a is not None]
     if len(given) == 2 and axes[2] is None and axes[3] is None:
-        joint = joint_observable_pair(
-            args.sharpness, parse_direction(axes[0]), parse_direction(axes[1])
-        )
+        joint = joint_observable_pair(args.sharpness, *_axes(axes[:2]))
     elif len(given) == 4:
-        joint = quadruple_joint(
-            args.sharpness, *(parse_direction(a) for a in axes)
-        )
+        joint = quadruple_joint(args.sharpness, *_axes(axes))
     else:
         raise ValueError("joint needs --n1 --n2 (pair) or --n1 .. --n4 (quadruple)")
     return {
@@ -214,8 +214,8 @@ def _cmd_fine_solve(args) -> dict:
 
 
 def _cmd_lueders(args) -> dict:
-    axis = parse_direction(args.axis)
-    state_axis = parse_direction(args.state_axis) if args.state_axis else axis
+    axis = parse_direction(args.axis, "--axis")
+    state_axis = parse_direction(args.state_axis, "--state-axis") if args.state_axis else axis
     report = disturbance_report(
         spin_projector(state_axis), unsharp_effect(axis, args.sharpness), args.epsilon
     )
@@ -231,7 +231,7 @@ def _cmd_lueders(args) -> dict:
 
 
 def _cmd_epr(args) -> dict:
-    result = epr_measurement(parse_direction(args.axis), args.sharpness)
+    result = epr_measurement(parse_direction(args.axis, "--axis"), args.sharpness)
     return {
         "sharpness": result.sharpness,
         "axis": _axis_list(result.axis),
@@ -256,12 +256,9 @@ def _cmd_chart(args) -> dict:
     programme = programme_from_json_dict(_read_json(args.programme))
     data = {}
     if args.observer is not None:
-        parts = args.observer.split(",")
-        if len(parts) != 4:
-            raise ValueError(
-                f"--observer needs four comma-separated coordinates t,x,y,z, got {args.observer!r}"
-            )
-        observer = SpacetimeEvent.from_sequence(float(part) for part in parts)
+        observer = SpacetimeEvent.from_sequence(comma_floats(
+            args.observer, 4, "--observer needs four comma-separated coordinates t,x,y,z"
+        ))
         data["chart"] = observer_chart(programme, observer).to_json_dict()
     if args.check or args.observer is None:
         report = check_consistency(programme)
@@ -408,7 +405,7 @@ def _env_seed(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"UNSHARP_BELL_SEED must be an integer, got {text!r}") from None
+        raise ValueError(f"UNSHARP_BELL_SEED must be an integer, got {_echo(text)}") from None
 
 
 def main(argv=None) -> int:

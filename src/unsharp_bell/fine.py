@@ -2,35 +2,30 @@
 
 A :class:`ProbabilityTable` records the single and coincidence
 probabilities of a four-observable correlation experiment (observables 1
-and 2 on one particle, 3 and 4 on the other).  The central question is
-whether such a table is the marginal family of a joint distribution over
-all four sign outcomes.  Three routes answer it:
+and 2 on one particle, 3 and 4 on the other) as one read-only row of 24
+floats in ``SINGLE_KEYS + PAIR_KEYS`` order.  It is checked once, when it
+is made: it stores the first precondition it breaks, if any, and its
+largest marginal gap, which ``validate`` and the routes' gate only read.
+The central question is whether a table is the marginal family of a
+joint distribution over all four sign outcomes.  Three routes answer it:
 
 * :func:`chsh_check` evaluates the eight CHSH-type inequalities in both
   their pair form and their singles form;
 * :func:`reconstruct_jpd` builds a joint distribution in floats;
 * :func:`feasibility_oracle` decides and builds one in exact arithmetic.
 
-The last two share one system: nonnegativity of the sixteen joint entries
-over seven free ones, with constants linear in the pair values.  Its
-Fourier-Motzkin elimination runs once, at import, on integer coefficient
+The last two share one system, nonnegativity of the sixteen joint entries
+over seven free ones, eliminated once at import on integer coefficient
 vectors over the pair values (``_SYSTEMS``).  A table is decided on the
-final rows evaluated on its pair values (``_decision``) and extended by
-back-substitution (``_back_substitution``); the routes differ only in
-those values (the table's floats, or a rational surrogate scaled to
-ints).  The float route multiplies float64 copies of the matrices, made
-at import, one table at a time; the exact route has no dense product, and
-adds the nonzero terms of its rows, each one generator times a
-coefficient in -2..2.  With coefficients of 0 and +-1, back-substitution
-only adds, negates, takes a min or max and halves, once per free entry,
-so constants scaled by ``2**7`` keep it in Python ints.  ``chsh_check``
-never reads the compiled system, so the routes still check each other.
-
-Each body serves one table and a batch: the marginals, the CHSH forms,
-the decision and the back-substitution take one table's 24 entries in
-``SINGLE_KEYS + PAIR_KEYS`` order as Python numbers, or a batch's as 24
-columns, and round alike; only a min or max picks elementwise on columns
-(``_picks``).  The verification battery decides its tables through them.
+final rows (``_decision``) and extended by back-substitution
+(``_back_substitution``); the routes differ only in the values the rows
+take: the table's pair values in floats, or the sums of a rational
+surrogate's Python-int generators (``_exact_rows``), on which
+back-substitution stays exact.  ``chsh_check`` never reads the compiled
+system, so the routes still check each other.  Each body takes one
+table's row, or a batch's 24 columns, and rounds alike; only a min or
+max picks elementwise on columns (``_picks``).  The verification battery
+decides its tables through them.
 
 One rule decides on every route: a table is feasible when no inequality
 is violated by more than ``DECISION_TOL``; the exact route applies it in
@@ -46,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,6 +74,12 @@ MARGINAL_RELATIONS = tuple(
     + [((i, j), (-i, j), j) for j in (3, -3, 4, -4) for i in (1, 2)]
 )
 
+# Each label's position among a table's 24 entries, and the positions in
+# each marginal relation.
+_LABELS = SINGLE_KEYS + PAIR_KEYS
+_COLUMN = {label: n for n, label in enumerate(_LABELS)}
+_RELATION_COLUMNS = [(_COLUMN[a], _COLUMN[b], _COLUMN[k]) for a, b, k in MARGINAL_RELATIONS]
+
 RANGE_TOL = 1e-12
 SUM_TOL = 1e-9
 MARGINAL_TOL = 1e-9
@@ -96,71 +98,90 @@ class TableError(ValueError):
     """Raised for structurally invalid probability tables."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class ProbabilityTable:
     """Singles and pair probabilities indexed by signed observable labels.
 
     ``singles`` maps k in {1,-1,...,4,-4} to the probability of outcome
     sign(k) for observable |k|; ``pairs`` maps (i, j) with i in
     {1,-1,2,-2} and j in {3,-3,4,-4} to coincidence probabilities.
+
+    A table is read-only: its entries are ``row``, 24 floats in
+    ``SINGLE_KEYS + PAIR_KEYS`` order, which ``singles`` and ``pairs`` map.
+    It is checked once, when it is made; construction accepts any entries
+    and stores the verdict, which :meth:`validate` reports.
     """
 
-    singles: dict[int, float]
-    pairs: dict[tuple[int, int], float]
+    row: tuple
+    _refusal: str | None  # the first precondition the entries break, if any
+    _gap: float  # the largest gap of ``MARGINAL_RELATIONS``
+    _relation: int  # the relation with that gap
 
-    def single(self, k: int) -> float:
-        return self.singles[k]
-
-    def pair(self, i: int, j: int) -> float:
-        return self.pairs[(i, j)]
-
-    def _relation_gaps(self):
-        """The gap of each of ``MARGINAL_RELATIONS``, in its order."""
-        singles, pairs = self.singles, self.pairs
-        return [abs(pairs[a] + pairs[b] - singles[k]) for a, b, k in MARGINAL_RELATIONS]
-
-    def _entries(self) -> list:
-        """The 24 entries, in ``SINGLE_KEYS + PAIR_KEYS`` order."""
-        return [self.singles[k] for k in SINGLE_KEYS] + [self.pairs[k] for k in PAIR_KEYS]
-
-    def consistency_deviation(self) -> float:
-        """Largest violation of the marginal consistency relations."""
-        return max(self._relation_gaps())
-
-    def validate(self, marginal_tol: float = MARGINAL_TOL) -> "ProbabilityTable":
-        missing = [k for k in SINGLE_KEYS if k not in self.singles]
-        missing += [k for k in PAIR_KEYS if k not in self.pairs]
-        if missing or len(self.singles) != 8 or len(self.pairs) != 16:
-            unexpected = [k for k in self.singles if k not in SINGLE_KEYS]
-            unexpected += [k for k in self.pairs if k not in PAIR_KEYS]
+    def __init__(self, singles: dict, pairs: dict):
+        missing = [k for k in SINGLE_KEYS if k not in singles]
+        missing += [k for k in PAIR_KEYS if k not in pairs]
+        refusal = None
+        if missing or len(singles) != 8 or len(pairs) != 16:
+            unexpected = [k for k in singles if k not in SINGLE_KEYS]
+            unexpected += [k for k in pairs if k not in PAIR_KEYS]
             found = [f"{what} {', '.join(map(_label_name, labels))}"
                      for what, labels in (("missing", missing), ("unexpected", unexpected))
                      if labels]
-            raise TableError(f"table must carry 8 singles and 16 pairs ({'; '.join(found)})")
-        for label, value in list(self.singles.items()) + list(self.pairs.items()):
-            if not -RANGE_TOL <= value <= 1.0 + RANGE_TOL:
-                raise TableError(f"entry {label} = {value!r} outside [0, 1]")
-        for k in (1, 2, 3, 4):
-            s = self.single(k) + self.single(-k)
-            if abs(s - 1.0) > SUM_TOL:
-                raise TableError(
-                    f"outcome probabilities of observable {k} sum to {s!r} "
-                    f"(single {k} + single {-k})"
-                )
-        gaps = self._relation_gaps()
-        dev = max(gaps)
-        if dev > marginal_tol:
-            a, b, k = MARGINAL_RELATIONS[gaps.index(dev)]
+            refusal = f"table must carry 8 singles and 16 pairs ({'; '.join(found)})"
+        row = [singles.get(k, math.nan) for k in SINGLE_KEYS]
+        row += [pairs.get(k, math.nan) for k in PAIR_KEYS]
+        self._settle(tuple(map(float, row)), [*singles.items(), *pairs.items()], refusal)
+
+    def _settle(self, row: tuple, entries, refusal: str | None = None) -> None:
+        """Store the row and its verdict: the first precondition it breaks, and its largest gap.
+
+        ``entries``, the (label, value) pairs in the caller's order, name the first out of range.
+        """
+        if refusal is None:
+            refusal = next((f"entry {label} = {value!r} outside [0, 1]" for label, value in entries
+                            if not -RANGE_TOL <= value <= 1.0 + RANGE_TOL), None)
+        if refusal is None:
+            for k in (1, 2, 3, 4):
+                s = row[_COLUMN[k]] + row[_COLUMN[-k]]
+                if abs(s - 1.0) > SUM_TOL:
+                    refusal = (f"outcome probabilities of observable {k} sum to {s!r} "
+                               f"(single {k} + single {-k})")
+                    break
+        gaps = [abs(row[a] + row[b] - row[k]) for a, b, k in _RELATION_COLUMNS]
+        gap = max(gaps)
+        for name, value in zip(self.__slots__, (row, refusal, gap, gaps.index(gap))):
+            object.__setattr__(self, name, value)
+
+    # Read-only mappings of the row by label.
+    singles = property(lambda self: MappingProxyType(dict(zip(SINGLE_KEYS, self.row))))
+    pairs = property(lambda self: MappingProxyType(dict(zip(PAIR_KEYS, self.row[8:]))))
+
+    def single(self, k: int) -> float:
+        return self.row[_COLUMN[k]]
+
+    def pair(self, i: int, j: int) -> float:
+        return self.row[_COLUMN[i, j]]
+
+    def consistency_deviation(self) -> float:
+        """Largest violation of the marginal consistency relations."""
+        return self._gap
+
+    def validate(self, marginal_tol: float = MARGINAL_TOL) -> "ProbabilityTable":
+        """The table, or a :class:`TableError` naming the precondition it breaks."""
+        if self._refusal is not None:
+            raise TableError(self._refusal)
+        if self._gap > marginal_tol:
+            a, b, k = MARGINAL_RELATIONS[self._relation]
             raise TableError(
-                f"marginal inconsistency {dev:.3e} exceeds {marginal_tol:.1e} "
+                f"marginal inconsistency {self._gap:.3e} exceeds {marginal_tol:.1e} "
                 f"(pairs {a} + {b} vs single {k})"
             )
         return self
 
     def to_json_dict(self) -> dict:
         return {
-            "singles": {str(k): self.singles[k] for k in SINGLE_KEYS},
-            "pairs": {f"{i},{j}": self.pairs[(i, j)] for i, j in PAIR_KEYS},
+            "singles": {str(k): value for k, value in zip(SINGLE_KEYS, self.row)},
+            "pairs": {f"{i},{j}": value for (i, j), value in zip(PAIR_KEYS, self.row[8:])},
         }
 
     @classmethod
@@ -182,10 +203,8 @@ class ProbabilityTable:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["i", "j", "p"])
-        for k in SINGLE_KEYS:
-            writer.writerow([k, "", repr(self.singles[k])])
-        for i, j in PAIR_KEYS:
-            writer.writerow([i, j, repr(self.pairs[(i, j)])])
+        writer.writerows([k, "", repr(value)] for k, value in zip(SINGLE_KEYS, self.row))
+        writer.writerows([i, j, repr(value)] for (i, j), value in zip(PAIR_KEYS, self.row[8:]))
         return out.getvalue()
 
     @classmethod
@@ -318,9 +337,12 @@ def _marginal_entries(values: np.ndarray) -> np.ndarray:
 
 
 def _tables(rows) -> list[ProbabilityTable]:
-    """The tables of rows of 24 entries in ``SINGLE_KEYS + PAIR_KEYS`` order."""
-    return [ProbabilityTable(dict(zip(SINGLE_KEYS, row[:8])), dict(zip(PAIR_KEYS, row[8:])))
-            for row in rows]
+    """The tables of rows of 24 Python floats in ``SINGLE_KEYS + PAIR_KEYS`` order, each checked."""
+    tables = []
+    for row in map(tuple, rows):
+        tables.append(table := object.__new__(ProbabilityTable))
+        table._settle(row, zip(_LABELS, row))
+    return tables
 
 
 def marginals(jpd: Jpd4) -> ProbabilityTable:
@@ -331,7 +353,7 @@ def marginals(jpd: Jpd4) -> ProbabilityTable:
 def roundtrip_residual(table: ProbabilityTable, jpd: Jpd4) -> float:
     """Largest gap between a table and the marginals of a distribution built for it."""
     back = _marginal_entries(jpd.values).tolist()
-    return max(abs(a - b) for a, b in zip(back, table._entries()))
+    return max(abs(a - b) for a, b in zip(back, table.row))
 
 
 # The four CHSH expressions in their pair form; each must lie in [0, 1].
@@ -367,14 +389,8 @@ class ChshCheck:
     pair_form: tuple[float, float, float, float]
     single_form: tuple[float, float, float, float]
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self.pair_form + self.single_form
 
-
-# Each label's position among a table's 24 entries, and the CHSH forms
-# over those positions.
-_COLUMN = {label: n for n, label in enumerate(SINGLE_KEYS + PAIR_KEYS)}
+# The CHSH forms over the positions of a table's entries.
 _PAIR_FORMS = [[(_COLUMN[key], sign) for key, sign in form] for form in BELL_PAIR_FORMS]
 _SINGLE_FORMS = [
     ((_COLUMN[k1], _COLUMN[k2]), [(_COLUMN[key], sign) for key, sign in part])
@@ -435,7 +451,7 @@ def chsh_check(table: ProbabilityTable) -> ChshCheck:
     incomparable.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    pair, single, all_hold, gap = _chsh_forms(table._entries())
+    pair, single, all_hold, gap = _chsh_forms(table.row)
     # Exact equivalence of the two forms holds for exactly consistent
     # tables; allow the residual the measured inconsistency can induce.
     if gap > DECISION_TOL + 4.0 * table.consistency_deviation():
@@ -444,14 +460,11 @@ def chsh_check(table: ProbabilityTable) -> ChshCheck:
 
 
 def find_witness(table: ProbabilityTable) -> ChshWitness:
-    """Most violated CHSH inequality of a table."""
-    values = _chsh_forms(table._entries())[0]
-    best = None
-    for idx, value in enumerate(values):
-        for side, slack in (("lower", -value), ("upper", value - 1.0)):
-            if best is None or slack > best.slack:
-                best = ChshWitness(f"chsh{idx + 1}", side, value, slack)
-    return best
+    """Most violated CHSH inequality of a table: the first of the largest slack."""
+    sides = [(slack, idx, side, value) for idx, value in enumerate(_chsh_forms(table.row)[0])
+             for side, slack in (("lower", -value), ("upper", value - 1.0))]
+    slack, idx, side, value = max(sides, key=operator.itemgetter(0))
+    return ChshWitness(f"chsh{idx + 1}", side, value, slack)
 
 
 @dataclass(frozen=True)
@@ -648,7 +661,7 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     compiled row is violated by more than ``DECISION_TOL``.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    rows = _float_rows([table.pairs[key] for key in PAIR_KEYS])
+    rows = _float_rows(table.row[8:])
     minima, margin, near, feasible = _decision(rows, 1)
     if not feasible:
         return FeasibilityResult(
@@ -671,12 +684,12 @@ def _limit_denominator(x: float) -> tuple[int, int]:
         return n, d
     p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
     while True:
-        a = num // den
+        a, rest = divmod(num, den)
         q2 = q0 + a * q1
         if q2 > bound:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
+        num, den = den, rest
     k = (bound - q0) // q1
     p, q = p0 + k * p1, q0 + k * q1
     # The closer of the convergent p1/q1 and the semiconvergent p/q; p1/q1 on a tie.
@@ -689,6 +702,7 @@ def _limit_denominator(x: float) -> tuple[int, int]:
 # 1..4 and the four unbarred pairs.  Every pair value is an integer
 # combination of them, so the surrogate is exactly consistent.
 _GENERATOR_BLOCKS = ((1, 3), (1, 4), (2, 3), (2, 4))
+_GENERATOR_COLUMNS = [_COLUMN[k] for k in (1, 2, 3, 4) + _GENERATOR_BLOCKS]
 
 
 def _generator_pairs() -> np.ndarray:
@@ -736,8 +750,7 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     distribution in the feasible case.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    ratios = [_limit_denominator(table.single(k)) for k in (1, 2, 3, 4)]
-    ratios += [_limit_denominator(table.pair(i, j)) for i, j in _GENERATOR_BLOCKS]
+    ratios = [_limit_denominator(table.row[n]) for n in _GENERATOR_COLUMNS]
     # Back-substitution halves once per free entry.
     scale = math.lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
     generators = [scale] + [p * (scale // q) for p, q in ratios]
@@ -767,28 +780,15 @@ def table_from_quantum(state, config: BellConfiguration) -> ProbabilityTable:
     configuration's sharpness.
     """
     s = config.sharpness
-    first = {
-        1: unsharp_effect(config.axis1, s),
-        -1: unsharp_effect(-config.axis1, s),
-        2: unsharp_effect(config.axis2, s),
-        -2: unsharp_effect(-config.axis2, s),
-    }
-    second = {
-        3: unsharp_effect(config.axis3, s),
-        -3: unsharp_effect(-config.axis3, s),
-        4: unsharp_effect(config.axis4, s),
-        -4: unsharp_effect(-config.axis4, s),
-    }
+    # Each particle's effects in SINGLE_KEYS order: outcome +1, then -1, per axis.
+    first, second = (
+        [unsharp_effect(sign * axis, s) for axis in axes for sign in (1, -1)]
+        for axes in (config.axes[:2], config.axes[2:])
+    )
     rho = np.asarray(state, dtype=complex)
     # np.kron, not operators.tensor: this is the independent reference the
     # fine-equivalence check compares its tensor-built batch against bit for bit.
-    singles = {}
-    for k, eff in first.items():
-        singles[k] = expectation(rho, np.kron(eff, I2))
-    for k, eff in second.items():
-        singles[k] = expectation(rho, np.kron(I2, eff))
-    pairs = {}
-    for i, eff_i in first.items():
-        for j, eff_j in second.items():
-            pairs[(i, j)] = expectation(rho, np.kron(eff_i, eff_j))
-    return ProbabilityTable(singles, pairs).validate()
+    row = [expectation(rho, np.kron(eff, I2)) for eff in first]
+    row += [expectation(rho, np.kron(I2, eff)) for eff in second]
+    row += [expectation(rho, np.kron(eff_i, eff_j)) for eff_i in first for eff_j in second]
+    return _tables([row])[0].validate()

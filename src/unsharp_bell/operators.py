@@ -255,6 +255,17 @@ def json_number(value, field: str, kind: str = "a number", error=ValueError) -> 
     raise error(f"{field} must be {kind}, got {_echo(value)}")
 
 
+def comma_floats(text: str, count: int, needs: str) -> list[float]:
+    """``count`` comma-separated numbers; else refused as ``needs``, quoting ``text`` cut short."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"{needs}, got {_echo(text)}")
+    return values
+
+
 def json_list(value, field: str, kind: str = "a list") -> list:
     """A sequence read from JSON: a list (or a tuple), never a string."""
     if not isinstance(value, (list, tuple)):

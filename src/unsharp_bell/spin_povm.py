@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import I2, STRUCT_TOL, pauli_dot, tensor
+from .operators import I2, STRUCT_TOL, comma_floats, pauli_dot, tensor
 
 __all__ = [
     "PAIR_SHARPNESS_LIMIT",
@@ -85,16 +85,10 @@ def unit_vector(vec) -> np.ndarray:
     return v / norm
 
 
-def parse_direction(text: str) -> np.ndarray:
-    """Parse a direction from a comma-separated triple like '0,0,1'."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"direction must have three comma-separated components, got {text!r}")
-    try:
-        components = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"invalid direction {text!r}: {exc}") from None
-    return unit_vector(components)
+def parse_direction(text: str, flag: str = "direction") -> np.ndarray:
+    """Parse a direction from a comma-separated triple like '0,0,1'; a refusal names ``flag``."""
+    needs = f"{flag} needs three comma-separated components x,y,z"
+    return unit_vector(comma_floats(text, 3, needs))
 
 
 def spin_projector(axis) -> np.ndarray:

@@ -374,13 +374,11 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     rows = np.empty((total, len(fine.SINGLE_KEYS + fine.PAIR_KEYS)))
     rows[0::2] = fine._marginal_entries(np.stack(jpds))
     rows[1::2] = quantum_rows
-    tables = fine._tables(rows.tolist())
-    for table in tables[1::2]:
-        table.validate()
+    tables = [table.validate() for table in fine._tables(rows.tolist())]
 
     quantum_spots = range(0, len(parameters), 10)
     disagreements = sum(
-        not _same_bits(fine.table_from_quantum(states[i], configs[i])._entries(), quantum_rows[i])
+        not _same_bits(fine.table_from_quantum(states[i], configs[i]).row, quantum_rows[i])
         for i in quantum_spots
     )
 
@@ -430,7 +428,7 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
             gaps = [fine.roundtrip_residual(table, result.jpd) for result in (rec, oracles[i])]
             same = _same_bits(gaps, [rec_gap[order[i]], exact_gap[order[i]]])
         if same and i % 2 == 0:
-            same = _same_bits(fine.marginals(fine.Jpd4(jpds[i // 2]))._entries(), rows[i])
+            same = _same_bits(fine.marginals(fine.Jpd4(jpds[i // 2])).row, rows[i])
         disagreements += not same
     marginal_spots = sum(i % 2 == 0 for i in spots)
 

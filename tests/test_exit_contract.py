@@ -409,6 +409,11 @@ def argvs(draw):
     return argv
 
 
+# Flag values of 3,000 characters: a refusal quotes them once, cut short.
+LONG_AXIS = "1," + "x" * 3000 + ",0"
+LONG_OBSERVER = "1," + "x" * 3000 + ",0,0"
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=argvs())
 @example(argv=["coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "1e308,1e308,0"])
@@ -416,6 +421,8 @@ def argvs(draw):
 @example(argv=["chart", "--programme", "programme.json", "--observer=1e155,1e155,0,0"])
 @example(argv=["chsh", "--lambda", "0.5", "--angle", "1e308"])
 @example(argv=["bell-op", "--lambda", "0.5", "--angle=-9e307"])
+@example(argv=["epr", "--lambda", "0.5", "--axis", LONG_AXIS])
+@example(argv=["chart", "--programme", "programme.json", "--observer", LONG_OBSERVER])
 def test_argv_keeps_the_exit_contract(workdir, argv):
     def resolve(token):
         flag, equals, value = token.rpartition("=")
@@ -427,3 +434,29 @@ def test_argv_keeps_the_exit_contract(workdir, argv):
         assert code == 2 or (code == 1 and "seed" in err)
     if code == 0 and "csv" not in argv and "--format=csv" not in argv:
         json.loads(out)
+
+
+@pytest.mark.parametrize(
+    ("argv", "seed", "named"),
+    [
+        (["epr", "--lambda", "0.5", "--axis", LONG_AXIS], None, "--axis"),
+        (["lueders", "--lambda", "0.5", "--axis", "0,0,1", "--state-axis", LONG_AXIS], None,
+         "--state-axis"),
+        (["coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", LONG_AXIS], None, "--n2"),
+        (["chart", "--programme", "programme.json", "--observer", LONG_OBSERVER], None,
+         "--observer"),
+        (["verify-all"], "1" + "x" * 3000, "UNSHARP_BELL_SEED"),
+        (["verify-all"], "1" * 5000, "UNSHARP_BELL_SEED"),  # past int's digit limit
+    ],
+    ids=["epr-axis", "lueders-state-axis", "coexist-n2", "chart-observer", "seed-text",
+         "seed-digits"],
+)
+def test_long_values_are_quoted_once_by_name(workdir, monkeypatch, argv, seed, named):
+    # Such values used to be quoted whole, and twice for an axis: 3,045 and
+    # 6,071 bytes of stderr, the observer's naming no flag.
+    if seed is not None:
+        monkeypatch.setenv("UNSHARP_BELL_SEED", seed)
+    argv = [str(workdir / token) if token in FILES else token for token in argv]
+    code, _, err = run(argv)  # one error line under 300 characters
+    assert code == 1
+    assert err.startswith(f"error: {named} ")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell import fine, fme
@@ -870,3 +871,175 @@ def test_table_readers_keep_integral_json_numbers():
     data["pairs"].update({"2,3": 0, "2,-3": 0.5, "-2,3": 0.5, "-2,-3": 0})
     table = ProbabilityTable.from_json_dict(data)
     assert table.single(1) == 1.0 and type(table.single(1)) is float
+
+
+# ----------------------------------------------------------------------
+# Tables are read-only rows, checked once when they are made.
+
+
+def reference_refusal(singles: dict, pairs: dict, marginal_tol: float):
+    """The refusal of the dict-walking validation tables had before they were rows, or None.
+
+    It walks the caller's dicts in their own order, as that validation did
+    on every call.
+    """
+    def name(label):
+        return f"single {label}" if isinstance(label, int) else f"pair {label}"
+
+    missing = [k for k in SINGLE_KEYS if k not in singles]
+    missing += [k for k in PAIR_KEYS if k not in pairs]
+    if missing or len(singles) != 8 or len(pairs) != 16:
+        unexpected = [k for k in singles if k not in SINGLE_KEYS]
+        unexpected += [k for k in pairs if k not in PAIR_KEYS]
+        found = [f"{what} {', '.join(map(name, labels))}"
+                 for what, labels in (("missing", missing), ("unexpected", unexpected))
+                 if labels]
+        return f"table must carry 8 singles and 16 pairs ({'; '.join(found)})"
+    for label, value in list(singles.items()) + list(pairs.items()):
+        if not -fine.RANGE_TOL <= value <= 1.0 + fine.RANGE_TOL:
+            return f"entry {label} = {value!r} outside [0, 1]"
+    for k in (1, 2, 3, 4):
+        s = singles[k] + singles[-k]
+        if abs(s - 1.0) > fine.SUM_TOL:
+            return f"outcome probabilities of observable {k} sum to {s!r} (single {k} + single {-k})"
+    gaps = [abs(pairs[a] + pairs[b] - singles[k]) for a, b, k in fine.MARGINAL_RELATIONS]
+    dev = max(gaps)
+    if dev > marginal_tol:
+        a, b, k = fine.MARGINAL_RELATIONS[gaps.index(dev)]
+        return (f"marginal inconsistency {dev:.3e} exceeds {marginal_tol:.1e} "
+                f"(pairs {a} + {b} vs single {k})")
+    return None
+
+
+def refusal(table, marginal_tol):
+    try:
+        table.validate(marginal_tol)
+    except TableError as exc:
+        return str(exc)
+    return None
+
+
+def row_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Values an entry is moved to: near and far off its relations, at and past
+# the ends of [0, 1], and NaN.
+MOVED_VALUE = st.one_of(
+    st.floats(min_value=-0.1, max_value=1.1),
+    st.sampled_from([0.0, 1.0, -1e-12, -2e-12, 1.0 + 1e-12, 1.0 + 3e-12, 1.5, -0.5,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def table_dicts(draw):
+    """A table's two dicts, in a drawn key order, from a valid table with drawn changes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["jpd", "count", "quantum"]))
+    if kind == "quantum":
+        table = table_from_quantum(random_density(rng, 4), coplanar_configuration(
+            float(rng.random()), float(rng.uniform(0, np.pi))))
+    else:
+        table = (count_table if kind == "count" else random_jpd_table)(rng)
+        table = table[0] if kind == "jpd" else table
+    singles, pairs = dict(table.singles), dict(table.pairs)
+    labels = SINGLE_KEYS + PAIR_KEYS
+    for label in draw(st.lists(st.sampled_from(labels), max_size=3)):
+        entries = pairs if isinstance(label, tuple) else singles
+        change = draw(st.sampled_from(["nudge"] * 3 + ["move"] * 2 + ["drop"]))
+        if change == "nudge" and label in entries:
+            entries[label] += draw(st.sampled_from([1e-11, -1e-10, 5e-10, 2e-9, -3e-7, 2e-6]))
+        elif change == "move":
+            entries[label] = draw(MOVED_VALUE)
+        else:
+            entries.pop(label, None)
+    rarely = st.sampled_from([False] * 19 + [True])
+    if draw(rarely):
+        singles[7] = 0.0
+    if draw(rarely):
+        pairs[(1, 5)] = 0.0
+    singles = dict(draw(st.permutations(list(singles.items()))))
+    pairs = dict(draw(st.permutations(list(pairs.items()))))
+    return singles, pairs
+
+
+def complete(singles, pairs) -> bool:
+    return set(singles) == set(SINGLE_KEYS) and set(pairs) == set(PAIR_KEYS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dicts=table_dicts())
+def test_table_is_checked_once_as_the_dict_validation_did(dicts):
+    singles, pairs = dicts
+    made = [ProbabilityTable(singles, pairs)]
+    if complete(singles, pairs):
+        rows = [singles[k] for k in SINGLE_KEYS] + [pairs[k] for k in PAIR_KEYS]
+        # The document readers see the entries in the order the caller wrote them.
+        document = {"singles": {str(k): v for k, v in singles.items()},
+                    "pairs": {f"{i},{j}": v for (i, j), v in pairs.items()}}
+        csv_text = "i,j,p\n" + "".join(f"{k},,{v!r}\n" for k, v in singles.items())
+        csv_text += "".join(f"{i},{j},{v!r}\n" for (i, j), v in pairs.items())
+        for read in (lambda: ProbabilityTable.from_json_dict(json.loads(json.dumps(document))),
+                     lambda: ProbabilityTable.from_csv_text(csv_text)):
+            try:
+                made.append(read())
+            except TableError as exc:  # the readers validate: the same refusal
+                assert str(exc) == reference_refusal(singles, pairs, fine.MARGINAL_TOL)
+        # A row names the first bad entry in its own order.
+        canonical = ({k: singles[k] for k in SINGLE_KEYS}, {k: pairs[k] for k in PAIR_KEYS})
+        row_table = fine._tables([rows])[0]
+        for tol in (fine.MARGINAL_TOL, fine.CONSISTENCY_GATE):
+            assert refusal(row_table, tol) == reference_refusal(*canonical, tol)
+        assert row_bits(row_table.row) == row_bits(rows)
+        for table in made:
+            assert row_bits(table.row) == row_bits(rows)
+            assert all(type(value) is float for value in table.row)
+            gaps = [abs(pairs[a] + pairs[b] - singles[k]) for a, b, k in fine.MARGINAL_RELATIONS]
+            assert row_bits(table.consistency_deviation()) == row_bits(max(gaps))
+    for table in made:
+        for tol in (fine.MARGINAL_TOL, fine.CONSISTENCY_GATE):
+            assert refusal(table, tol) == reference_refusal(singles, pairs, tol)
+    event(f"{len(made)} constructions, refusal: "
+          f"{(reference_refusal(singles, pairs, fine.MARGINAL_TOL) or 'none').split()[0]}")
+
+
+def test_table_is_read_only():
+    table = uniform_table()
+    with pytest.raises(TypeError):
+        table.singles[1] = 0.7
+    with pytest.raises(TypeError):
+        table.pairs[(1, 3)] = 0.4
+    with pytest.raises(AttributeError):
+        table.row = (0.5,) * 24
+    # The row and its verdict are all a table holds: no dicts sit beside them.
+    assert not hasattr(table, "__dict__")
+    assert not any(isinstance(getattr(table, name), dict) for name in table.__slots__)
+    assert table.singles == {k: 0.5 for k in SINGLE_KEYS}
+
+
+def route_bits(table) -> list:
+    """Every field of the three routes' answers on a table, as exact bits."""
+    check = chsh_check(table)
+    answers = [(check.all_hold, row_bits(check.pair_form + check.single_form))]
+    for result in (reconstruct_jpd(table), feasibility_oracle(table)):
+        witness = result.witness
+        answers.append((
+            result.feasible, result.method, row_bits(result.margin), result.near_boundary,
+            None if result.jpd is None else row_bits(result.jpd.values),
+            None if witness is None else (witness.inequality, witness.side,
+                                          row_bits([witness.value, witness.slack])),
+        ))
+    return answers
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       make=st.sampled_from([count_table, zero_entry_table, past_chsh_bound_table,
+                             lambda rng: random_jpd_table(rng)[0]]))
+def test_routes_answer_alike_on_fresh_and_decided_tables(seed, make):
+    table = make(np.random.default_rng(seed))
+    first = route_bits(table)
+    assert route_bits(table) == first  # the same table, decided again
+    assert route_bits(fine._tables([table.row])[0]) == first  # a fresh table of its row
+    assert route_bits(ProbabilityTable(dict(table.singles), dict(table.pairs))) == first

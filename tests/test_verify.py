@@ -127,7 +127,7 @@ def battery_rows(seed: int, count: int) -> np.ndarray:
 def test_batched_marginals_equal_marginals(seed, count):
     values = distributions(np.random.default_rng(seed), count)
     for jpd, row in zip(values, fine._marginal_entries(values)):
-        assert same_bits(fine.marginals(fine.Jpd4(jpd))._entries(), row)
+        assert same_bits(fine.marginals(fine.Jpd4(jpd)).row, row)
 
 
 @settings(max_examples=30, deadline=None)
