@@ -33,13 +33,7 @@ from .fine import (
     reconstruct_jpd,
     table_from_quantum,
 )
-from .instruments import (
-    Instrument,
-    disturbance_report,
-    epr_measurement,
-    lueders_nonselective,
-    lueders_selective,
-)
+from .instruments import disturbance_report, epr_measurement
 from .relativistic import (
     CausalRelation,
     Cover,
@@ -60,13 +54,11 @@ from .spin_povm import (
     CoexistenceError,
     JointObservable,
     PAIR_SHARPNESS_LIMIT,
-    UnsharpSpinObservable,
     coexistence_margin,
     joint_observable_pair,
     pair_coexistent,
     parse_direction,
     quadruple_joint,
-    spin_projector,
     unsharp_effect,
 )
 from .verify import CHECK_NAMES, run_all

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import I4, eigen_hermitian, pauli_dot, tensor
+from .operators import eigen_hermitian, pauli_dot, tensor
 from .spin_povm import PAIR_SHARPNESS_LIMIT, check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
@@ -134,26 +134,17 @@ def generalized_bell_operator(config: BellConfiguration) -> np.ndarray:
     """Smeared Bell combination built from unsharp effects.
 
     Assembled from the four effect products
-    E(a)E(-b) + E(-a)E(b') - E(a')E(b') + E(a')E(b) and checked against
-    its closed form (1/2)I - (sharpness^2/4) B before returning.
+    E(a)E(-b) + E(-a)E(b') - E(a')E(b') + E(a')E(b); the ``verify`` battery,
+    not each call, cross-checks it against (1/2)I - (sharpness^2/4) B.
     """
     s = config.sharpness
     n1, n2, n3, n4 = config.axes
-
-    def eff(axis):
-        return unsharp_effect(axis, s)
-
-    assembled = (
-        tensor(eff(n1), eff(-n3))
-        + tensor(eff(-n1), eff(n4))
-        - tensor(eff(n2), eff(n4))
-        + tensor(eff(n2), eff(n3))
+    return (
+        tensor(unsharp_effect(n1, s), unsharp_effect(-n3, s))
+        + tensor(unsharp_effect(-n1, s), unsharp_effect(n4, s))
+        - tensor(unsharp_effect(n2, s), unsharp_effect(n4, s))
+        + tensor(unsharp_effect(n2, s), unsharp_effect(n3, s))
     )
-    closed = 0.5 * I4 - (s**2 / 4.0) * bell_operator(config)
-    dev = float(np.max(np.abs(assembled - closed)))
-    if dev > 1e-12:
-        raise ArithmeticError(f"generalized Bell operator forms disagree by {dev:.3e}")
-    return assembled
 
 
 class OperatorChshResult(NamedTuple):

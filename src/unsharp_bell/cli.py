@@ -60,7 +60,6 @@ from .spin_povm import (
     pair_coexistent,
     parse_direction,
     quadruple_joint,
-    spin_projector,
     unsharp_effect,
 )
 from .verify import run_all
@@ -217,7 +216,7 @@ def _cmd_lueders(args) -> dict:
     axis = parse_direction(args.axis, "--axis")
     state_axis = parse_direction(args.state_axis, "--state-axis") if args.state_axis else axis
     report = disturbance_report(
-        spin_projector(state_axis), unsharp_effect(axis, args.sharpness), args.epsilon
+        unsharp_effect(state_axis, 1.0), unsharp_effect(axis, args.sharpness), args.epsilon
     )
     return {
         "sharpness": args.sharpness,

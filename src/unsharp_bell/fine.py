@@ -62,6 +62,7 @@ __all__ = [
     "chsh_check",
     "reconstruct_jpd",
     "feasibility_oracle",
+    "find_witness",
     "table_from_quantum",
 ]
 
@@ -130,7 +131,17 @@ class ProbabilityTable:
             refusal = f"table must carry 8 singles and 16 pairs ({'; '.join(found)})"
         row = [singles.get(k, math.nan) for k in SINGLE_KEYS]
         row += [pairs.get(k, math.nan) for k in PAIR_KEYS]
-        self._settle(tuple(map(float, row)), [*singles.items(), *pairs.items()], refusal)
+        entries = [*singles.items(), *pairs.items()]
+        try:
+            self._settle(tuple(map(float, row)), entries, refusal)
+        except (TypeError, ValueError, OverflowError):  # an entry no float holds or compares with
+            for label, value in entries:
+                try:
+                    float(value) <= value  # what the row and the range test take of an entry
+                except (TypeError, ValueError, OverflowError):
+                    raise TableError(f"table entry {_label_name(label)} must be a number, "
+                                     f"got {_echo(value)}") from None
+            raise
 
     def _settle(self, row: tuple, entries, refusal: str | None = None) -> None:
         """Store the row and its verdict: the first precondition it breaks, and its largest gap.

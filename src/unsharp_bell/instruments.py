@@ -1,27 +1,25 @@
-"""Luders instruments for unsharp measurements and their disturbance.
+"""Luders state changes for unsharp measurements and their disturbance.
 
 The Luders operation of an effect E sends a state rho to
 sqrt(E) rho sqrt(E), subnormalized so its trace is the outcome
 probability.  ``lueders_update`` is the package's one implementation of
 that step, selective (one outcome's root) or nonselective (the sum over
-all outcomes); the instrument functions here and the observer charts of
+all outcomes); the functions here and the observer charts of
 ``relativistic`` all apply it.  This module also packages a quantitative
 bound on how little a nearly-certain effect disturbs the state, and the
 correlated two-particle measurement that motivates all of it: an unsharp
 spin reading on one side of a singlet pair steering the other side.
 
-Each public entry point checks its outside inputs once.  After that,
-``disturbance_report`` and ``epr_measurement`` take the effects' roots
-and apply ``lueders_update`` to the state they have already checked,
-without building an ``Instrument`` (whose methods check the state and
-the effects again on every call).  ``disturbance_report`` roots a general
-effect with ``sqrt_psd``; ``epr_measurement`` roots an unsharp spin
-effect with the closed form ``spin_povm.effect_root``, no eigensolve.
+Each public entry point checks its outside inputs once, then takes the
+effects' roots and applies ``lueders_update`` to the state it has
+already checked.  ``disturbance_report`` roots a general effect with
+``sqrt_psd``; ``epr_measurement`` roots an unsharp spin effect with the
+closed form ``spin_povm.effect_root``, no eigensolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +39,7 @@ from .bell import singlet_state
 __all__ = [
     "NULL_PROBABILITY",
     "MeasurementOutcomeRecord",
-    "Instrument",
     "lueders_update",
-    "lueders_selective",
-    "lueders_nonselective",
     "DisturbanceReport",
     "disturbance_report",
     "EprMeasurementResult",
@@ -64,10 +59,6 @@ class MeasurementOutcomeRecord:
     probability: float
     subnormalized: np.ndarray
     post_state: np.ndarray | None
-
-    @property
-    def null_outcome(self) -> bool:
-        return self.post_state is None
 
 
 def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
@@ -91,51 +82,6 @@ def _selective_record(state, roots: dict, outcome) -> MeasurementOutcomeRecord:
     if prob <= NULL_PROBABILITY:
         return MeasurementOutcomeRecord(outcome, max(prob, 0.0), sub, None)
     return MeasurementOutcomeRecord(outcome, prob, sub, sub / prob)
-
-
-def lueders_selective(state, effect, outcome=1) -> MeasurementOutcomeRecord:
-    """Conditional state and probability of registering a single effect."""
-    state = check_density(state)
-    effect = check_effect(effect)
-    return _selective_record(state, {outcome: sqrt_psd(effect)}, outcome)
-
-
-def lueders_nonselective(state, effects) -> np.ndarray:
-    """State after measuring a POVM and discarding the outcome."""
-    state = check_density(state)
-    if not isinstance(effects, dict):
-        effects = dict(enumerate(effects))
-    return lueders_update(state, Instrument(effects)._roots)
-
-
-@dataclass(eq=False)
-class Instrument:
-    """Luders instrument of a POVM, keyed by outcome label."""
-
-    effects: dict
-    _roots: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        checked = {k: check_effect(v) for k, v in self.effects.items()}
-        total = sum(checked.values())
-        if not checked or not np.allclose(total, np.eye(total.shape[0]), atol=1e-9):
-            raise ValueError("effects do not sum to the identity")
-        self.effects = checked
-        self._roots = {k: sqrt_psd(v) for k, v in checked.items()}
-
-    @property
-    def outcomes(self):
-        return tuple(self.effects)
-
-    def probabilities(self, state) -> dict:
-        state = check_density(state)
-        return {k: expectation(state, eff) for k, eff in self.effects.items()}
-
-    def select(self, state, outcome) -> MeasurementOutcomeRecord:
-        return _selective_record(check_density(state), self._roots, outcome)
-
-    def nonselective(self, state) -> np.ndarray:
-        return lueders_update(check_density(state), self._roots)
 
 
 @dataclass(frozen=True)

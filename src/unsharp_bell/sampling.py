@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["DEFAULT_SEED", "random_unit_vector", "random_unit_vectors", "random_density"]
+
 DEFAULT_SEED = 20260819
 
 
@@ -28,21 +30,8 @@ def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return v / norms
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Full-rank random density operator (Ginibre construction)."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random effect with eigenvalues drawn uniformly from [0, 1]."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    _, vecs = np.linalg.eigh(g + g.conj().T)
-    vals = rng.uniform(0.0, 1.0, size=dim)
-    return (vecs * vals) @ vecs.conj().T

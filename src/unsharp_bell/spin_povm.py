@@ -25,12 +25,10 @@ __all__ = [
     "PAIR_SHARPNESS_LIMIT",
     "PAIR_OUTCOMES",
     "CoexistenceError",
-    "UnsharpSpinObservable",
     "JointObservable",
     "check_sharpness",
     "unit_vector",
     "parse_direction",
-    "spin_projector",
     "unsharp_effect",
     "effect_root",
     "coexistence_margin",
@@ -91,14 +89,8 @@ def parse_direction(text: str, flag: str = "direction") -> np.ndarray:
     return unit_vector(comma_floats(text, 3, needs))
 
 
-def spin_projector(axis) -> np.ndarray:
-    """Projection onto the +1 eigenspace of axis.sigma."""
-    n = unit_vector(axis)
-    return (I2 + pauli_dot(n)) / 2.0
-
-
 def unsharp_effect(axis, sharpness: float) -> np.ndarray:
-    """Effect (1/2)(I + sharpness * axis.sigma) of an unsharp spin observable."""
+    """Effect (1/2)(I + s axis.sigma) of an unsharp spin observable; the projector at s = 1."""
     check_sharpness(sharpness)
     n = unit_vector(axis)
     return (I2 + sharpness * pauli_dot(n)) / 2.0
@@ -110,34 +102,13 @@ def effect_root(axis, sharpness: float) -> np.ndarray:
     The effect has eigenvalues (1 +- s)/2 on the eigenvectors of n.sigma,
     so its root is alpha I + beta n.sigma with alpha, beta =
     (sqrt((1 + s)/2) +- sqrt((1 - s)/2)) / 2: no eigensolve.  At s = 1 it is
-    ``spin_projector(axis)`` bit for bit, at s = 0 the identity over sqrt(2).
-    Refuses what ``unsharp_effect`` refuses, with the same messages.
+    ``unsharp_effect(axis, 1.0)`` bit for bit, at s = 0 the identity over
+    sqrt(2).  Refuses what ``unsharp_effect`` refuses, with the same messages.
     """
     check_sharpness(sharpness)
     n = unit_vector(axis)
     up, down = math.sqrt((1.0 + sharpness) / 2.0), math.sqrt((1.0 - sharpness) / 2.0)
     return ((up + down) * I2 + (up - down) * pauli_dot(n)) / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class UnsharpSpinObservable:
-    """Two-outcome spin POVM along ``axis`` with the given ``sharpness``."""
-
-    axis: np.ndarray
-    sharpness: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_vector(self.axis))
-        check_sharpness(self.sharpness)
-
-    def effect(self, outcome: int) -> np.ndarray:
-        if outcome not in (+1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-        return unsharp_effect(outcome * self.axis, self.sharpness)
-
-    @property
-    def effects(self) -> dict[int, np.ndarray]:
-        return {+1: self.effect(+1), -1: self.effect(-1)}
 
 
 @dataclass(eq=False)

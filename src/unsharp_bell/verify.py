@@ -13,8 +13,9 @@ of the same points also goes through the public API, whose answers must
 match the batch.  Every closed form keeps one independent numeric
 cross-check (an eigensolver against the norm formula, the Born rule
 against the singlet formula, three feasibility routes against each
-other).  Each check's ``detail`` names how many points it evaluated, so
-a faster battery cannot come from checking less.
+other, the Cirelson check's ``generalized_bell_operator`` against
+(1/2)I - (s^2/4) B).  Each check's ``detail`` names how many points it
+evaluated, so a faster battery cannot come from checking less.
 
 The Cirelson check eigensolves its 100,000 Bell operators as real
 symmetric matrices: in the magic basis every ``sigma_i (x) sigma_j`` is
@@ -50,7 +51,7 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .bell import (
     bell_operator,
     chsh_report,
     coplanar_configuration,
+    generalized_bell_operator,
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
@@ -68,7 +70,7 @@ from .bell import (
     singlet_state,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import I2, PAULI, expectation, pauli_dot, sqrt_psd, tensor
+from .operators import I2, I4, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
     _FUTURE_RELATIONS,
     _PAST_RELATIONS,
@@ -124,6 +126,8 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 # public API.  The stride is coprime to the coexistence grid's 200 angles,
 # so its spot checks visit every angle row rather than a few columns.
 SPOT_STRIDE = 97
+# The Cirelson check's smeared spot checks cycle through these, drawing nothing from the rng.
+_SMEAR_SHARPNESS = (0.0, 0.25, 0.5, PAIR_SHARPNESS_LIMIT, THRESHOLDS.operator_chsh, 0.9, 1.0)
 
 
 def check_coexistence_threshold() -> tuple[bool, float, float, str]:
@@ -248,6 +252,9 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
 
     Every ``SPOT_STRIDE``-th configuration is also eigensolved as the
     complex ``bell_operator``, whose spectrum must match within 1e-12.
+    Every tenth spot configuration, at a ``_SMEAR_SHARPNESS`` value, also
+    goes through ``generalized_bell_operator``, which must lie within
+    1e-12 of its closed form (1/2)I - (s^2/4) B.
     """
     count = 100_000
     axes = np.stack([random_unit_vectors(rng, count) for _ in range(4)])
@@ -267,14 +274,22 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
     spots = range(0, count, SPOT_STRIDE)
     operators = [bell_operator(BellConfiguration(1.0, *axes[:, i])) for i in spots]
     spot_gap = float(np.max(np.abs(np.linalg.eigvalsh(np.stack(operators)) - spectra[spots])))
+    smeared = range(0, len(spots), 10)
+    smear_gap = max(
+        float(np.max(np.abs(generalized_bell_operator(BellConfiguration(s, *axes[:, spots[k]]))
+                            - (0.5 * I4 - (s**2 / 4.0) * operators[k]))))
+        for k, s in zip(smeared, cycle(_SMEAR_SHARPNESS))
+    )
 
-    deviation = max(agreement, overshoot, attain_dev, spot_gap)
-    passed = agreement <= 1e-9 and overshoot <= 1e-9 and attain_dev <= 1e-9 and spot_gap <= 1e-12
+    deviation = max(agreement, overshoot, attain_dev, spot_gap, smear_gap)
+    passed = (agreement <= 1e-9 and overshoot <= 1e-9 and attain_dev <= 1e-9
+              and max(spot_gap, smear_gap) <= 1e-12)
     detail = (
         f"eigensolver vs closed form {agreement:.3e}, overshoot above 2*sqrt(2) "
         f"{overshoot:.3e}, orthogonal attainment off by {attain_dev:.3e} "
         f"over {count} configurations, {len(spots)} spot checks against "
-        f"bell_operator off by {spot_gap:.3e}"
+        f"bell_operator off by {spot_gap:.3e}, {len(smeared)} smeared operators "
+        f"against (1/2)I - (s^2/4)B off by {smear_gap:.3e}"
     )
     return passed, deviation, 1e-9, detail
 

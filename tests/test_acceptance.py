@@ -104,7 +104,7 @@ def test_criterion_10_verify_all_cli(results, capsys, monkeypatch):
 # What each check must report having evaluated, as it appears in its detail.
 CHECK_SIZES = {
     "coexistence-threshold": [r"over 40000 grid points", r"(\d+) spot checks"],
-    "cirelson-bound": [r"over 100000 configurations"],
+    "cirelson-bound": [r"over 100000 configurations", r"104 smeared operators against"],
     "fine-equivalence": [
         r"^1000 tables",
         r"50 spot checks against table_from_quantum",

@@ -877,21 +877,22 @@ def test_table_readers_keep_integral_json_numbers():
 # Tables are read-only rows, checked once when they are made.
 
 
+def label_name(label) -> str:
+    return f"single {label}" if isinstance(label, int) else f"pair {label}"
+
+
 def reference_refusal(singles: dict, pairs: dict, marginal_tol: float):
     """The refusal of the dict-walking validation tables had before they were rows, or None.
 
     It walks the caller's dicts in their own order, as that validation did
     on every call.
     """
-    def name(label):
-        return f"single {label}" if isinstance(label, int) else f"pair {label}"
-
     missing = [k for k in SINGLE_KEYS if k not in singles]
     missing += [k for k in PAIR_KEYS if k not in pairs]
     if missing or len(singles) != 8 or len(pairs) != 16:
         unexpected = [k for k in singles if k not in SINGLE_KEYS]
         unexpected += [k for k in pairs if k not in PAIR_KEYS]
-        found = [f"{what} {', '.join(map(name, labels))}"
+        found = [f"{what} {', '.join(map(label_name, labels))}"
                  for what, labels in (("missing", missing), ("unexpected", unexpected))
                  if labels]
         return f"table must carry 8 singles and 16 pairs ({'; '.join(found)})"
@@ -1016,6 +1017,52 @@ def test_table_is_read_only():
     assert not hasattr(table, "__dict__")
     assert not any(isinstance(getattr(table, name), dict) for name in table.__slots__)
     assert table.singles == {k: 0.5 for k in SINGLE_KEYS}
+
+
+# Entries a row cannot hold: each once refused by a bare TypeError or
+# ValueError naming no entry.
+NOT_NUMBERS = ["0.5", None, [0.5], 1 + 0j, "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bad=st.lists(
+    st.tuples(st.sampled_from(SINGLE_KEYS + PAIR_KEYS), st.sampled_from(NOT_NUMBERS)),
+    min_size=1, max_size=3))
+def test_an_entry_that_is_not_a_number_is_refused_by_name(seed, bad):
+    rng = np.random.default_rng(seed)
+    table = random_jpd_table(rng)[0]
+    singles = {SINGLE_KEYS[i]: table.row[i] for i in rng.permutation(8)}
+    pairs = {PAIR_KEYS[i]: table.row[8 + i] for i in rng.permutation(16)}
+    for label, value in bad:
+        (pairs if isinstance(label, tuple) else singles)[label] = value
+    # the first bad entry in the caller's order: singles as given, then pairs
+    label, value = next((k, v) for k, v in [*singles.items(), *pairs.items()]
+                        if not isinstance(v, float))
+    with pytest.raises(TableError) as refused:
+        ProbabilityTable(singles, pairs)
+    assert str(refused.value) == f"table entry {label_name(label)} must be a number, got {value!r}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["int", "float", "float64", "Fraction"]))
+def test_numeric_entries_keep_their_rows(seed, kind):
+    # the row is each entry's float, bit for bit, and the verdict is the float table's
+    rng = np.random.default_rng(seed)
+    if kind == "int":  # a deterministic distribution: every entry is 0 or 1
+        weights = np.zeros(16)
+        weights[rng.integers(16)] = 1.0
+        floats = marginals(Jpd4(weights.reshape(2, 2, 2, 2)))
+    else:
+        floats = count_table(rng)
+    convert = {"int": int, "float": float, "float64": np.float64, "Fraction": Fraction}[kind]
+    singles = {k: convert(v) for k, v in floats.singles.items()}
+    pairs = {k: convert(v) for k, v in floats.pairs.items()}
+    table = ProbabilityTable(singles, pairs)
+    assert row_bits(table.row) == row_bits([float(v) for v in [*singles.values(), *pairs.values()]])
+    assert row_bits(table.row) == row_bits(floats.row)
+    assert all(type(value) is float for value in table.row)
+    for tol in (fine.MARGINAL_TOL, fine.CONSISTENCY_GATE):
+        assert refusal(table, tol) == refusal(floats, tol)
 
 
 def route_bits(table) -> list:

@@ -4,60 +4,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell.instruments import (
-    Instrument,
+    NULL_PROBABILITY,
     disturbance_report,
     epr_measurement,
-    lueders_nonselective,
-    lueders_selective,
     lueders_update,
 )
 from unsharp_bell.operators import (
     I2,
+    check_density,
+    check_effect,
     expectation,
     partial_trace,
     sqrt_psd,
     trace_norm,
 )
-from unsharp_bell.sampling import random_density, random_effect, random_unit_vector
-from unsharp_bell.spin_povm import spin_projector, unsharp_effect
+from unsharp_bell.sampling import random_density, random_unit_vector
+from unsharp_bell.spin_povm import unsharp_effect
+
+from random_operators import random_effect
+
+Z = np.array([0.0, 0, 1])
+
+
+def nonselective(state, effects) -> np.ndarray:
+    """Measure ``effects`` and discard the outcome, with roots eigensolved by ``sqrt_psd``."""
+    return lueders_update(state, {k: sqrt_psd(effect) for k, effect in enumerate(effects)})
 
 
 def test_selective_matches_sandwich(rng):
     rho = random_density(rng, 2)
     effect = random_effect(rng, 2)
-    record = lueders_selective(rho, effect)
     root = sqrt_psd(effect)
     sandwich = root @ rho @ root
-    prob = np.trace(sandwich).real
-    np.testing.assert_allclose(record.probability, prob, atol=1e-13)
-    np.testing.assert_allclose(record.subnormalized, sandwich, atol=1e-13)
-    np.testing.assert_allclose(record.post_state, sandwich / prob, atol=1e-12)
+    sub = lueders_update(rho, {1: root, -1: sqrt_psd(I2 - effect)}, 1)
+    prob = np.trace(sub).real
+    np.testing.assert_allclose(sub, sandwich, atol=1e-13)
+    # its trace is the Born-rule probability, so sub / prob is a state
+    np.testing.assert_allclose(prob, expectation(rho, effect), atol=1e-13)
+    np.testing.assert_allclose(np.trace(sub / prob).real, 1.0, atol=1e-12)
 
 
 def test_selective_null_outcome():
-    rho = spin_projector(np.array([0.0, 0, 1]))
-    effect = spin_projector(np.array([0.0, 0, -1]))
-    record = lueders_selective(rho, effect)
-    assert record.probability <= 1e-12
-    assert record.null_outcome
-    assert record.post_state is None
+    up, down = unsharp_effect(Z, 1.0), unsharp_effect(-Z, 1.0)
+    sub = lueders_update(up, {1: sqrt_psd(up), -1: sqrt_psd(down)}, -1)
+    assert np.trace(sub).real <= NULL_PROBABILITY
+    # epr_measurement keeps no conditional state for an outcome that cannot occur
+    result = epr_measurement(Z, 1.0, np.kron(up, down))
+    assert result.probabilities[-1] <= NULL_PROBABILITY
+    assert -1 not in result.component_posts
+    assert -1 not in result.reduced_post_conditionals
 
 
 def test_sharp_lueders_ideality_and_repeatability():
-    p = spin_projector(np.array([0.0, 0, 1]))
-    rho = p.copy()  # state already in the eigenspace
-    record = lueders_selective(rho, p)
-    np.testing.assert_allclose(record.probability, 1.0, atol=1e-14)
-    np.testing.assert_allclose(record.post_state, rho, atol=1e-14)
+    p = unsharp_effect(Z, 1.0)
+    roots = {1: sqrt_psd(p), -1: sqrt_psd(I2 - p)}
+    sub = lueders_update(p, roots, 1)  # state already in the eigenspace
+    prob = np.trace(sub).real
+    np.testing.assert_allclose(prob, 1.0, atol=1e-14)
+    np.testing.assert_allclose(sub / prob, p, atol=1e-14)
     # repeatability: a second sharp measurement fires with certainty
-    again = lueders_selective(record.post_state, p)
-    np.testing.assert_allclose(again.probability, 1.0, atol=1e-14)
+    again = lueders_update(sub / prob, roots, 1)
+    np.testing.assert_allclose(np.trace(again).real, 1.0, atol=1e-14)
 
 
 def test_nonselective_trace_preserving(rng):
     rho = random_density(rng, 2)
     effect = random_effect(rng, 2)
-    post = lueders_nonselective(rho, [effect, I2 - effect])
+    post = nonselective(rho, [effect, I2 - effect])
     np.testing.assert_allclose(np.trace(post).real, 1.0, atol=1e-12)
     vals = np.linalg.eigvalsh(post)
     assert vals.min() >= -1e-12
@@ -67,28 +80,16 @@ def test_nonselective_fixed_point_commuting():
     # commuting state and effects: no disturbance at all
     rho = np.diag([0.3, 0.7])
     effect = np.diag([0.8, 0.2])
-    post = lueders_nonselective(rho, [effect, I2 - effect])
+    post = nonselective(rho, [effect, I2 - effect])
     np.testing.assert_allclose(post, rho, atol=1e-14)
-
-
-def test_instrument_requires_completeness(rng):
-    effect = random_effect(rng, 2)
-    with pytest.raises(ValueError, match="identity"):
-        Instrument({1: effect, -1: 0.5 * (I2 - effect)})
-
-
-def test_instrument_without_effects_is_refused():
-    with pytest.raises(ValueError, match="identity"):
-        Instrument({})
-    with pytest.raises(ValueError, match="identity"):
-        lueders_nonselective(np.eye(2) / 2.0, [])
 
 
 def test_instrument_probabilities_sum_to_one(rng):
     effect = random_effect(rng, 2)
-    instrument = Instrument({1: effect, -1: I2 - effect})
+    roots = {1: sqrt_psd(effect), -1: sqrt_psd(I2 - effect)}
     rho = random_density(rng, 2)
-    probs = instrument.probabilities(rho)
+    probs = {k: np.trace(lueders_update(rho, roots, k)).real for k in roots}
+    np.testing.assert_allclose(probs[1], expectation(rho, effect), atol=1e-12)
     np.testing.assert_allclose(sum(probs.values()), 1.0, atol=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_yes_probability_never_decreases(rng):
         dim = 2 if rng.random() < 0.5 else 4
         rho = random_density(rng, dim)
         effect = random_effect(rng, dim)
-        post = lueders_nonselective(rho, [effect, np.eye(dim) - effect])
+        post = nonselective(rho, [effect, np.eye(dim) - effect])
         np.testing.assert_allclose(
             expectation(post, effect), expectation(rho, effect), atol=1e-12
         )
@@ -122,12 +123,12 @@ def test_disturbance_bound_trace_distance(rng):
     prob = expectation(rho, effect)
     if prob > 0.5:
         report = disturbance_report(rho, effect)
-        post = lueders_nonselective(rho, [effect, I2 - effect])
+        post = nonselective(rho, [effect, I2 - effect])
         np.testing.assert_allclose(report.distance, trace_norm(rho - post), atol=1e-13)
 
 
 def test_disturbance_epsilon_window():
-    rho = spin_projector(np.array([0.0, 0, 1]))
+    rho = unsharp_effect(Z, 1.0)
     effect = unsharp_effect(np.array([0.0, 0, 1]), 0.2)  # prob 0.6, eps 0.4
     report = disturbance_report(rho, effect)
     np.testing.assert_allclose(report.epsilon, 0.4, atol=1e-12)
@@ -138,7 +139,7 @@ def test_disturbance_epsilon_window():
 
 
 def test_near_certain_effect_barely_disturbs():
-    rho = spin_projector(np.array([0.0, 0, 1]))
+    rho = unsharp_effect(Z, 1.0)
     effect = unsharp_effect(np.array([1e-3, 0, 1.0]), 0.999)
     report = disturbance_report(rho, effect)
     assert report.epsilon < 1e-3
@@ -220,7 +221,7 @@ def test_epr_measurement_checks_its_state_once(monkeypatch):
 
 def test_disturbance_report_checks_each_input_once(monkeypatch):
     # state and effect checks, the two roots, then the trace norm
-    rho = spin_projector(np.array([0.0, 0, 1]))
+    rho = unsharp_effect(Z, 1.0)
     effect = unsharp_effect(np.array([0.1, 0, 1]), 0.9)
     calls = counted_eigensolves(monkeypatch)
     disturbance_report(rho, effect)
@@ -228,20 +229,22 @@ def test_disturbance_report_checks_each_input_once(monkeypatch):
 
 
 def test_direct_roots_equal_the_instrument_bit_for_bit(rng):
-    # dropping the Instrument changes no bit of either result
+    # the report's distance is, bit for bit, that of a Luders update whose
+    # inputs are checked and whose effects are each rooted by sqrt_psd
     for _ in range(20):
-        rho = spin_projector(random_unit_vector(rng))
+        rho = unsharp_effect(random_unit_vector(rng), 1.0)
         effect = unsharp_effect(random_unit_vector(rng), rng.uniform(0.9, 1.0))
         try:
             report = disturbance_report(rho, effect)
         except ValueError:
             continue
-        post = Instrument({0: effect, 1: I2 - effect}).nonselective(rho)
+        roots = {0: sqrt_psd(check_effect(effect)), 1: sqrt_psd(check_effect(I2 - effect))}
+        post = lueders_update(check_density(rho), roots)
         assert report.distance == trace_norm(rho - post)
 
 
 def test_epr_measurement_matches_the_eigensolved_instrument(rng):
-    # The closed-form roots against the Instrument's sqrt_psd roots.  Away
+    # The closed-form roots against sqrt_psd's eigensolved roots.  Away
     # from sharpness 1 the roots agree to about 1e-14; at sharpness 1 the
     # closed form is the exact projector, and eigh's root is up to about
     # 1.3e-8 away from it.
@@ -249,14 +252,13 @@ def test_epr_measurement_matches_the_eigensolved_instrument(rng):
         axis = random_unit_vector(rng)
         state = random_density(rng, 4)
         result = epr_measurement(axis, s, state)
-        instrument = Instrument({
-            1: np.kron(unsharp_effect(axis, s), I2), -1: np.kron(unsharp_effect(-axis, s), I2)
-        })
+        roots = {k: sqrt_psd(np.kron(unsharp_effect(k * axis, s), I2)) for k in (1, -1)}
         tol = 1e-13 if s < 1.0 else 1e-7
-        assert np.abs(result.joint_post_mixture - instrument.nonselective(state)).max() <= tol
+        assert np.abs(result.joint_post_mixture - lueders_update(state, roots)).max() <= tol
         for k in (1, -1):
-            record = instrument.select(state, k)
-            assert abs(result.probabilities[k] - record.probability) <= tol
-            assert np.abs(result.component_posts[k] - record.post_state).max() <= tol
-    projectors = {k: np.kron(spin_projector(k * result.axis), I2) for k in (1, -1)}
+            sub = lueders_update(state, roots, k)
+            prob = np.trace(sub).real
+            assert abs(result.probabilities[k] - prob) <= tol
+            assert np.abs(result.component_posts[k] - sub / prob).max() <= tol
+    projectors = {k: np.kron(unsharp_effect(k * result.axis, 1.0), I2) for k in (1, -1)}
     assert result.joint_post_mixture.tobytes() == lueders_update(state, projectors).tobytes()

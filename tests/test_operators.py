@@ -23,7 +23,9 @@ from unsharp_bell.operators import (
     tensor,
     trace_norm,
 )
-from unsharp_bell.sampling import random_density, random_effect, random_hermitian
+from unsharp_bell.sampling import random_density
+
+from random_operators import random_effect, random_hermitian
 
 
 def test_pauli_algebra():

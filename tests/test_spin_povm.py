@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell.bell import BellConfiguration, singlet_pair_prob
-from unsharp_bell.operators import I2, sqrt_psd
+from unsharp_bell.operators import I2, pauli_dot, sqrt_psd
 from unsharp_bell.relativistic import Measurement, MeasurementProgramme, SpacetimeEvent
 from unsharp_bell.sampling import random_unit_vector
 from unsharp_bell.spin_povm import (
@@ -14,14 +14,12 @@ from unsharp_bell.spin_povm import (
     PAIR_SHARPNESS_LIMIT,
     CoexistenceError,
     _pair_effects,
-    UnsharpSpinObservable,
     coexistence_margin,
     effect_root,
     joint_observable_pair,
     pair_coexistent,
     parse_direction,
     quadruple_joint,
-    spin_projector,
     unit_vector,
     unsharp_effect,
 )
@@ -36,8 +34,12 @@ def test_unsharp_effect_spectrum():
 
 
 def test_unsharp_effect_sharp_limit(rng):
-    n = random_unit_vector(rng)
-    np.testing.assert_allclose(unsharp_effect(n, 1.0), spin_projector(n), atol=1e-15)
+    # at sharpness 1 the effect is the projector (I + n.sigma)/2, bit for bit
+    for _ in range(100):
+        n = random_unit_vector(rng)
+        projector = unsharp_effect(n, 1.0)
+        assert projector.tobytes() == ((I2 + pauli_dot(unit_vector(n))) / 2.0).tobytes()
+        np.testing.assert_allclose(projector @ projector, projector, atol=1e-15)
 
 
 def test_effect_pair_sums_to_identity(rng):
@@ -50,7 +52,6 @@ Z = np.array([0.0, 0, 1])
 SHARPNESS_TAKERS = {
     "unsharp_effect": lambda s: unsharp_effect(Z, s),
     "effect_root": lambda s: effect_root(Z, s),
-    "UnsharpSpinObservable": lambda s: UnsharpSpinObservable(Z, s),
     "coexistence_margin": lambda s: coexistence_margin(s, *ORTHO),
     "BellConfiguration": lambda s: BellConfiguration(s, Z, Z, Z, Z),
     "singlet_pair_prob": lambda s: singlet_pair_prob(s, Z, Z),
@@ -76,10 +77,12 @@ def test_unsharp_effect_rejects_bad_sharpness():
 
 
 def test_observable_effects():
-    obs = UnsharpSpinObservable(np.array([0.0, 0, 1]), 0.5)
-    np.testing.assert_allclose(obs.effect(1) + obs.effect(-1), I2, atol=1e-15)
-    with pytest.raises(ValueError):
-        obs.effect(0)
+    # outcome k of the observable along Z is unsharp_effect(k * Z, s); there
+    # is no outcome 0, whose axis 0 * Z is refused
+    effects = {k: unsharp_effect(k * Z, 0.5) for k in (1, -1)}
+    np.testing.assert_allclose(effects[1] + effects[-1], I2, atol=1e-15)
+    with pytest.raises(ValueError, match="nonzero"):
+        unsharp_effect(0 * Z, 0.5)
 
 
 def test_margin_closed_form(rng):
@@ -308,7 +311,7 @@ def test_effect_root_equals_the_eigensolved_root(axis, sharpness):
 def test_effect_root_at_the_ends_of_the_sharpness_range(axis):
     # s = 1: the projector, bit for bit (eigh's root is up to about 1.3e-8
     # away there); s = 0: the identity over sqrt(2)
-    assert effect_root(axis, 1.0).tobytes() == spin_projector(axis).tobytes()
+    assert effect_root(axis, 1.0).tobytes() == unsharp_effect(axis, 1.0).tobytes()
     np.testing.assert_array_equal(effect_root(axis, 0.0), np.sqrt(0.5) * I2)
 
 

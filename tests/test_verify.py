@@ -73,6 +73,23 @@ def test_magic_basis_spectra_equal_bell_operator_spectra(rng):
     assert np.abs(np.abs(spectra[:2]).max(axis=1) - THRESHOLDS.cirelson).max() <= 1e-12
 
 
+def test_cirelson_check_holds_the_smeared_operator_to_its_closed_form(monkeypatch):
+    # the smeared spot checks draw nothing from the check's random stream
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    passed, _, _, detail = verify.check_cirelson(rng)
+    for _ in range(4):
+        random_unit_vectors(reference, 100_000)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert passed and "104 smeared operators" in detail
+    assert {0.0, 2.0 ** -0.25, 1.0} <= set(verify._SMEAR_SHARPNESS)
+    # an assembled operator 2e-12 off its closed form fails the check
+    build = verify.generalized_bell_operator
+    monkeypatch.setattr(verify, "generalized_bell_operator",
+                        lambda config: build(config) + 2e-12 * np.eye(4))
+    passed, deviation, _, _ = verify.check_cirelson(np.random.default_rng(5))
+    assert not passed and deviation >= 2e-12
+
+
 def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
