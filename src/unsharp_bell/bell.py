@@ -10,7 +10,8 @@ F = 2 / (1 - 2 eps).  Both formulations change character at the same
 sharpness threshold 2**(-1/4), which ``scan_lambda_threshold`` locates
 numerically.  ``operator_chsh_holds`` builds the smeared operator once and
 returns it with its verdict, so a caller that also reports the operator
-need not build it again.
+need not build it again; ``operator_chsh_closed_form`` gives the verdict
+alone from the operator's closed-form spectrum, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import eigen_hermitian, pauli_dot, tensor
+from .operators import _echo, eigen_hermitian, pauli_dot, tensor
 from .spin_povm import PAIR_SHARPNESS_LIMIT, check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
     "THRESHOLDS",
+    "SCAN_GRID_LIMIT",
     "Thresholds",
     "BellConfiguration",
     "ChshReport",
@@ -36,6 +38,7 @@ __all__ = [
     "bell_norm",
     "generalized_bell_operator",
     "operator_chsh_holds",
+    "operator_chsh_closed_form",
     "singlet_state",
     "singlet_pair_prob",
     "chsh_report",
@@ -45,6 +48,8 @@ __all__ = [
 ]
 
 CHSH_VIOLATION_TOL = 1e-12
+# Most grid intervals a scan takes: 10^5 already take seconds and write 17.5 MB.
+SCAN_GRID_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,22 @@ def bell_operator(config: BellConfiguration) -> np.ndarray:
     return tensor(a, b + b_alt) + tensor(a_alt, b_alt - b)
 
 
+def _cross_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``np.linalg.norm(np.cross(a, b))`` of two 3-vectors, bit for bit.
+
+    The components are np.cross's products and differences, taken on
+    Python floats; the norm is np.linalg.norm's square root of a dot.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    c = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return math.sqrt(c.dot(c))
+
+
 def bell_norm(config: BellConfiguration) -> float:
     """Closed-form operator norm 2*sqrt(1 + |n1 x n2| |n3 x n4|)."""
-    c1 = float(np.linalg.norm(np.cross(config.axis1, config.axis2)))
-    c2 = float(np.linalg.norm(np.cross(config.axis3, config.axis4)))
+    c1 = _cross_norm(config.axis1, config.axis2)
+    c2 = _cross_norm(config.axis3, config.axis4)
     return 2.0 * math.sqrt(1.0 + c1 * c2)
 
 
@@ -163,6 +180,18 @@ def operator_chsh_holds(config: BellConfiguration) -> OperatorChshResult:
     return OperatorChshResult(holds, low, high, operator)
 
 
+def operator_chsh_closed_form(config: BellConfiguration) -> bool:
+    """``operator_chsh_holds(config).holds`` without the eigensolve.
+
+    The smeared combination's spectrum runs from 1/2 - (sharpness^2/4)|B|
+    to 1/2 + (sharpness^2/4)|B|, so O <= Btilde <= I exactly when its low
+    end, taken with ``bell_norm``, is not below -CHSH_VIOLATION_TOL.  The
+    ``verify`` battery checks the two verdicts agree on both sides of each
+    spot configuration's critical sharpness.
+    """
+    return 0.5 - config.sharpness**2 * bell_norm(config) / 4.0 >= -CHSH_VIOLATION_TOL
+
+
 def singlet_state() -> np.ndarray:
     """Two-qubit singlet density matrix."""
     psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -178,11 +207,6 @@ def singlet_pair_prob(sharpness: float, axis_i, axis_j) -> float:
     check_sharpness(sharpness)
     ni, nj = unit_vector(axis_i), unit_vector(axis_j)
     return 0.25 * (1.0 - sharpness**2 * float(ni @ nj))
-
-
-def _signed_axis(config: BellConfiguration, index: int) -> np.ndarray:
-    axis = {1: config.axis1, 2: config.axis2, 3: config.axis3, 4: config.axis4}[abs(index)]
-    return axis if index > 0 else -axis
 
 
 @dataclass(frozen=True)
@@ -204,11 +228,15 @@ def chsh_report(config: BellConfiguration) -> ChshReport:
     n1, n2, n3, n4 = config.axes
     f = abs(float(n1 @ n3) + float(n1 @ n4) - float(n2 @ n3) + float(n2 @ n4))
     bound = math.inf if s == 0.0 else 2.0 / s**2
-    pair_probs = {
-        (i, j): singlet_pair_prob(s, _signed_axis(config, i), _signed_axis(config, j))
-        for i in (1, -1, 2, -2)
-        for j in (3, -3, 4, -4)
-    }
+    # singlet_pair_prob's bits: its normalization of each axis, once per axis;
+    # a negated axis negates the cosine exactly.
+    units = [unit_vector(axis) for axis in config.axes]
+    cosines = {(i, j): float(units[i - 1] @ units[j - 1]) for i in (1, 2) for j in (3, 4)}
+    pair_probs = {}
+    for i in (1, -1, 2, -2):
+        for j in (3, -3, 4, -4):
+            cosine = cosines[abs(i), abs(j)]
+            pair_probs[i, j] = 0.25 * (1.0 - s**2 * (cosine if i * j > 0 else -cosine))
     return ChshReport(
         sharpness=s,
         epsilon=epsilon,
@@ -249,6 +277,8 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
     """
     if grid < 10:
         raise ValueError(f"grid must be at least 10, got {grid}")
+    if grid > SCAN_GRID_LIMIT:  # refused before its rows are allocated
+        raise ValueError(f"grid must be at most {SCAN_GRID_LIMIT:,}, got {_echo(grid)}")
     angles = np.linspace(0.0, math.pi / 2.0, grid + 1)
     f_values = 3.0 * np.cos(angles) - np.cos(3.0 * angles)
     best_index = int(np.argmax(f_values))

@@ -7,6 +7,10 @@ writer: it serializes the document and writes it once, to stdout or to the
 ``--out`` file every subcommand takes.  Output is deterministic for a
 given argument list and seed: keys are sorted, floats use ``repr``
 precision, and the only randomized subcommand (``verify-all``) is seeded.
+The serializer ``_to_json`` prints the bytes of
+``json.dumps(document, sort_keys=True, indent=2)``, whose ``indent`` turns
+off the C encoder: it prints a list of floats, and a matrix's list of
+``[re, im]`` pairs, with one string operation each.
 The environment variable ``UNSHARP_BELL_SEED`` overrides ``--seed``.
 
 The parser is built on the first ``main`` call and reused for the rest of
@@ -31,6 +35,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +47,7 @@ from .bell import (
     bell_operator,
     chsh_report,
     coplanar_configuration,
+    operator_chsh_closed_form,
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
@@ -144,7 +150,7 @@ def _cmd_chsh(args) -> dict:
     return {
         **vars(report),  # shallow: asdict would deep-copy the pair_probs replaced below
         "pair_probs": {f"{i},{j}": p for (i, j), p in report.pair_probs.items()},
-        "operator_chsh_holds": operator_chsh_holds(config).holds,
+        "operator_chsh_holds": operator_chsh_closed_form(config),
     }
 
 
@@ -400,6 +406,81 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
+
+def _float_list(items, inner: str) -> str | None:
+    """The items of a list of finite floats, or None for any other list."""
+    try:
+        text = ("," + inner).join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float; bool is an int
+        return None
+    return None if "n" in text else text  # nan, inf: json's NaN, Infinity
+
+
+@functools.lru_cache(maxsize=32)
+def _pairs_template(count: int, inner: str) -> str:
+    deeper = inner + "  "
+    return ("," + inner).join(["[" + deeper + "%r," + deeper + "%r" + inner + "]"] * count)
+
+
+def _pair_list(items, inner: str) -> str | None:
+    """The items of a ``matrix_to_pairs`` list of finite [re, im] floats, or None."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    values = [x for pair in items for x in pair]
+    if set(map(type, values)) != {float}:  # %r of a float subclass is not float.__repr__
+        return None
+    text = _pairs_template(len(items), inner) % tuple(values)
+    return None if "n" in text else text
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as it is, a number, bool or None as its value."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, int)) or key is None:  # bool is an int
+        return _to_json(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _to_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, errors included.
+
+    ``indent`` is a newline and the indentation of ``value``'s own line.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _float_list(value, inner) or _pair_list(value, inner)
+        if text is None:
+            text = ("," + inner).join([_to_json(item, inner) for item in value])
+        return "[" + inner + text + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [  # sorted on the keys as given, as json sorts them: 9 before 10
+            encode_basestring_ascii(_json_key(key)) + ": " + _to_json(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _env_seed(text: str) -> int:
     try:
         return int(text)
@@ -417,7 +498,7 @@ def main(argv=None) -> int:
         if isinstance(document, tuple):  # verify-all: its report and exit status
             document, status = document
         if not isinstance(document, str):
-            document = json.dumps(document, sort_keys=True, indent=2)
+            document = _to_json(document)
         text = document if document.endswith("\n") else document + "\n"
         if args.out is None:
             sys.stdout.write(text)

@@ -204,8 +204,8 @@ def check_effect(matrix, name: str = "effect") -> np.ndarray:
 
 def matrix_to_pairs(matrix) -> list[list[float]]:
     """Serialize a matrix as a flat row-major list of [re, im] pairs."""
-    mat = _as_matrix(matrix)
-    return [[float(z.real), float(z.imag)] for z in mat.ravel()]
+    mat = np.ascontiguousarray(_as_matrix(matrix))  # row-major, as ravel reads it
+    return mat.view(float).reshape(-1, 2).tolist()
 
 
 def matrix_from_pairs(pairs) -> np.ndarray:

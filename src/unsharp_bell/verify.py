@@ -47,6 +47,7 @@ charts use and which decides every cone through
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ from .bell import (
     chsh_report,
     coplanar_configuration,
     generalized_bell_operator,
+    operator_chsh_closed_form,
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
@@ -254,7 +256,10 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
     complex ``bell_operator``, whose spectrum must match within 1e-12.
     Every tenth spot configuration, at a ``_SMEAR_SHARPNESS`` value, also
     goes through ``generalized_bell_operator``, which must lie within
-    1e-12 of its closed form (1/2)I - (s^2/4) B.
+    1e-12 of its closed form (1/2)I - (s^2/4) B.  Every tenth of those is
+    also decided just below and just above its critical sharpness
+    sqrt(2/|B|) by ``operator_chsh_closed_form``, which ``chsh`` prints,
+    and by the eigensolving ``operator_chsh_holds``: the verdicts must agree.
     """
     count = 100_000
     axes = np.stack([random_unit_vectors(rng, count) for _ in range(4)])
@@ -280,16 +285,26 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
                             - (0.5 * I4 - (s**2 / 4.0) * operators[k]))))
         for k, s in zip(smeared, cycle(_SMEAR_SHARPNESS))
     )
+    verdicts = []
+    for k in smeared[::10]:
+        critical = math.sqrt(2.0 / float(norms[spots[k]]))
+        for s in (critical * (1.0 - 1e-9), critical * (1.0 + 1e-9)):
+            if s <= 1.0:
+                config = BellConfiguration(s, *axes[:, spots[k]])
+                closed, solved = operator_chsh_closed_form(config), operator_chsh_holds(config)
+                verdicts.append(closed == solved.holds)
 
     deviation = max(agreement, overshoot, attain_dev, spot_gap, smear_gap)
     passed = (agreement <= 1e-9 and overshoot <= 1e-9 and attain_dev <= 1e-9
-              and max(spot_gap, smear_gap) <= 1e-12)
+              and max(spot_gap, smear_gap) <= 1e-12 and all(verdicts))
     detail = (
         f"eigensolver vs closed form {agreement:.3e}, overshoot above 2*sqrt(2) "
         f"{overshoot:.3e}, orthogonal attainment off by {attain_dev:.3e} "
         f"over {count} configurations, {len(spots)} spot checks against "
         f"bell_operator off by {spot_gap:.3e}, {len(smeared)} smeared operators "
-        f"against (1/2)I - (s^2/4)B off by {smear_gap:.3e}"
+        f"against (1/2)I - (s^2/4)B off by {smear_gap:.3e}, closed-form operator "
+        f"verdicts at {len(verdicts)} sharpnesses beside the critical one "
+        f"({verdicts.count(False)} disagreeing with the eigensolver)"
     )
     return passed, deviation, 1e-9, detail
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unsharp_bell import bell
 from unsharp_bell.bell import (
+    SCAN_GRID_LIMIT,
     THRESHOLDS,
     BellConfiguration,
     bell_norm,
@@ -13,6 +16,7 @@ from unsharp_bell.bell import (
     chsh_report,
     coplanar_configuration,
     generalized_bell_operator,
+    operator_chsh_closed_form,
     operator_chsh_holds,
     orthogonal_configuration,
     scan_lambda_threshold,
@@ -268,3 +272,63 @@ def test_norm_formula_cross_terms(seed):
     np.testing.assert_allclose(
         bell_norm(config), 2.0 * np.sqrt(1.0 + cross_a * cross_b), atol=1e-12
     )
+
+
+def old_bell_norm(config) -> float:
+    """The np.cross and np.linalg.norm closed form ``bell_norm`` replaced."""
+    c1 = float(np.linalg.norm(np.cross(config.axis1, config.axis2)))
+    c2 = float(np.linalg.norm(np.cross(config.axis3, config.axis4)))
+    return 2.0 * math.sqrt(1.0 + c1 * c2)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cross_norm_keeps_the_bits_of_np_cross(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        a = rng.normal(size=3)
+        parallel = a * rng.uniform(-2.0, 2.0) + rng.normal(size=3) * 10.0 ** rng.uniform(-16, -6)
+        for b in (rng.normal(size=3), parallel, a, -a):
+            for scale in (1.0, 1e-150, 1e-170, 1e150, 1e160):  # 1e160: both overflow to inf
+                with np.errstate(over="ignore"):
+                    want = np.linalg.norm(np.cross(a * scale, b))
+                    assert same_bits(bell._cross_norm(a * scale, b), want)
+    config = random_configuration(rng)
+    assert same_bits(bell_norm(config), old_bell_norm(config))
+    for angle in rng.uniform(-1e-6, 1e-6, size=20):  # near-parallel pairs of unit axes
+        config = coplanar_configuration(1.0, angle)
+        assert same_bits(bell_norm(config), old_bell_norm(config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_chsh_pair_probs_keep_the_bits_of_singlet_pair_prob(seed):
+    rng = np.random.default_rng(seed)
+    signed = {1: 0, 2: 1, 3: 2, 4: 3}
+    for config in (random_configuration(rng), coplanar_configuration(rng.uniform(), rng.uniform(-4, 4))):
+        axes = config.axes
+        report = chsh_report(config)
+        assert list(report.pair_probs) == [(i, j) for i in (1, -1, 2, -2) for j in (3, -3, 4, -4)]
+        for (i, j), p in report.pair_probs.items():
+            ni = axes[signed[abs(i)]] * (1 if i > 0 else -1)
+            nj = axes[signed[abs(j)]] * (1 if j > 0 else -1)
+            assert same_bits(p, singlet_pair_prob(config.sharpness, ni, nj))
+
+
+def test_closed_form_operator_verdict_is_the_eigensolved_one(rng):
+    configs = [random_configuration(rng) for _ in range(100)]
+    configs += [coplanar_configuration(s, np.pi / 4) for s in np.linspace(0.8, 0.9, 41)]
+    for config in configs:
+        assert operator_chsh_closed_form(config) == operator_chsh_holds(config).holds
+    limit = THRESHOLDS.operator_chsh
+    assert operator_chsh_closed_form(orthogonal_configuration(limit * (1 - 1e-9)))
+    assert not operator_chsh_closed_form(orthogonal_configuration(limit * (1 + 1e-9)))
+
+
+def test_scan_refuses_a_grid_past_its_limit():
+    with pytest.raises(ValueError, match="at most 1,000,000, got 1000001"):
+        scan_lambda_threshold(SCAN_GRID_LIMIT + 1)

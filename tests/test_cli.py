@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -202,6 +203,70 @@ def test_exact_fine_solve_output_is_pinned(tmp_path, capsys):
     # both decisions, and feasible tables on and off the tolerance edge
     assert outcomes == {(True, False), (True, True), (False, False)}
     assert digest.hexdigest() == EXACT_SOLVE_DIGEST
+
+
+POINT_KINDS = ("coexist", "joint-pair", "joint-quad", "chsh", "bell-op", "lueders", "epr")
+
+
+def pinned_point_queries() -> list[list[str]]:
+    """350 seeded argvs, 50 per point-query kind, a third each with sharpness
+    uniform on [0, 1) or within 2e-3 of 1/sqrt(2) or of 2^(-1/4)."""
+    rng = np.random.default_rng(20_171)
+    centres = (None, 1.0 / np.sqrt(2.0), 2.0 ** -0.25)
+
+    def unit():
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    def flag(name, v):  # the = form lets a leading minus sign through argparse
+        return f"--{name}=" + ",".join(repr(float(c)) for c in v)
+
+    argvs = []
+    for n in range(350):
+        kind, centre = POINT_KINDS[n % 7], centres[(n // 7) % 3]
+        s = float(rng.random()) if centre is None else float(centre + rng.uniform(-2e-3, 2e-3))
+        argv = ["joint" if kind.startswith("joint") else kind, "--lambda", repr(s)]
+        if kind in ("coexist", "joint-pair"):
+            argv += [flag("n1", unit()), flag("n2", unit())]
+        elif kind == "joint-quad":
+            argv += [flag(f"n{i}", unit()) for i in range(1, 5)]
+        elif kind in ("chsh", "bell-op"):
+            shape = (n // 21) % 4  # random axes, any angle, near pi/4, the orthogonal default
+            if shape == 0:
+                argv += [flag(f"n{i}", unit()) for i in range(1, 5)]
+            elif shape == 1:
+                argv += ["--angle", repr(float(rng.uniform(0.0, np.pi)))]
+            elif shape == 2:
+                argv += ["--angle", repr(float(np.pi / 4 + rng.uniform(-1e-3, 1e-3)))]
+        elif kind == "lueders":
+            argv += [flag("axis", unit()), flag("state-axis", unit())]
+        else:
+            argv += [flag("axis", unit())]
+        argvs.append(argv)
+    return argvs
+
+
+# sha256 over the exit code, stdout and stderr of ``pinned_point_queries()``,
+# taken before the CLI's own JSON writer replaced ``json.dumps``, the closed-form
+# ``chsh`` decision replaced its eigensolve and the scalar cross products
+# replaced ``np.cross``.  The eigensolved fields carry LAPACK's bits, so the
+# digest pins one numpy build (2.x, OpenBLAS, x86-64).
+POINT_QUERY_DIGEST = "4186c867f7f9ce4e6ef29ab7db14c62c8ec74d920eacb011ccfe4a5bf4e95ea4"
+
+
+def test_point_query_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    seen = set()
+    for argv in pinned_point_queries():
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+        holds = json.loads(out).get("operator_chsh_holds") if code == 0 else None
+        seen.add((argv[0], code, holds))
+    # both exit codes, and both operator decisions from chsh and bell-op
+    assert {code for _, code, _ in seen} == {0, 1}
+    for command in ("chsh", "bell-op"):
+        assert {(command, 0, True), (command, 0, False)} <= seen
+    assert digest.hexdigest() == POINT_QUERY_DIGEST
 
 
 @pytest.mark.parametrize("angle", ["0.7853981633974483", "0.3", None])
@@ -711,3 +776,26 @@ def test_negative_seed_is_refused_by_name(capsys, monkeypatch, source):
     code, out, err = run_cli(capsys, *argv)
     seed = "-1" if source == "flag" else "-3"
     assert (code, out, err) == (1, "", f"error: seed must be a non-negative integer, got {seed}\n")
+
+
+@pytest.mark.parametrize("grid", [10**6 + 1, 10**11])
+def test_scan_refuses_a_grid_past_its_limit_before_allocating(capsys, grid):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "scan", "--grid", str(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: grid must be at most 1,000,000, got {grid}\n"
+    assert peak < 1_000_000  # a grid of 10^6 + 1 points alone takes 8 MB
+
+
+def test_chsh_decides_the_operator_inequality_without_an_eigensolve(capsys, monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("chsh eigensolved")
+
+    monkeypatch.setattr(bell, "eigen_hermitian", refuse)
+    for s, holds in ((2 ** -0.25 * (1 - 1e-9), True), (2 ** -0.25 * (1 + 1e-9), False)):
+        code, out, _ = run_cli(capsys, "chsh", "--lambda", repr(s))
+        assert code == 0 and json.loads(out)["operator_chsh_holds"] is holds

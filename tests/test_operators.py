@@ -233,3 +233,28 @@ def test_json_list_quotes_a_refused_value_shortened(value, quoted):
     with pytest.raises(ValueError) as refusal:
         json_list(value, "programme measurements")
     assert str(refusal.value) == f"programme measurements must be a list, got {quoted}"
+
+
+def old_matrix_to_pairs(matrix):
+    """The entry-by-entry serialization ``matrix_to_pairs`` replaced."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(matrix, dtype=complex).ravel()]
+
+
+def same_pair_bits(a, b) -> bool:
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_matrix_to_pairs_keeps_the_entrywise_bits(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m.real[rng.random((4, 4)) < 0.2] = -0.0
+    m.imag[rng.random((4, 4)) < 0.2] = np.nan
+    m.imag[0, 1] = -0.0
+    # contiguous, transposed, conjugate-transposed, sliced and strided views
+    views = (m, m.T, m.conj().T, m[:2, :2], m[::2, ::2], m[1:3, 1:3].T, m.real.copy())
+    for view in views:
+        pairs = matrix_to_pairs(view)
+        assert same_pair_bits(pairs, old_matrix_to_pairs(view))
+        assert all(type(x) is float for pair in pairs for x in pair)

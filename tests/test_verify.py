@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_bell import fine, relativistic, verify
+from unsharp_bell import bell, fine, relativistic, verify
 from unsharp_bell.bell import (
     THRESHOLDS,
     BellConfiguration,
@@ -88,6 +88,19 @@ def test_cirelson_check_holds_the_smeared_operator_to_its_closed_form(monkeypatc
                         lambda config: build(config) + 2e-12 * np.eye(4))
     passed, deviation, _, _ = verify.check_cirelson(np.random.default_rng(5))
     assert not passed and deviation >= 2e-12
+
+
+def test_cirelson_check_holds_the_closed_form_verdict_to_the_eigensolved_one(monkeypatch):
+    passed, _, _, detail = verify.check_cirelson(np.random.default_rng(5))
+    assert passed and "verdicts at 22 sharpnesses" in detail and "(0 disagreeing" in detail
+    # a closed-form verdict that misplaces the critical sharpness by 1e-8 fails the check
+    def misplaced(config):
+        return bell.operator_chsh_closed_form(
+            BellConfiguration(config.sharpness * (1 - 1e-8), *config.axes))
+
+    monkeypatch.setattr(verify, "operator_chsh_closed_form", misplaced)
+    passed, _, _, detail = verify.check_cirelson(np.random.default_rng(5))
+    assert not passed and "(11 disagreeing" in detail
 
 
 def same_bits(a, b) -> bool:
