@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from unsharp_bell import bell
 from unsharp_bell.bell import (
-    SCAN_GRID_LIMIT,
     THRESHOLDS,
     BellConfiguration,
     bell_norm,
@@ -89,9 +88,10 @@ def test_generalized_bell_operator_assembly(rng):
 
 def test_operator_chsh_threshold_orthogonal():
     limit = THRESHOLDS.operator_chsh
-    assert operator_chsh_holds(orthogonal_configuration(limit)).holds
-    assert operator_chsh_holds(orthogonal_configuration(limit - 1e-6)).holds
-    assert not operator_chsh_holds(orthogonal_configuration(limit + 1e-6)).holds
+    for holds in (operator_chsh_closed_form, lambda config: operator_chsh_holds(config).holds):
+        assert holds(orthogonal_configuration(limit))
+        assert holds(orthogonal_configuration(limit - 1e-6))
+        assert not holds(orthogonal_configuration(limit + 1e-6))
 
 
 def test_operator_chsh_equals_norm_criterion(rng):
@@ -100,7 +100,7 @@ def test_operator_chsh_equals_norm_criterion(rng):
         config = random_configuration(rng)
         result = operator_chsh_holds(config)
         norm_ok = config.sharpness**2 * bell_norm(config) <= 2.0 + 4e-12
-        assert result.holds == norm_ok
+        assert result.holds == norm_ok == operator_chsh_closed_form(config)
 
 
 def test_singlet_violation_implies_operator_violation(rng):
@@ -308,27 +308,9 @@ def test_cross_norm_keeps_the_bits_of_np_cross(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_chsh_pair_probs_keep_the_bits_of_singlet_pair_prob(seed):
     rng = np.random.default_rng(seed)
-    signed = {1: 0, 2: 1, 3: 2, 4: 3}
     for config in (random_configuration(rng), coplanar_configuration(rng.uniform(), rng.uniform(-4, 4))):
-        axes = config.axes
         report = chsh_report(config)
         assert list(report.pair_probs) == [(i, j) for i in (1, -1, 2, -2) for j in (3, -3, 4, -4)]
         for (i, j), p in report.pair_probs.items():
-            ni = axes[signed[abs(i)]] * (1 if i > 0 else -1)
-            nj = axes[signed[abs(j)]] * (1 if j > 0 else -1)
+            ni, nj = (np.sign(k) * config.axes[abs(k) - 1] for k in (i, j))
             assert same_bits(p, singlet_pair_prob(config.sharpness, ni, nj))
-
-
-def test_closed_form_operator_verdict_is_the_eigensolved_one(rng):
-    configs = [random_configuration(rng) for _ in range(100)]
-    configs += [coplanar_configuration(s, np.pi / 4) for s in np.linspace(0.8, 0.9, 41)]
-    for config in configs:
-        assert operator_chsh_closed_form(config) == operator_chsh_holds(config).holds
-    limit = THRESHOLDS.operator_chsh
-    assert operator_chsh_closed_form(orthogonal_configuration(limit * (1 - 1e-9)))
-    assert not operator_chsh_closed_form(orthogonal_configuration(limit * (1 + 1e-9)))
-
-
-def test_scan_refuses_a_grid_past_its_limit():
-    with pytest.raises(ValueError, match="at most 1,000,000, got 1000001"):
-        scan_lambda_threshold(SCAN_GRID_LIMIT + 1)
