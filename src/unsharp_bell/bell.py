@@ -276,7 +276,7 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
     neither check is violated.
     """
     if grid < 10:
-        raise ValueError(f"grid must be at least 10, got {grid}")
+        raise ValueError(f"grid must be at least 10, got {_echo(grid)}")
     if grid > SCAN_GRID_LIMIT:  # refused before its rows are allocated
         raise ValueError(f"grid must be at most {SCAN_GRID_LIMIT:,}, got {_echo(grid)}")
     angles = np.linspace(0.0, math.pi / 2.0, grid + 1)

@@ -38,7 +38,6 @@ from .bell import singlet_state
 
 __all__ = [
     "NULL_PROBABILITY",
-    "MeasurementOutcomeRecord",
     "lueders_update",
     "DisturbanceReport",
     "disturbance_report",
@@ -49,16 +48,6 @@ __all__ = [
 # Outcomes at or below this probability have no conditional state.
 NULL_PROBABILITY = 1e-12
 BOUND_TOL = 1e-10
-
-
-@dataclass(eq=False)
-class MeasurementOutcomeRecord:
-    """One outcome of a selective Luders measurement."""
-
-    outcome: object
-    probability: float
-    subnormalized: np.ndarray
-    post_state: np.ndarray | None
 
 
 def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
@@ -74,14 +63,6 @@ def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
     for root in roots.values():
         total = total + root @ state @ root
     return total
-
-
-def _selective_record(state, roots: dict, outcome) -> MeasurementOutcomeRecord:
-    sub = lueders_update(state, roots, outcome)
-    prob = float(np.trace(sub).real)
-    if prob <= NULL_PROBABILITY:
-        return MeasurementOutcomeRecord(outcome, max(prob, 0.0), sub, None)
-    return MeasurementOutcomeRecord(outcome, prob, sub, sub / prob)
 
 
 @dataclass(frozen=True)
@@ -170,25 +151,20 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
         1: tensor(effect_root(axis, sharpness), I2),
         -1: tensor(effect_root(-axis, sharpness), I2),
     }
-    records = {k: _selective_record(state, roots, k) for k in (1, -1)}
-    probabilities = {k: rec.probability for k, rec in records.items()}
-    component_posts = {
-        k: rec.post_state for k, rec in records.items() if rec.post_state is not None
-    }
+    # Each outcome's subnormalized state; its trace is the outcome probability,
+    # and an outcome at or below NULL_PROBABILITY has no conditional state.
+    components = {k: lueders_update(state, roots, k) for k in (1, -1)}
+    probabilities = {k: max(float(np.trace(sub).real), 0.0) for k, sub in components.items()}
+    conditioned = [k for k in components if probabilities[k] > NULL_PROBABILITY]
+    component_posts = {k: components[k] / probabilities[k] for k in conditioned}
     joint_post = lueders_update(state, roots)
 
     reduced_pre = partial_trace(state, keep=2)
     # components follow the two terms of the nonselective sum, so they
     # stay subnormalized (trace = outcome probability); the conditional
     # states renormalize them
-    reduced_components = {
-        k: partial_trace(rec.subnormalized, keep=2) for k, rec in records.items()
-    }
-    reduced_conditionals = {
-        k: reduced_components[k] / probabilities[k]
-        for k in records
-        if probabilities[k] > NULL_PROBABILITY
-    }
+    reduced_components = {k: partial_trace(sub, keep=2) for k, sub in components.items()}
+    reduced_conditionals = {k: reduced_components[k] / probabilities[k] for k in conditioned}
     reduced_mixture = partial_trace(joint_post, keep=2)
 
     prob_after = {}

@@ -14,8 +14,13 @@ match the batch.  Every closed form keeps one independent numeric
 cross-check (an eigensolver against the norm formula, the Born rule
 against the singlet formula, three feasibility routes against each
 other, the Cirelson check's ``generalized_bell_operator`` against
-(1/2)I - (s^2/4) B).  Each check's ``detail`` names how many points it
-evaluated, so a faster battery cannot come from checking less.
+(1/2)I - (s^2/4) B).  Each identity the request paths rely on is checked
+here, not on every call: the Fine check compares the pair and singles
+CHSH forms that ``fine.chsh_check`` returns, and the chart check
+applies in both orders the measurements that
+``relativistic.observer_chart`` applies in one.  Each check's
+``detail`` names how many points it evaluated, so a faster battery
+cannot come from checking less.
 
 The Cirelson check eigensolves its 100,000 Bell operators as real
 symmetric matrices: in the magic basis every ``sigma_i (x) sigma_j`` is
@@ -414,10 +419,11 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
 
     # The routes' own bodies, given the tables as 24 columns.
     columns = list(rows.T)
-    pair, single, holds, gap = fine._chsh_forms(columns)
+    pair, single, holds = fine._chsh_forms(columns)
     pair, single = np.stack(pair, axis=1), np.stack(single, axis=1)
     inconsistency = np.array([table.consistency_deviation() for table in tables])
-    agree = gap <= fine.DECISION_TOL + 4.0 * inconsistency  # else chsh_check raises
+    # The forms differ by two marginal relations; this is their one comparison.
+    agree = np.abs(pair - single).max(axis=1) <= fine.DECISION_TOL + 4.0 * inconsistency
     system = fine._float_rows(rows[:, 8:])
     minima, margins, near, feasible = fine._decision(system, 1)
     entries, broken = fine._back_substitution(minima, system, 1, operator.truediv)

@@ -791,6 +791,16 @@ def test_scan_refuses_a_grid_past_its_limit_before_allocating(capsys, grid):
     assert peak < 1_000_000  # a grid of 10^6 + 1 points alone takes 8 MB
 
 
+@pytest.mark.parametrize("grid, shown", [
+    ("5", "5"),
+    ("-" + "9" * 4000, "an integer beyond the float range"),
+])
+def test_scan_refuses_a_small_grid_quoting_it_bounded(capsys, grid, shown):
+    code, out, err = run_cli(capsys, "scan", f"--grid={grid}")
+    assert (code, out) == (1, "")
+    assert err == f"error: grid must be at least 10, got {shown}\n"
+
+
 def test_chsh_decides_the_operator_inequality_without_an_eigensolve(capsys, monkeypatch):
     def refuse(matrix):
         raise AssertionError("chsh eigensolved")

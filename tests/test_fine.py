@@ -167,11 +167,31 @@ def test_threshold_witness_value():
     np.testing.assert_allclose(witness.slack, (ROOT2 - 1) / 2, atol=1e-12)
 
 
-def test_chsh_check_forms_agree(rng):
-    for _ in range(50):
-        table, _ = random_jpd_table(rng)
-        check = chsh_check(table)
-        np.testing.assert_allclose(check.pair_form, check.single_form, atol=1e-9)
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    power=st.sampled_from([1, 3, 8]),
+    scale=st.one_of(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 0.49 * fine.CONSISTENCY_GATE]),
+                    st.floats(0.0, 0.49 * fine.CONSISTENCY_GATE)),
+)
+def test_chsh_check_forms_agree(seed, power, scale):
+    # The two forms of an expression differ by two marginal relations, so on
+    # any table the gate admits they agree within twice its largest gap, and
+    # chsh_check decides it without comparing them.  Noise on the pair entries
+    # moves each relation by at most 2 * scale, within the gate.
+    rng = np.random.default_rng(seed)
+    weights = rng.random(16) ** power
+    weights[rng.random(16) < 0.2] = 0.0
+    if not weights.any():
+        weights[0] = 1.0
+    row = list(marginals(Jpd4((weights / weights.sum()).reshape(2, 2, 2, 2))).row)
+    row[8:] = [min(1.0, max(0.0, p + rng.uniform(-scale, scale))) for p in row[8:]]
+    table = ProbabilityTable(dict(zip(SINGLE_KEYS, row[:8])), dict(zip(PAIR_KEYS, row[8:])))
+    table.validate(marginal_tol=fine.CONSISTENCY_GATE)
+    check = chsh_check(table)
+    bound = 2.0 * table.consistency_deviation() + 1e-15
+    for pair, single in zip(check.pair_form, check.single_form):
+        assert abs(pair - single) <= bound
 
 
 def test_chsh_equivalence_on_random_states(rng):
