@@ -32,7 +32,6 @@ __all__ = [
     "BellConfiguration",
     "ChshReport",
     "OperatorChshResult",
-    "ScanRow",
     "ScanResult",
     "bell_operator",
     "bell_norm",
@@ -48,7 +47,8 @@ __all__ = [
 ]
 
 CHSH_VIOLATION_TOL = 1e-12
-# Most grid intervals a scan takes: 10^5 already take seconds and write 17.5 MB.
+# Most grid intervals a scan takes.  The scan is a few numpy columns; at 10^5
+# intervals the CLI's time goes to writing its 17.5 MB of JSON or 7.7 MB of CSV.
 SCAN_GRID_LIMIT = 1_000_000
 
 
@@ -247,22 +247,19 @@ def chsh_report(config: BellConfiguration) -> ChshReport:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    sharpness: float
-    f: float
-    bound: float
-    max_operator_violation: float
-    violated: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """The scan's grid as read-only columns, one entry per grid sharpness."""
+
     threshold: float            # largest scanned sharpness without violation
     singlet_threshold: float    # same, from the f <= bound check alone
     operator_threshold: float   # same, from the operator check alone
     best_angle: float
-    rows: list[ScanRow]
+    f: float                    # the swept singlet combination, at every sharpness
+    sharpness: np.ndarray
+    bound: np.ndarray           # 2 / sharpness^2; infinite at sharpness 0
+    max_operator_violation: np.ndarray
+    violated: np.ndarray        # either check violated
 
 
 def scan_lambda_threshold(grid: int) -> ScanResult:
@@ -273,11 +270,14 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
     violation of O <= Btilde <= I are maximised over it.  Because the
     singlet combination is sharpness-independent the angle sweep is done
     once; the returned threshold is the largest grid sharpness at which
-    neither check is violated.
+    neither check is violated.  Each column entry carries the bits of the
+    same arithmetic on Python floats: ``float_power`` squares as ``s**2``
+    does, and a tie in the operator violation keeps its first term, as
+    ``max`` does.
     """
     if grid < 10:
         raise ValueError(f"grid must be at least 10, got {_echo(grid)}")
-    if grid > SCAN_GRID_LIMIT:  # refused before its rows are allocated
+    if grid > SCAN_GRID_LIMIT:  # refused before its columns are allocated
         raise ValueError(f"grid must be at most {SCAN_GRID_LIMIT:,}, got {_echo(grid)}")
     angles = np.linspace(0.0, math.pi / 2.0, grid + 1)
     f_values = 3.0 * np.cos(angles) - np.cos(3.0 * angles)
@@ -290,43 +290,31 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
     bell_eigs, _ = eigen_hermitian(bell_operator(coplanar_configuration(1.0, best_angle)))
     bell_min, bell_max = float(bell_eigs[0]), float(bell_eigs[-1])
 
-    rows = []
-    sharpnesses = np.linspace(0.0, 1.0, grid + 1)
-    for s in sharpnesses:
-        s = float(s)
-        bound = math.inf if s == 0.0 else 2.0 / s**2
-        smeared_low = 0.5 - (s**2 / 4.0) * bell_max
-        smeared_high = 0.5 - (s**2 / 4.0) * bell_min
-        op_violation = max(-smeared_low, smeared_high - 1.0)
-        singlet_violation = best_f - bound
-        violated = (
-            singlet_violation > CHSH_VIOLATION_TOL or op_violation > CHSH_VIOLATION_TOL
-        )
-        rows.append(
-            ScanRow(
-                sharpness=s,
-                f=best_f,
-                bound=bound,
-                max_operator_violation=op_violation,
-                violated=violated,
-            )
-        )
+    sharpness = np.linspace(0.0, 1.0, grid + 1)
+    squares = np.float_power(sharpness, 2.0)
+    with np.errstate(divide="ignore"):  # sharpness 0: an infinite bound
+        bound = 2.0 / squares
+    below = -(0.5 - (squares / 4.0) * bell_max)
+    above = (0.5 - (squares / 4.0) * bell_min) - 1.0
+    op_violation = np.where(above > below, above, below)
+    singlet_bad = best_f - bound > CHSH_VIOLATION_TOL
+    op_bad = op_violation > CHSH_VIOLATION_TOL
+    violated = singlet_bad | op_bad
 
-    def largest_without(flagged) -> float:
-        passed = [row.sharpness for row, bad in zip(rows, flagged) if not bad]
-        return max(passed) if passed else 0.0
+    def largest_without(flagged: np.ndarray) -> float:
+        passed = sharpness[~flagged]
+        return float(passed.max()) if passed.size else 0.0
 
-    singlet_threshold = largest_without(
-        [row.f - row.bound > CHSH_VIOLATION_TOL for row in rows]
-    )
-    operator_threshold = largest_without(
-        [row.max_operator_violation > CHSH_VIOLATION_TOL for row in rows]
-    )
-    threshold = largest_without([row.violated for row in rows])
+    for column in (sharpness, bound, op_violation, violated):
+        column.flags.writeable = False
     return ScanResult(
-        threshold=threshold,
-        singlet_threshold=singlet_threshold,
-        operator_threshold=operator_threshold,
+        threshold=largest_without(violated),
+        singlet_threshold=largest_without(singlet_bad),
+        operator_threshold=largest_without(op_bad),
         best_angle=best_angle,
-        rows=rows,
+        f=best_f,
+        sharpness=sharpness,
+        bound=bound,
+        max_operator_violation=op_violation,
+        violated=violated,
     )

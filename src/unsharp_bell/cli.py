@@ -30,6 +30,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -66,6 +67,7 @@ from .spin_povm import (
     pair_coexistent,
     parse_direction,
     quadruple_joint,
+    unit_vector,
     unsharp_effect,
 )
 from .verify import run_all
@@ -100,8 +102,8 @@ def _cmd_coexist(args) -> dict:
     coexistent, margin = pair_coexistent(args.sharpness, n1, n2)
     return {
         "sharpness": args.sharpness,
-        "axis1": _axis_list(n1 / np.linalg.norm(n1)),
-        "axis2": _axis_list(n2 / np.linalg.norm(n2)),
+        "axis1": _axis_list(unit_vector(n1)),
+        "axis2": _axis_list(unit_vector(n2)),
         "coexistent": coexistent,
         "margin": margin,
     }
@@ -159,25 +161,27 @@ _SCAN_COLUMNS = ("lambda", "f", "F", "max_op_violation", "violated")
 
 def _cmd_scan(args) -> dict | str:
     result = scan_lambda_threshold(args.grid)
-    rows = [
-        dict(zip(_SCAN_COLUMNS, (row.sharpness, row.f, row.bound,
-                                 row.max_operator_violation, row.violated)))
-        for row in result.rows
-    ]
+    rows = zip(
+        result.sharpness.tolist(),
+        itertools.repeat(result.f),
+        result.bound.tolist(),
+        result.max_operator_violation.tolist(),
+        result.violated.tolist(),
+    )
     if args.format == "json":
         return {
             "threshold": result.threshold,
             "singlet_threshold": result.singlet_threshold,
             "operator_threshold": result.operator_threshold,
             "best_angle": result.best_angle,
-            "rows": rows,
+            "rows": [dict(zip(_SCAN_COLUMNS, row)) for row in rows],
         }
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(_SCAN_COLUMNS)
-    for row in rows:
-        *numbers, violated = row.values()
-        writer.writerow([*map(repr, numbers), "true" if violated else "false"])
+    writer.writerows(
+        [*map(repr, numbers), "true" if violated else "false"] for *numbers, violated in rows
+    )
     return out.getvalue()
 
 
@@ -226,7 +230,7 @@ def _cmd_lueders(args) -> dict:
     )
     return {
         "sharpness": args.sharpness,
-        "axis": _axis_list(axis / np.linalg.norm(axis)),
+        "axis": _axis_list(unit_vector(axis)),
         "probability": report.probability,
         "epsilon": report.epsilon,
         "trace_distance": report.distance,

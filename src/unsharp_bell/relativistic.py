@@ -24,7 +24,7 @@ included).
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -370,13 +370,15 @@ class MeasurementProgramme:
             if np.asarray(self.initial).shape != (4, 4):
                 raise ValueError("initial state must be a two-particle (4x4) density matrix")
 
-    @property
+    @functools.cached_property
     def initial_state(self) -> np.ndarray:
-        if isinstance(self.initial, str):
-            return singlet_state()
-        return np.asarray(self.initial)
+        """The initial density matrix, resolved once and read-only: a chart's
+        all-zero region returns it as is."""
+        state = singlet_state() if isinstance(self.initial, str) else np.array(self.initial)
+        state.flags.writeable = False
+        return state
 
-    @property
+    @functools.cached_property
     def is_singlet(self) -> bool:
         return isinstance(self.initial, str) or bool(
             np.allclose(self.initial_state, singlet_state(), atol=1e-12)
@@ -503,11 +505,13 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     if not isinstance(observer, SpacetimeEvent):
         observer = SpacetimeEvent.from_sequence(observer)
     roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
-    return _chart(programme, observer, roots)
+    return _chart(programme, observer, roots, programme.outcomes)
 
 
-def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: list) -> ChartResult:
-    """The body of ``observer_chart``, given the roots of the programme's measurements."""
+def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: list,
+           outcomes: tuple | None) -> ChartResult:
+    """The body of ``observer_chart``, given the roots of the programme's measurements
+    and the outcomes to chart in place of the programme's own."""
     events = programme.events()
     cover = influence_cover(events)
     region_index = cover.region_index(observer)
@@ -516,7 +520,7 @@ def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: lis
     k = len(programme.measurements)
     informed = tuple(i for i in range(k) if n_flags[i] == 1)
 
-    outcomes = programme.outcomes or (None,) * k
+    outcomes = outcomes or (None,) * k
     for i in informed:
         if outcomes[i] is None:
             raise ValueError(
@@ -687,11 +691,10 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
     visited: list = []
     points = worldline.sample(offsets)
     for combo in product((1, -1), repeat=k):
-        prog = dataclasses.replace(programme, outcomes=combo)
         charts: dict = {}
         previous = None
         for point in points:
-            result = _chart(prog, point, roots)
+            result = _chart(programme, point, roots, combo)
             chart_states = np.stack([a.state for a in result.assignments])
             if result.information_flags in charts:
                 grouping_dev = max(

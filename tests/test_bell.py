@@ -222,25 +222,29 @@ def test_scan_threshold_converges():
 
 def test_scan_rows_monotone_structure():
     result = scan_lambda_threshold(100)
-    rows = result.rows
-    assert rows[0].sharpness == 0.0 and rows[-1].sharpness == 1.0
+    sharpness, violated = result.sharpness, result.violated
+    assert sharpness[0] == 0.0 and sharpness[-1] == 1.0
     # violation is monotone in sharpness: once violated, stays violated
-    flags = [row.violated for row in rows]
+    flags = violated.tolist()
     assert flags == sorted(flags)
-    for row in rows:
-        assert row.violated == (row.f > row.bound + 1e-12)
+    np.testing.assert_array_equal(violated, result.f > result.bound + 1e-12)
+    # the columns are one per grid point, and read-only
+    columns = (sharpness, result.bound, result.max_operator_violation, violated)
+    assert {column.shape for column in columns} == {(101,)}
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
 
 
 def test_scan_endpoint_rows():
     result = scan_lambda_threshold(1000)
-    last = result.rows[-1]
-    assert last.sharpness == 1.0
+    assert result.sharpness[-1] == 1.0
     # at full sharpness the worst excess is 2 sqrt(2) - 2
-    np.testing.assert_allclose(last.f - last.bound, 2 * ROOT2 - 2, atol=1e-12)
+    np.testing.assert_allclose(result.f - result.bound[-1], 2 * ROOT2 - 2, atol=1e-12)
     # at the coexistence limit nothing is violated yet
-    near_limit = min(result.rows, key=lambda r: abs(r.sharpness - 1 / ROOT2))
-    assert not near_limit.violated
-    assert near_limit.max_operator_violation <= 0
+    near_limit = int(np.argmin(np.abs(result.sharpness - 1 / ROOT2)))
+    assert not result.violated[near_limit]
+    assert result.max_operator_violation[near_limit] <= 0
 
 
 def test_scan_rejects_small_grid():

@@ -17,6 +17,7 @@ from unsharp_bell import bell, cli
 from unsharp_bell.fine import PAIR_KEYS, SINGLE_KEYS
 from unsharp_bell.operators import matrix_to_pairs
 from unsharp_bell.sampling import DEFAULT_SEED
+from unsharp_bell.spin_povm import parse_direction, unit_vector
 
 SRC = Path(cli.__file__).resolve().parents[1]
 COEXIST = ("coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "0,1,0")
@@ -95,6 +96,22 @@ def test_scan_json_shape(capsys):
     assert len(data["rows"]) == 21
     assert set(data["rows"][0]) == {"lambda", "f", "F", "max_op_violation", "violated"}
     assert data["rows"][0]["F"] == float("inf")
+
+
+# sha256 over the exit code and stdout of ``scan`` in JSON and CSV at these
+# grids, taken while the scan still built one row object per grid point.
+SCAN_GRIDS = (10, 11, 20, 97, 1000, 10000, 99999)
+SCAN_DIGEST = "c28c5a4340b68a6dc19b7ef63b87a97d63ca969256ee44b0dcebbda4ab821d0a"
+
+
+def test_scan_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for grid in SCAN_GRIDS:
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "scan", "--grid", str(grid), "--format", fmt)
+            assert err == ""
+            digest.update(f"{code}\n{len(out)}\n{out}".encode())
+    assert digest.hexdigest() == SCAN_DIGEST
 
 
 def test_byte_identical_repeats(capsys):
@@ -267,6 +284,28 @@ def test_point_query_output_is_pinned(capsys):
     for command in ("chsh", "bell-op"):
         assert {(command, 0, True), (command, 0, False)} <= seen
     assert digest.hexdigest() == POINT_QUERY_DIGEST
+
+
+def test_axis_commands_print_the_normalized_parsed_direction(capsys):
+    # lueders, epr, coexist and bell-op print the same bits for the same
+    # direction flag: unit_vector of the direction parse_direction returns
+    rng = np.random.default_rng(1_500)
+    others = ("--n2=0.0,1.0,0.0", "--n3=1.0,0.0,0.0", "--n4=0.0,0.0,1.0")
+    for _ in range(60):
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+        text = ",".join(repr(float(c)) for c in v)
+        want = unit_vector(parse_direction(text)).tolist()
+        printed = []
+        for argv, read in (
+            (("lueders", "--lambda", "0.9", f"--axis={text}"), lambda d: d["axis"]),
+            (("epr", "--lambda", "0.9", f"--axis={text}"), lambda d: d["axis"]),
+            (("coexist", "--lambda", "0.5", f"--n1={text}", others[0]), lambda d: d["axis1"]),
+            (("bell-op", "--lambda", "0.9", f"--n1={text}", *others), lambda d: d["axes"][0]),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            printed.append(read(json.loads(out)))
+        assert printed == [want] * 4
 
 
 @pytest.mark.parametrize("angle", ["0.7853981633974483", "0.3", None])

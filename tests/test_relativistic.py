@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -237,6 +238,26 @@ def test_chart_before_everything():
     assert chart.applied == () and chart.informed == ()
     np.testing.assert_allclose(chart.state, programme.initial_state, atol=1e-14)
     assert chart.assertions == ()
+
+
+@pytest.mark.parametrize("kind", ["singlet", "singlet matrix", "mixed"])
+def test_programme_resolves_its_initial_state_once_read_only(kind):
+    given = {"singlet": "singlet", "singlet matrix": singlet_state(),
+             "mixed": random_density(np.random.default_rng(7), 4)}[kind]
+    measurements = (Measurement(SpacetimeEvent(0.0), Z, 1),)
+    programme = MeasurementProgramme(given, 0.8, measurements, (1,))
+    state = programme.initial_state
+    assert programme.initial_state is state and not state.flags.writeable
+    assert programme.is_singlet == (kind != "mixed")
+    # the all-zero region hands out the programme's state, which no caller can change
+    chart = observer_chart(programme, SpacetimeEvent(-100.0, 0.0, 0.0, 0.0))
+    assert chart.applied == ()
+    with pytest.raises(ValueError, match="read-only"):
+        chart.state[0, 0] = 1.0
+    if kind != "singlet":  # the caller's matrix stays the caller's to change
+        before = state.copy()
+        given[0, 0] += 1.0
+        np.testing.assert_array_equal(programme.initial_state, before)
 
 
 def test_chart_after_everything():
@@ -575,9 +596,9 @@ def test_consistency_charts_from_shared_roots_equal_observer_charts(monkeypatch,
     body = relativistic._chart
     built = []
 
-    def recording(prog, observer, roots):
-        chart = body(prog, observer, roots)
-        built.append((prog, observer, chart))
+    def recording(prog, observer, roots, outcomes):
+        chart = body(prog, observer, roots, outcomes)
+        built.append((dataclasses.replace(prog, outcomes=outcomes), observer, chart))
         return chart
 
     roots_built = []
