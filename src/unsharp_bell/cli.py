@@ -290,13 +290,16 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
                 "tolerance": res.tolerance,
                 "headroom": res.tolerance / res.deviation if res.deviation > 0.0 else None,
                 "seed": args.seed,
+                "detail": res.detail,
             }
             for res in results
         ]
         return {"checks": checks, "passed": passed, "total": len(results)}, status
+    # A check can fail on a bound other than its tolerance, so a FAIL line says why.
     lines = [
         f"{'PASS' if res.passed else 'FAIL'} {res.name}: max deviation {res.deviation:.3e} "
         f"(tolerance {res.tolerance:.1e}, {res.seconds:.2f}s)"
+        + ("" if res.passed else f": {res.detail}")
         for res in results
     ]
     lines.append(f"{passed}/{len(results)} checks passed (seed {args.seed})")

@@ -10,7 +10,8 @@ bound on how little a nearly-certain effect disturbs the state, and the
 correlated two-particle measurement that motivates all of it: an unsharp
 spin reading on one side of a singlet pair steering the other side.
 
-Each public entry point checks its outside inputs once, then takes the
+Each public entry point checks its outside inputs once (``epr_measurement``'s
+default singlet is checked once, at import), then takes the
 effects' roots and applies ``lueders_update`` to the state it has
 already checked.  ``disturbance_report`` roots a general effect with
 ``sqrt_psd``; ``epr_measurement`` roots an unsharp spin effect with the
@@ -48,6 +49,11 @@ __all__ = [
 # Outcomes at or below this probability have no conditional state.
 NULL_PROBABILITY = 1e-12
 BOUND_TOL = 1e-10
+# ``epr_measurement``'s default state, checked once.  It is the array
+# ``check_density`` returns, the Hermitian part, not ``singlet_state()``
+# itself: their imaginary zeros differ in sign, and the signs reach the output.
+_SINGLET = check_density(singlet_state())
+_SINGLET.flags.writeable = False
 
 
 def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
@@ -139,9 +145,7 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
     up to rounding (exactly the projectors at sharpness 1).
     """
     axis = unit_vector(axis)
-    if state is None:
-        state = singlet_state()
-    state = check_density(state)
+    state = _SINGLET if state is None else check_density(state)
     if state.shape != (4, 4):
         raise ValueError("epr_measurement needs a two-particle (4x4) state")
 

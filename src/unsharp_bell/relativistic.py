@@ -10,9 +10,14 @@ once for the whole chart, which of those updates are selective
 boundaries are the measurement events' light cones, so the assignment is
 a covariant partition of spacetime rather than a single global history.
 
-Every cone question (cone membership, cover flags, region lookup, region
-emptiness) is answered by ``causal_relation``'s classification, and every
-state update is ``instruments.lueders_update``.  A chart applies each
+Every cone question (cover flags, region lookup, region emptiness) is
+answered by ``causal_relation``'s classification, and one flag rule,
+``_flags`` over ``_COVER_KINDS``, turns classifications into the flags of
+``Cover.flags_at``, of charts and of the battery's batched flags.  A
+programme builds its influence cover once; a chart classifies the
+observer against each event once and reads both its influence and its
+information flags off that one list.  Every state update is
+``instruments.lueders_update``.  A chart applies each
 region's measurements once, in programme order: they address distinct
 particles, so their updates commute.  ``check_consistency`` measures that
 order independence (``order_deviation``); a chart does not re-prove it.
@@ -53,8 +58,6 @@ __all__ = [
     "CausalRelation",
     "interval",
     "causal_relation",
-    "in_backward_cone",
-    "in_forward_cone",
     "CoverRegion",
     "Cover",
     "influence_cover",
@@ -170,16 +173,6 @@ _FUTURE_RELATIONS = frozenset(
 )
 
 
-def in_backward_cone(point: SpacetimeEvent, vertex: SpacetimeEvent) -> bool:
-    """Whether a point lies in the closed backward cone of a vertex."""
-    return causal_relation(vertex, point) in _PAST_RELATIONS
-
-
-def in_forward_cone(point: SpacetimeEvent, vertex: SpacetimeEvent) -> bool:
-    """Whether a point lies in the closed forward cone of a vertex."""
-    return causal_relation(vertex, point) in _FUTURE_RELATIONS
-
-
 @dataclass(frozen=True)
 class CoverRegion:
     flags: tuple[int, ...]
@@ -187,15 +180,21 @@ class CoverRegion:
 
 
 # Per cover kind: the flag of a point inside the closed cone each event's
-# flag tests (0 inside a backward cone, 1 inside a forward cone), and the
-# region order by event count (influence lists regions past-first,
-# information the one-sided regions in event order).  The cone test is
-# picked by name at each call, so a wrapper bound over the module's names
-# (as the benchmark's tracer binds one) sees every test.
+# flag tests (0 inside a backward cone, 1 inside a forward cone), the
+# relations ``causal_relation(event, point)`` that put a point inside that
+# cone, and the region order by event count (influence lists regions
+# past-first, information the one-sided regions in event order).
 _COVER_KINDS = {
-    "influence": (0, {1: ((0,), (1,)), 2: ((0, 0), (0, 1), (1, 0), (1, 1))}),
-    "information": (1, {1: ((0,), (1,)), 2: ((0, 0), (1, 0), (0, 1), (1, 1))}),
+    "influence": (0, _PAST_RELATIONS, {1: ((0,), (1,)), 2: ((0, 0), (0, 1), (1, 0), (1, 1))}),
+    "information": (1, _FUTURE_RELATIONS, {1: ((0,), (1,)), 2: ((0, 0), (1, 0), (0, 1), (1, 1))}),
 }
+
+
+def _flags(kind: str, relations) -> tuple[int, ...]:
+    """A point's flag for each event under the cover kind's rule, given
+    ``causal_relation(event, point)`` for each event."""
+    inside, cone, _ = _COVER_KINDS[kind]
+    return tuple(inside if relation in cone else 1 - inside for relation in relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,21 +213,15 @@ class Cover:
     regions: tuple[CoverRegion, ...]
 
     def flags_at(self, point: SpacetimeEvent) -> tuple[int, ...]:
-        return _flags_at(self.kind, self.events, point)
+        return _flags(self.kind, [causal_relation(e, point) for e in self.events])
 
     def region_index(self, point: SpacetimeEvent) -> int:
-        flags = self.flags_at(point)
-        for idx, region in enumerate(self.regions):
-            if region.flags == flags:
-                return idx
-        raise ValueError(f"flags {flags} not in cover")  # unreachable by construction
+        return self._index_of(self.flags_at(point))
 
-
-def _flags_at(kind: str, events, point: SpacetimeEvent) -> tuple[int, ...]:
-    """The point's flag for each event under the cover kind's rule."""
-    inside, _ = _COVER_KINDS[kind]
-    in_cone = in_forward_cone if inside else in_backward_cone
-    return tuple(inside if in_cone(point, e) else 1 - inside for e in events)
+    def _index_of(self, flags: tuple[int, ...]) -> int:
+        """The index of the region with these flags; every flag tuple has one."""
+        _, _, orders = _COVER_KINDS[self.kind]
+        return orders[len(self.events)].index(flags)
 
 
 def _as_events(events) -> tuple[SpacetimeEvent, ...]:
@@ -249,14 +242,13 @@ def _cover(kind: str, events) -> Cover:
     for equal-shape cones reduces to e_i lying in e_j's cone.
     """
     evts = _as_events(events)
-    inside, orders = _COVER_KINDS[kind]
-    in_cone = in_forward_cone if inside else in_backward_cone
+    inside, cone, orders = _COVER_KINDS[kind]
     regions = []
     for flags in orders[len(evts)]:
         empty = False
         if len(evts) == 2 and flags[0] != flags[1]:
             i = flags.index(inside)
-            empty = in_cone(evts[i], evts[1 - i])
+            empty = causal_relation(evts[1 - i], evts[i]) in cone
         regions.append(CoverRegion(flags, empty))
     return Cover(kind, evts, tuple(regions))
 
@@ -377,6 +369,11 @@ class MeasurementProgramme:
         state = singlet_state() if isinstance(self.initial, str) else np.array(self.initial)
         state.flags.writeable = False
         return state
+
+    @functools.cached_property
+    def cover(self) -> Cover:
+        """The influence cover of the measurement events, built once."""
+        return influence_cover(self.events())
 
     @functools.cached_property
     def is_singlet(self) -> bool:
@@ -512,11 +509,11 @@ def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: lis
            outcomes: tuple | None) -> ChartResult:
     """The body of ``observer_chart``, given the roots of the programme's measurements
     and the outcomes to chart in place of the programme's own."""
-    events = programme.events()
-    cover = influence_cover(events)
-    region_index = cover.region_index(observer)
-    m_flags = cover.regions[region_index].flags
-    n_flags = _flags_at("information", events, observer)
+    relations = [causal_relation(e, observer) for e in programme.events()]
+    m_flags = _flags("influence", relations)
+    n_flags = _flags("information", relations)
+    cover = programme.cover
+    region_index = cover._index_of(m_flags)
     k = len(programme.measurements)
     informed = tuple(i for i in range(k) if n_flags[i] == 1)
 

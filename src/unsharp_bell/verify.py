@@ -45,9 +45,9 @@ apply.  Those roots are ``spin_povm.effect_root``'s closed form; the
 chart check compares every programme's roots, and fixed ones at the
 boundary sharpness values, with ``operators.sqrt_psd``'s eigensolve
 within ``ROOT_TOL``.  The cover-partition check flags its points with
-``_causal_codes``; its spot checks go through ``Cover.flags_at``, which
-charts use and which decides every cone through
-``relativistic.causal_relation``.
+``_causal_codes`` under ``relativistic._COVER_KINDS``' flag rule, the one
+charts use; its spot checks go through ``Cover.flags_at``, which decides
+every cone through ``relativistic.causal_relation``.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ from .bell import (
 from .instruments import disturbance_report, epr_measurement
 from .operators import I2, I4, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
-    _FUTURE_RELATIONS,
-    _PAST_RELATIONS,
+    _COVER_KINDS,
     CausalRelation,
     Measurement,
     MeasurementProgramme,
@@ -578,15 +577,13 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
             )
             effect = np.einsum("nij,nj,nkj->nik", basis, spectra, np.conj(basis))
             prob = np.einsum("nij,nji->n", rho, effect).real
-            keep = prob > 0.5
-            if not np.any(keep):
+            keep = np.flatnonzero(prob > 0.5)[: per_dim - kept]
+            if not keep.size:
                 continue
-            rho, basis, spectra, prob = rho[keep], basis[keep], spectra[keep], prob[keep]
-            rho = rho[: per_dim - kept]
-            basis = basis[: per_dim - kept]
-            spectra = spectra[: per_dim - kept]
-            prob = prob[: per_dim - kept]
-            kept += rho.shape[0]
+            rho, basis, spectra, effect, prob = (
+                a[keep] for a in (rho, basis, spectra, effect, prob)
+            )
+            kept += keep.size
 
             eps = np.clip(1.0 - prob, 0.0, None)
             root_yes = np.einsum("nij,nj,nkj->nik", basis, np.sqrt(spectra), np.conj(basis))
@@ -597,7 +594,6 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
             distance = np.abs(np.linalg.eigvalsh(rho - post)).sum(axis=1)
             bound = 2.0 * (eps + np.sqrt(eps))
             bound_excess = max(bound_excess, float(np.max(distance - bound)))
-            effect = np.einsum("nij,nj,nkj->nik", basis, spectra, np.conj(basis))
             prob_after = np.einsum("nij,nji->n", post, effect).real
             monotone_deficit = max(monotone_deficit, float(np.max(prob - prob_after)))
 
@@ -773,9 +769,7 @@ def _causal_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cover_flags(cover, points: np.ndarray) -> np.ndarray:
     """``cover.flags_at`` of every row of points, as array arithmetic."""
-    # Influence flags test the closed backward cone (0 inside), information
-    # flags the closed forward cone (1 inside).
-    cone, inside = (_PAST_RELATIONS, 0) if cover.kind == "influence" else (_FUTURE_RELATIONS, 1)
+    inside, cone, _ = _COVER_KINDS[cover.kind]
     codes = [_RELATIONS.index(relation) for relation in cone]
     in_cone = [
         np.isin(_causal_codes(np.broadcast_to(e.coords, points.shape), points), codes)

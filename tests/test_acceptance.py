@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from unsharp_bell import cli
+from unsharp_bell import cli, verify
 from unsharp_bell.sampling import DEFAULT_SEED
 from unsharp_bell.verify import CHECK_NAMES, run_all
 
@@ -143,11 +143,43 @@ def test_verify_all_json_format(results, capsys, monkeypatch):
     for check in data["checks"]:
         result = results[check["name"]]
         assert set(check) == {
-            "name", "passed", "seconds", "deviation", "tolerance", "headroom", "seed"
+            "name", "passed", "seconds", "deviation", "tolerance", "headroom", "seed", "detail"
         }
         assert check["passed"] is True and check["seed"] == DEFAULT_SEED
         assert check["deviation"] == result.deviation
+        assert check["detail"] == result.detail
         if result.deviation == 0.0:
             assert check["headroom"] is None
         else:
             assert check["headroom"] == result.tolerance / result.deviation
+
+
+def test_verify_all_says_why_a_check_failed(capsys, monkeypatch):
+    # One boost mismatch fails chart-consistency although its deviation is
+    # within tolerance; the detail says why, in the JSON and on the FAIL line.
+    boost_mismatches = verify._boost_mismatches
+
+    def one_mismatch(*args, **kwargs):
+        mismatches, checked = boost_mismatches(*args, **kwargs)
+        return mismatches + 1, checked
+
+    monkeypatch.setattr(verify, "_boost_mismatches", one_mismatch)
+    monkeypatch.setattr(verify, "_CHECKS", tuple(
+        entry for entry in verify._CHECKS if entry[0] in ("gap-region", "chart-consistency")
+    ))
+    results = verify.run_all.__wrapped__(DEFAULT_SEED)
+    monkeypatch.setattr(cli, "run_all", lambda seed: results)
+    monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
+    gap, chart = results
+    assert gap.passed and not chart.passed and chart.deviation <= chart.tolerance
+    assert "causal classification mismatches 1 under" in chart.detail
+
+    assert cli.main(["verify-all", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["detail"] for check in checks] == [gap.detail, chart.detail]
+
+    assert cli.main(["verify-all"]) == 1
+    pass_line, fail_line, _ = capsys.readouterr().out.splitlines()
+    assert pass_line.startswith("PASS gap-region: ") and pass_line.endswith("s)")
+    assert fail_line.startswith("FAIL chart-consistency: ")
+    assert fail_line.endswith(f"s): {chart.detail}")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unsharp_bell.bell import singlet_state
 from unsharp_bell.instruments import (
     NULL_PROBABILITY,
     disturbance_report,
@@ -212,10 +213,13 @@ def counted_eigensolves(monkeypatch) -> list:
 
 
 def test_epr_measurement_checks_its_state_once(monkeypatch):
-    # one eigvalsh checks the state; the two effects are valid by
-    # construction and their roots are closed forms, so nothing else is eigensolved
+    # one eigvalsh checks a given state, and the default singlet was checked
+    # at import; the two effects are valid by construction and their roots
+    # are closed forms, so nothing else is eigensolved
     calls = counted_eigensolves(monkeypatch)
     epr_measurement(np.array([0.3, 0.0, 1.0]), 0.8)
+    assert calls == []
+    epr_measurement(np.array([0.3, 0.0, 1.0]), 0.8, singlet_state())
     assert calls == ["eigvalsh"]
 
 

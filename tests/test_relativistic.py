@@ -23,8 +23,6 @@ from unsharp_bell.relativistic import (
     boost_event,
     causal_relation,
     check_consistency,
-    in_backward_cone,
-    in_forward_cone,
     influence_cover,
     information_cover,
     interval,
@@ -109,16 +107,27 @@ def test_far_observer_on_a_light_cone_is_informed():
 
 
 def test_observer_chart_builds_one_cover(monkeypatch):
-    # the information flags come from the flag rule, not from a second cover
-    built = []
-    cover = relativistic._cover
+    # the cover depends only on the events, so one is built per programme;
+    # a chart classifies the observer against each event once and reads
+    # both flag tuples off those classifications
+    programme = two_sided_programme(separation="timelike")
+    built, classified = [], []
+    cover, relation = relativistic._cover, relativistic.causal_relation
     monkeypatch.setattr(
         relativistic, "_cover", lambda kind, events: built.append(kind) or cover(kind, events)
     )
-    chart = observer_chart(two_sided_programme(), SpacetimeEvent(3.0, 1.0))
+    monkeypatch.setattr(
+        relativistic, "causal_relation", lambda a, b: classified.append((a, b)) or relation(a, b)
+    )
+    assert programme.cover.regions[1].empty  # built here, with its emptiness tests
+    events = programme.events()
+    for t in np.linspace(-6.0, 12.0, 37):
+        observer = SpacetimeEvent(t, 2.5)
+        classified.clear()
+        observer_chart(programme, observer)
+        assert classified == [(e, observer) for e in events]
+    check_consistency(programme)
     assert built == ["influence"]
-    events = two_sided_programme().events()
-    assert chart.information_flags == information_cover(events).flags_at(SpacetimeEvent(3.0, 1.0))
 
 
 def test_causal_relation_cases():
@@ -133,11 +142,12 @@ def test_causal_relation_cases():
 
 def test_cone_membership_closed():
     vertex = SpacetimeEvent(0.0)
-    assert in_forward_cone(SpacetimeEvent(1.0, 1.0), vertex)  # boundary counts
-    assert in_forward_cone(vertex, vertex)
-    assert in_backward_cone(vertex, vertex)
-    assert not in_forward_cone(SpacetimeEvent(-0.1), vertex)
-    assert not in_backward_cone(SpacetimeEvent(0.0, 2.0), vertex)
+    forward, backward = information_cover([vertex]), influence_cover([vertex])
+    assert forward.flags_at(SpacetimeEvent(1.0, 1.0)) == (1,)  # boundary counts
+    assert forward.flags_at(vertex) == (1,)
+    assert backward.flags_at(vertex) == (0,)
+    assert forward.flags_at(SpacetimeEvent(-0.1)) == (0,)
+    assert backward.flags_at(SpacetimeEvent(0.0, 2.0)) == (1,)
 
 
 def test_cover_partition_pointwise(rng):
@@ -167,6 +177,28 @@ def test_partition_check_flags_match_cover_near_light_cone():
             batched = verify._cover_flags(cover, points)
             for row, point in zip(batched.tolist(), points):
                 assert tuple(row) == cover.flags_at(SpacetimeEvent.from_sequence(point))
+
+
+def test_chart_flags_match_covers_near_light_cones():
+    # A chart's two flag tuples come from one classification per event;
+    # they must be the covers' flags also where the observer lies within a
+    # few ulps of both events' light cones.
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        observer = rng.normal(size=4)
+        dx = rng.normal(size=(20, 2, 3))
+        delta = rng.choice([0.0, 1e-16, -1e-16, 2e-16, -2e-16], size=(20, 2))
+        dt = rng.choice([-1.0, 1.0], size=(20, 2)) * np.linalg.norm(dx, axis=2) * (1.0 + delta)
+        point = SpacetimeEvent.from_sequence(observer)
+        for separations in np.concatenate([dt[..., None], dx], axis=2):
+            events = [SpacetimeEvent.from_sequence(observer + sep) for sep in separations]
+            programme = MeasurementProgramme(
+                "singlet", 0.8, (Measurement(events[0], Z, 1), Measurement(events[1], X, 2)),
+                outcomes=(1, -1),
+            )
+            chart = observer_chart(programme, point)
+            assert chart.influence_flags == influence_cover(events).flags_at(point)
+            assert chart.information_flags == information_cover(events).flags_at(point)
 
 
 def test_cover_flag_order_two_events():
