@@ -22,12 +22,9 @@ lives in ``fine``, which evaluates the compiled rows on each table.
 from __future__ import annotations
 
 __all__ = [
-    "Row",
     "eliminate_variable",
     "project",
 ]
-
-Row = tuple  # (const, tuple of coefficients)
 
 
 def eliminate_variable(rows, index: int):

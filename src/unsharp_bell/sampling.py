@@ -27,7 +27,7 @@ def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
         v[bad] = rng.normal(size=(int(bad.sum()), 3))
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         bad = norms[:, 0] < 1e-8
-    return v / norms
+    return np.divide(v, norms, out=v)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

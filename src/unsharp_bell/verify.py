@@ -10,17 +10,19 @@ plus the command-line ``verify-all``) cost one computation.
 The checks follow one rule.  Large samples are evaluated as batched
 array arithmetic, never as one public call per point; a strided subset
 of the same points also goes through the public API, whose answers must
-match the batch.  Every closed form keeps one independent numeric
-cross-check (an eigensolver against the norm formula, the Born rule
-against the singlet formula, three feasibility routes against each
-other, the Cirelson check's ``generalized_bell_operator`` against
-(1/2)I - (s^2/4) B).  Each identity the request paths rely on is checked
-here, not on every call: the Fine check compares the pair and singles
-CHSH forms that ``fine.chsh_check`` returns, and the chart check
-applies in both orders the measurements that
-``relativistic.observer_chart`` applies in one.  Each check's
-``detail`` names how many points it evaluated, so a faster battery
-cannot come from checking less.
+match the batch.  A large sample is drawn whole, then evaluated in
+``_blocks`` of at most ``_BLOCK`` points: the rng stream and every bit
+are those of one batch, and the working set stays bounded.  Every closed
+form keeps one independent numeric cross-check (an eigensolver against
+the norm formula, the Born rule against the singlet formula, three
+feasibility routes against each other, the Cirelson check's
+``generalized_bell_operator`` against (1/2)I - (s^2/4) B).  Each
+identity the request paths rely on is checked here, not on every call:
+the Fine check compares the pair and singles CHSH forms that
+``fine.chsh_check`` returns, and the chart check applies in both orders
+the measurements that ``relativistic.observer_chart`` applies in one.
+Each check's ``detail`` names how many points it evaluated, so a faster
+battery cannot come from checking less.
 
 The Cirelson check eigensolves its 100,000 Bell operators as real
 symmetric matrices: in the magic basis every ``sigma_i (x) sigma_j`` is
@@ -134,6 +136,14 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 SPOT_STRIDE = 97
 # The Cirelson check's smeared spot checks cycle through these, drawing nothing from the rng.
 _SMEAR_SHARPNESS = (0.0, 0.25, 0.5, PAIR_SHARPNESS_LIMIT, THRESHOLDS.operator_chsh, 0.9, 1.0)
+_BLOCK = 4096
+
+
+def _blocks(count: int) -> list[slice]:
+    """Even consecutive slices of ``range(count)``, at most ``_BLOCK`` long and one row only if
+    ``count`` is 1: a one-row matrix product goes to BLAS gemv, which rounds unlike gemm."""
+    parts = -(-count // _BLOCK)
+    return [slice(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 
 def check_coexistence_threshold() -> tuple[bool, float, float, str]:
@@ -160,7 +170,9 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     axes2 = directions / _norms(directions)[:, None]
     margins = 2.0 - sharpness * (_norms(x + axes2) + _norms(x - axes2))
     coexistent = margins >= -MARGIN_TOL
-    min_eigs = np.linalg.eigvalsh(_pair_effects(sharpness, x, axes2)).min(axis=(-2, -1))
+    min_eigs = np.empty(sharpness.size)
+    for b in _blocks(sharpness.size):
+        min_eigs[b] = np.linalg.eigvalsh(_pair_effects(sharpness[b], x, axes2[b])).min(axis=(1, 2))
     wrong_side = int(np.count_nonzero(coexistent != (min_eigs >= -1e-10)))
     worst_eig = max(0.0, float(-min_eigs[coexistent].min()))
 
@@ -266,12 +278,15 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
     and by the eigensolving ``operator_chsh_holds``: the verdicts must agree.
     """
     count = 100_000
-    axes = np.stack([random_unit_vectors(rng, count) for _ in range(4)])
-    spectra = _bell_spectra(axes)
+    axes = np.empty((4, count, 3))
+    for k in range(4):
+        axes[k] = random_unit_vectors(rng, count)
+    spectra, closed = np.empty((count, 4)), np.empty(count)
+    for b in _blocks(count):
+        spectra[b] = _bell_spectra(axes[:, b])
+        cross1, cross2 = (np.linalg.norm(np.cross(*axes[k:k + 2, b]), axis=1) for k in (0, 2))
+        closed[b] = 2.0 * np.sqrt(1.0 + cross1 * cross2)
     norms = np.abs(spectra).max(axis=1)
-    cross1 = np.linalg.norm(np.cross(axes[0], axes[1]), axis=1)
-    cross2 = np.linalg.norm(np.cross(axes[2], axes[3]), axis=1)
-    closed = 2.0 * np.sqrt(1.0 + cross1 * cross2)
     agreement = float(np.max(np.abs(norms - closed)))
     bound = THRESHOLDS.cirelson
     overshoot = max(0.0, float(norms.max()) - bound)
@@ -586,16 +601,18 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
             kept += keep.size
 
             eps = np.clip(1.0 - prob, 0.0, None)
-            root_yes = np.einsum("nij,nj,nkj->nik", basis, np.sqrt(spectra), np.conj(basis))
-            root_no = np.einsum(
-                "nij,nj,nkj->nik", basis, np.sqrt(1.0 - spectra), np.conj(basis)
-            )
-            post = root_yes @ rho @ root_yes + root_no @ rho @ root_no
-            distance = np.abs(np.linalg.eigvalsh(rho - post)).sum(axis=1)
             bound = 2.0 * (eps + np.sqrt(eps))
+            distance = np.empty(keep.size)
+            for b in _blocks(keep.size):
+                root_yes, root_no = (
+                    np.einsum("nij,nj,nkj->nik", basis[b], np.sqrt(p), np.conj(basis[b]))
+                    for p in (spectra[b], 1.0 - spectra[b])
+                )
+                post = root_yes @ rho[b] @ root_yes + root_no @ rho[b] @ root_no
+                distance[b] = np.abs(np.linalg.eigvalsh(rho[b] - post)).sum(axis=1)
+                prob_after = np.einsum("nij,nji->n", post, effect[b]).real
+                monotone_deficit = max(monotone_deficit, float(np.max(prob[b] - prob_after)))
             bound_excess = max(bound_excess, float(np.max(distance - bound)))
-            prob_after = np.einsum("nij,nji->n", post, effect).real
-            monotone_deficit = max(monotone_deficit, float(np.max(prob - prob_after)))
 
             # Spot-check the public API against the batched arithmetic.
             for i in range(0, rho.shape[0], max(1, rho.shape[0] // 25)):

@@ -267,7 +267,9 @@ def pinned_point_queries() -> list[list[str]]:
 # taken before the CLI's own JSON writer replaced ``json.dumps``, the closed-form
 # ``chsh`` decision replaced its eigensolve and the scalar cross products
 # replaced ``np.cross``.  The eigensolved fields carry LAPACK's bits, so the
-# digest pins one numpy build (2.x, OpenBLAS, x86-64).
+# digest pins one numpy build (2.x, OpenBLAS, x86-64) and one OpenBLAS kernel
+# family: it was taken with the SkylakeX kernels, and fails under
+# ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, whose last bits differ.
 POINT_QUERY_DIGEST = "4186c867f7f9ce4e6ef29ab7db14c62c8ec74d920eacb011ccfe4a5bf4e95ea4"
 
 

@@ -489,7 +489,9 @@ def pinned_observers(programme, rng) -> list:
 # ``pinned_observers``, and the consistency reports of every second programme,
 # taken while each chart still applied every region's measurements in both
 # orders.  The random states and axes carry numpy's bits, so the digest pins
-# one numpy build (2.x, OpenBLAS, x86-64).
+# one numpy build (2.x, OpenBLAS, x86-64) and one OpenBLAS kernel family: it
+# was taken with the SkylakeX kernels, and fails under
+# ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, whose last bits differ.
 CHART_DIGEST = "6a22e9fe011e9a64ec35fca40486363fdab19bb9a19cdff43a4c8f06408e6a0d"
 
 
