@@ -79,7 +79,10 @@ def unit_vector(vec) -> np.ndarray:
         # NaN or infinite components, or a norm beyond the float range.
         raise ValueError(f"direction must be finite with a finite norm, got {v.tolist()}")
     if norm < 1e-12:
-        raise ValueError("direction must be a nonzero vector")
+        if not v.any():
+            raise ValueError("direction must be a nonzero vector")
+        # hypot scales, so a norm whose squares underflow is still reported.
+        raise ValueError(f"direction norm {math.hypot(*v.tolist()):.3e} is below 1e-12")
     return v / norm
 
 

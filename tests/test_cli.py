@@ -63,6 +63,15 @@ def test_coexist_refuses_zero_axis(capsys):
     assert "nonzero" in err
 
 
+def test_tiny_axis_refusal_names_the_bound_and_the_norm(capsys):
+    # a nonzero axis whose squares underflow is not called the zero vector
+    code, out, err = run_cli(capsys, "epr", "--lambda", "0", "--axis", "1e-320,0,0")
+    assert (code, out) == (1, "")
+    assert err == "error: direction norm 1.000e-320 is below 1e-12\n"
+    code, _, err = run_cli(capsys, "epr", "--lambda", "0", "--axis", "0,-0,0")
+    assert code == 1 and err == "error: direction must be a nonzero vector\n"
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["coexist", "--lambda", "0.5", "--n1", "1,0,0"])  # --n2 missing

@@ -347,7 +347,10 @@ def reference_unit_vector(vec):
     if not math.isfinite(norm):
         return f"direction must be finite with a finite norm, got {v.tolist()}"
     if norm < 1e-12:
-        return "direction must be a nonzero vector"
+        if not v.any():
+            return "direction must be a nonzero vector"
+        largest = float(np.abs(v).max())  # scaled, so squares that underflow still count
+        return f"direction norm {largest * float(np.linalg.norm(v / largest)):.3e} is below 1e-12"
     return (v / norm).tobytes()
 
 
@@ -362,7 +365,8 @@ MAGNITUDES = st.floats(min_value=-150.0, max_value=155.0).map(lambda e: 10.0 ** 
 @example(unit=[1.0, 1.0, 0.0], magnitude=1e200)  # the norm overflows: refused
 @example(unit=[1.0, 1.0, 1.0], magnitude=1e154)  # the sum of squares overflows
 @example(unit=[1.0, 0.5, 0.0], magnitude=1.5e150)  # past the guard, with a finite norm
-@example(unit=[1.0, 1.0, 1.0], magnitude=1e-150)  # squares underflow: refused as zero
+@example(unit=[1.0, 1.0, 1.0], magnitude=1e-150)  # squares underflow: refused, naming the norm
+@example(unit=[0.0, -0.0, 0.0], magnitude=1.0)  # the zero vector
 @example(unit=[1.0, -0.0, 0.0], magnitude=1e-12)
 @example(unit=[math.nan, 1.0, 0.0], magnitude=1.0)
 @example(unit=[1.0, math.nan, 1e200], magnitude=1.0)  # NaN ahead of a huge component

@@ -2,6 +2,7 @@
 
 import operator
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,10 +19,15 @@ from unsharp_bell.bell import (
     singlet_pair_prob,
     singlet_state,
 )
-from unsharp_bell.operators import I2, expectation, tensor
+from unsharp_bell.operators import I2, PAULI, expectation, sqrt_psd, tensor
 from unsharp_bell.relativistic import Measurement, SpacetimeEvent
-from unsharp_bell.sampling import DEFAULT_SEED, random_density, random_unit_vectors
-from unsharp_bell.spin_povm import unsharp_effect
+from unsharp_bell.sampling import (
+    DEFAULT_SEED,
+    random_density,
+    random_unit_vector,
+    random_unit_vectors,
+)
+from unsharp_bell.spin_povm import _pair_effects, unsharp_effect
 
 SPECIAL_SHARPNESS = (0.0, 1.0, 2.0 ** -0.5, 2.0 ** -0.25)
 # A CHSH form of the optimal singlet table sits about 1e-9 past 1 here,
@@ -136,10 +142,14 @@ def test_blocks_cover_a_sample_without_one_row_blocks(count):
     assert all(2 <= b.stop - b.start <= verify._BLOCK for b in blocks)
 
 
-@pytest.mark.parametrize("name, limit_mib", zip(BLOCKED_CHECKS, (12, 20, 16)))
+@pytest.mark.parametrize(
+    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (12, 20, 12.5, 2.5))
+)
 def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     # numpy reports its buffers to tracemalloc; evaluated as one batch, the
-    # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB
+    # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB.
+    # The disturbance check peaked at 14.3 MiB with its whole draw evaluated,
+    # 11.9 MiB evaluated in slices up to its quota; the chart check at 2.2 MiB.
     tracemalloc.start()
     try:
         passed = run_check(name)[0]
@@ -275,12 +285,125 @@ def test_chart_check_reports_the_root_gap_within_its_tolerance():
     assert "(tolerance 1e-07)" in result.detail
 
 
+def reference_sequential_vs_joint(programme) -> float:
+    """The chart check's algebra on one programme, with its own loop over outcome pairs."""
+    initial = programme.initial_state
+    roots = [relativistic._measurement_roots(m, programme.sharpness)
+             for m in programme.measurements]
+    worst = 0.0
+    for o1, o2 in product((1, -1), repeat=2):
+        root1, root2 = roots[0][o1], roots[1][o2]
+        seq12 = root2 @ (root1 @ initial @ root1) @ root2
+        seq21 = root1 @ (root2 @ initial @ root2) @ root1
+        joint_root = root1 @ root2
+        joint = joint_root @ initial @ joint_root
+        worst = max(worst, float(np.max(np.abs(seq12 - seq21))))
+        worst = max(worst, float(np.max(np.abs(seq12 - joint))))
+    return worst
+
+
+def reference_root_gap(measurement: Measurement, sharpness: float) -> float:
+    """One measurement's chart roots against ``sqrt_psd`` of its effects, one call each."""
+    roots = relativistic._measurement_roots(measurement, sharpness)
+    return max(
+        float(np.max(np.abs(roots[o] - relativistic._embed(
+            sqrt_psd(unsharp_effect(o * measurement.axis, sharpness)), measurement.subsystem
+        ))))
+        for o in (1, -1)
+    )
+
+
+def fixed_measurements():
+    return [
+        (Measurement(SpacetimeEvent(0.0), axis, subsystem), s)
+        for s in verify._ROOT_SHARPNESS for axis in verify._ROOT_AXES for subsystem in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 101, 102])
+def test_batched_chart_algebra_equals_per_programme_references(seed):
+    # the programmes the battery draws at this seed, and its fixed roots
+    rng = np.random.default_rng([seed, verify.CHECK_NAMES.index("chart-consistency")])
+    programmes = [verify._random_programme(rng) for _ in range(100)]
+    fixed = fixed_measurements()
+    measurements, sharpness = zip(*fixed, *((m, p.sharpness) for p in programmes
+                                           for m in p.measurements))
+    roots = verify._chart_roots(measurements, sharpness)
+    gaps, differing = verify._root_gaps(measurements, sharpness, roots)
+    assert differing == 0
+    assert same_bits(gaps, [reference_root_gap(m, s) for m, s in zip(measurements, sharpness)])
+    initial = np.stack([p.initial_state for p in programmes])
+    worst = verify._sequential_vs_joint(roots[len(fixed):].reshape(-1, 2, 2, 4, 4), initial)
+    assert same_bits(worst, [reference_sequential_vs_joint(p) for p in programmes])
+
+
+def test_boost_batch_codes_equal_per_boost_codes(rng):
+    matrices = np.stack([
+        relativistic.lorentz_boost(0.9 * rng.random() * random_unit_vector(rng)) for _ in range(40)
+    ])
+    pairs = rng.normal(size=(40, 60, 8))
+    pairs[:, :5, 4:] = pairs[:, :5, :4]  # coincident
+    pairs[:, 5:10, 4:] = pairs[:, 5:10, :4] + [1.0, 1.0, 0.0, 0.0]  # lightlike future
+    pairs[:, 10:15, 4:] = pairs[:, 10:15, :4] - [2.0, 0.0, 2.0, 0.0]  # lightlike past
+    a, b = pairs[..., :4], pairs[..., 4:]
+    before, after = verify._boosted_codes(matrices, a, b)
+    assert set(before.ravel().tolist()) == set(range(len(verify._RELATIONS)))
+    for k, boost in enumerate(matrices):
+        assert (before[k] == verify._causal_codes(a[k], b[k])).all()
+        assert (after[k] == verify._causal_codes(a[k] @ boost.T, b[k] @ boost.T)).all()
+
+
+def batched_root_gap(measurement: Measurement, sharpness: float) -> float:
+    roots = verify._chart_roots([measurement], [sharpness])
+    return float(verify._root_gaps([measurement], [sharpness], roots)[0][0])
+
+
 def test_root_gap_catches_a_wrong_root(monkeypatch):
     # roots off by 1e-6, or no root taken at all, fail the cross-check
     measurement = Measurement(SpacetimeEvent(0.0), np.array([2.0, 1.0, 1.0]), 2)
-    assert verify._root_gap(measurement, 0.6) <= 1e-14
+    assert batched_root_gap(measurement, 0.6) <= 1e-14
     root = relativistic.effect_root
     monkeypatch.setattr(relativistic, "effect_root", lambda n, s: root(n, s) + 1e-6 * I2)
-    assert verify._root_gap(measurement, 0.6) > verify.ROOT_TOL
+    assert batched_root_gap(measurement, 0.6) > verify.ROOT_TOL
     monkeypatch.setattr(relativistic, "effect_root", unsharp_effect)
-    assert verify._root_gap(measurement, 0.6) > verify.ROOT_TOL
+    assert batched_root_gap(measurement, 0.6) > verify.ROOT_TOL
+
+
+def test_chart_check_counts_spot_roots_differing_from_the_batch(monkeypatch):
+    # a sqrt_psd root one rounding step off the batch fails the check, and says so
+    monkeypatch.setattr(verify, "sqrt_psd", lambda matrix: sqrt_psd(matrix) * (1.0 + 2.0 ** -52))
+    passed, deviation, tolerance, detail = run_check("chart-consistency")
+    assert not passed and deviation <= tolerance
+    assert detail.endswith(", 52 sqrt_psd spot roots differing from the batch")
+
+
+def coexistence_grid():
+    """The coexistence check's 200 x 200 grid: sharpness and the second axis."""
+    sharpness = np.repeat(np.linspace(0.0, 1.0, 200), 200)
+    angles = np.tile(np.linspace(0.0, np.pi, 200), 200)
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+    return sharpness, directions / verify._norms(directions)[:, None]
+
+
+def test_real_form_spectra_equal_the_complex_eigensolve():
+    sharpness, axes2 = coexistence_grid()
+    effects = _pair_effects(sharpness, np.array([1.0, 0.0, 0.0]), axes2)
+    real, departure = verify._min_eigenvalues(effects)
+    assert departure == 0.0 and real.shape == (40_000,)
+    assert np.abs(real - np.linalg.eigvalsh(effects).min(axis=(1, 2))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fault", [PAULI[2], np.diag([1.0, 0.0]), 1j * I2])
+def test_coexistence_check_refuses_effects_off_the_xy_plane(monkeypatch, fault):
+    # an sz part, unequal diagonal entries or a complex diagonal: no real form
+    build = verify._pair_effects
+
+    def faulty(*args):
+        effects = build(*args)
+        effects[7, 2] += 1e-9 * fault
+        return effects
+
+    monkeypatch.setattr(verify, "_pair_effects", faulty)
+    passed, deviation, _, detail = verify.check_coexistence_threshold()
+    assert not passed and deviation >= 1e-9
+    assert detail.startswith("grid effects leave the xy-plane")
