@@ -14,13 +14,14 @@ Every cone question (cover flags, region lookup, region emptiness) is
 answered by ``causal_relation``'s classification, and one flag rule,
 ``_flags`` over ``_COVER_KINDS``, turns classifications into the flags of
 ``Cover.flags_at``, of charts and of the battery's batched flags.  A
-programme builds its influence cover once; a chart classifies the
-observer against each event once and reads both its influence and its
-information flags off that one list.  Every state update is
-``instruments.lueders_update``.  A chart applies each
-region's measurements once, in programme order: they address distinct
-particles, so their updates commute.  ``check_consistency`` measures that
-order independence (``order_deviation``); a chart does not re-prove it.
+programme builds its influence cover once; ``_classify`` classifies a
+point (a chart's observer, a sampled worldline point) against each event
+once and reads both kinds of flags off that one list.  Every state update
+is ``instruments.lueders_update``.  A chart applies each region's
+measurements once, in programme order: they address distinct particles,
+so their updates commute.  ``check_consistency`` measures that order
+independence (``order_deviation``) on each outcome record, built once,
+and charts the worldline only for the records that can occur.
 
 Conventions: units with c = 1, coordinates (t, x, y, z), metric
 signature (+, -, -, -).  Cones are closed (boundary and vertex
@@ -448,10 +449,10 @@ class ChartResult:
     """Region-by-region state assignment built at one observation point.
 
     ``assignments`` covers every region of the influence cover in cover
-    order; ``region_index`` points at the observer's own region, and the
-    remaining fields copy that region's assignment (``informed`` lists
-    all indices whose outcome the observer holds, whether or not their
-    measurement acts in the own region).
+    order; ``region_index`` points at the observer's own region, whose
+    fields the attributes below return.  ``informed`` lists all
+    indices whose outcome the observer holds, whether or not their
+    measurement acts in the own region.
     """
 
     observer: SpacetimeEvent
@@ -459,11 +460,14 @@ class ChartResult:
     information_flags: tuple[int, ...]
     region_index: int
     assignments: tuple[RegionAssignment, ...]
-    applied: tuple[int, ...]   # measurement indices acting in the own region
     informed: tuple[int, ...]  # indices with a registered outcome at hand
-    probability: float         # joint probability of the conditioned outcomes
-    state: np.ndarray
-    assertions: tuple[str, ...]
+
+    # The own region's fields, read off its assignment when first asked for.  Unlike a
+    # property's, a chart's value can be set in place (the benchmark's gate self-test does).
+    applied = functools.cached_property(lambda c: c.assignments[c.region_index].applied)
+    probability = functools.cached_property(lambda c: c.assignments[c.region_index].probability)
+    state = functools.cached_property(lambda c: c.assignments[c.region_index].state)
+    assertions = functools.cached_property(lambda c: c.assignments[c.region_index].assertions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,13 +509,17 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     return _chart(programme, observer, roots, programme.outcomes)
 
 
+def _classify(programme: MeasurementProgramme, point: SpacetimeEvent) -> tuple[tuple, tuple]:
+    """The point's influence and information flags, classifying it against each event once."""
+    relations = [causal_relation(e, point) for e in programme.events()]
+    return _flags("influence", relations), _flags("information", relations)
+
+
 def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: list,
            outcomes: tuple | None) -> ChartResult:
     """The body of ``observer_chart``, given the roots of the programme's measurements
     and the outcomes to chart in place of the programme's own."""
-    relations = [causal_relation(e, observer) for e in programme.events()]
-    m_flags = _flags("influence", relations)
-    n_flags = _flags("information", relations)
+    m_flags, n_flags = _classify(programme, observer)
     cover = programme.cover
     region_index = cover._index_of(m_flags)
     k = len(programme.measurements)
@@ -565,18 +573,13 @@ def _chart(programme: MeasurementProgramme, observer: SpacetimeEvent, roots: lis
             )
         )
 
-    own = assignments[region_index]
     return ChartResult(
         observer=observer,
         influence_flags=m_flags,
         information_flags=n_flags,
         region_index=region_index,
         assignments=tuple(assignments),
-        applied=own.applied,
         informed=informed,
-        probability=own.probability,
-        state=own.state,
-        assertions=own.assertions,
     )
 
 
@@ -589,7 +592,7 @@ class ConsistencyReport:
     the nonselective operations (no change to the other particle's
     reduced state), and agreement of the charts built along an observer
     worldline: observers holding the same information assign the same
-    state to every region, the region flags grow monotonically, and a
+    state to every region, and the region flags grow monotonically, so a
     selective assignment never reverts to a nonselective one.
     """
 
@@ -651,19 +654,19 @@ def _default_worldline(events) -> tuple[Worldline, np.ndarray]:
 
 def check_consistency(programme: MeasurementProgramme, worldline: Worldline | None = None,
                       offsets=None) -> ConsistencyReport:
-    """Run the four chart-consistency checks over all outcome combinations."""
+    """Run the four chart-consistency checks over the outcome records that can occur."""
     initial = programme.initial_state
     k = len(programme.measurements)
     roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
+    # Each outcome record, subnormalized, its trace the record's probability.
+    records = {combo: _apply(roots, combo, range(k), initial)
+               for combo in product((1, -1), repeat=k)}
 
-    order_dev = 0.0
-    mixture = np.zeros_like(initial)
-    for combo in product((1, -1), repeat=k):
-        forward = _apply(roots, combo, range(k), initial)
-        backward = _apply(roots, combo, reversed(range(k)), initial)
-        order_dev = max(order_dev, float(np.max(np.abs(forward - backward))))
-        mixture = mixture + forward
-
+    order_dev = max(
+        float(np.max(np.abs(state - _apply(roots, combo, reversed(range(k)), initial))))
+        for combo, state in records.items()
+    )
+    mixture = sum(records.values(), np.zeros_like(initial))
     nonselective = _apply(roots, (None,) * k, range(k), initial)
     mixture_dev = float(np.max(np.abs(mixture - nonselective)))
 
@@ -683,37 +686,23 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
     elif offsets is None:
         offsets = np.linspace(-4.0, 4.0, 41)
 
-    grouping_dev = 0.0
-    monotone = True
-    visited: list = []
     points = worldline.sample(offsets)
-    for combo in product((1, -1), repeat=k):
+    flags = [_classify(programme, point) for point in points]
+    # A conditioned set (applied and informed) shrinks only where an information flag falls.
+    joined = [m + n for m, n in flags]
+    monotone = all(a <= b for before, now in zip(joined, joined[1:]) for a, b in zip(before, now))
+
+    # Equal information, equal charts.  A record that cannot occur is not charted; a region
+    # conditions on a sub-record, never less likely than the full record, so each can occur.
+    grouping_dev = 0.0
+    for combo, state in records.items():
+        if float(np.trace(state).real) <= NULL_PROBABILITY:
+            continue
         charts: dict = {}
-        previous = None
-        for point in points:
-            result = _chart(programme, point, roots, combo)
-            chart_states = np.stack([a.state for a in result.assignments])
-            if result.information_flags in charts:
-                grouping_dev = max(
-                    grouping_dev,
-                    float(np.max(np.abs(charts[result.information_flags] - chart_states))),
-                )
-            else:
-                charts[result.information_flags] = chart_states
-            key = (result.influence_flags, result.information_flags)
-            if key not in visited:
-                visited.append(key)
-            conditioned = tuple(a.conditioned for a in result.assignments)
-            if previous is not None:
-                if any(f < g for f, g in zip(result.influence_flags, previous[0])):
-                    monotone = False
-                if any(f < g for f, g in zip(result.information_flags, previous[1])):
-                    monotone = False
-                # selective never reverts to nonselective along the line
-                if any(not set(now) >= set(before)
-                       for now, before in zip(conditioned, previous[2])):
-                    monotone = False
-            previous = (result.influence_flags, result.information_flags, conditioned)
+        for point, (_, n_flags) in zip(points, flags):
+            states = np.stack([a.state for a in _chart(programme, point, roots, combo).assignments])
+            first = charts.setdefault(n_flags, states)
+            grouping_dev = max(grouping_dev, float(np.max(np.abs(first - states))))
 
     return ConsistencyReport(
         order_deviation=order_dev,
@@ -721,7 +710,7 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
         signalling_deviation=signalling_dev,
         grouping_deviation=grouping_dev,
         flags_monotone=monotone,
-        regions_visited=tuple(visited),
+        regions_visited=tuple(dict.fromkeys(flags)),
     )
 
 

@@ -395,7 +395,9 @@ def _quantum_tables(configs, states) -> np.ndarray:
 
 
 def _same_bits(a, b) -> bool:
-    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    """Whether the two sides, as arrays, agree in dtype, shape and every byte."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
@@ -745,7 +747,7 @@ def _root_gaps(measurements, sharpness, roots: np.ndarray) -> tuple[np.ndarray, 
     first = np.array([m.subsystem == 1 for m in measurements])[:, None, None, None]
     embedded = np.where(first, tensor(solved, I2), tensor(I2, solved))
     flat = axes.reshape(-1, 3), np.repeat(sharpness, 2), solved.reshape(-1, 2, 2)
-    differing = sum(sqrt_psd(unsharp_effect(n, s)).tobytes() != root.tobytes()
+    differing = sum(not _same_bits(sqrt_psd(unsharp_effect(n, s)), root)
                     for n, s, root in zip(*(a[::9] for a in flat)))
     return np.abs(roots - embedded).max(axis=(1, 2, 3)), differing
 

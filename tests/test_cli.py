@@ -423,6 +423,24 @@ def test_chart_missing_outcome_exit_one(tmp_path, capsys):
     assert "outcome" in err
 
 
+
+def test_chart_consistency_on_the_sharp_singlet(tmp_path, capsys):
+    # lambda = 1 along parallel axes: the records (1, 1) and (-1, -1) cannot
+    # occur, and the report charts only the two that can
+    path = tmp_path / "prog.json"
+    write_programme(path, **{"lambda": 1.0})
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["consistency"]["all_pass"] is True
+
+
+def test_chart_refuses_an_impossible_registered_outcome(tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    write_programme(path, **{"lambda": 1.0, "outcomes": [1, 1]})
+    code, out, err = run_cli(capsys, "chart", "--programme", str(path), "--observer", "10,2,0,0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: registered outcomes have probability zero on this state")
+
 def test_bell_op_norms_agree(capsys):
     code, out, _ = run_cli(capsys, "bell-op", "--lambda", "1.0", "--angle", "0.7853981633974483")
     assert code == 0
@@ -547,6 +565,10 @@ def test_chart_names_missing_measurement_field(tmp_path, capsys):
         ({"outcomes": [1.5, -1]}, "programme outcome must be an integer, got 1.5"),
         ({"initial": [[0.25, 0.0]] * 9},
          "programme initial: cannot infer a 2x2 or 4x4 matrix from 9 entries"),
+        ({"measurements": [{"event": [0, 0, 0, 0], "axis": [0, 0, 0], "subsystem": 1}],
+          "outcomes": [1]}, "programme measurement 0 axis: direction must be a nonzero vector"),
+        ({"measurements": [{"event": [0, 0, 0, 0], "axis": [0, 0], "subsystem": 1}],
+          "outcomes": [1]}, "programme measurement 0 axis: expected a 3-vector, got shape (2,)"),
     ],
 )
 def test_chart_names_malformed_programme_field(tmp_path, capsys, changes, message):
@@ -742,6 +764,8 @@ def test_seed_variable_applies_per_call(capsys, monkeypatch):
         (".json", None, "error: table JSON entry '1' must be a number, got '0.5'"),
         (".csv", "i,j,p\n1\n", "error: table CSV row 2 must be i,j,p"),
         (".csv", "i,j,p\nx,,0.5\n", "error: table CSV row 2 must be i,j,p"),
+        (".csv", "i,j,q\n1,,0.5\n", "error: table CSV must start with header i,j,p"),
+        (".csv", "", "error: table CSV must start with header i,j,p"),
     ],
 )
 def test_table_reader_errors_exit_one(tmp_path, capsys, suffix, text, message):

@@ -106,6 +106,14 @@ def test_table_csv_round_trip(rng):
     assert table_deviation(table, back) == 0.0
 
 
+
+def test_table_csv_skips_blank_lines():
+    table = uniform_table()
+    lines = table.to_csv_text().splitlines()
+    lines.insert(5, "")
+    back = ProbabilityTable.from_csv_text("\n".join(lines) + "\n")
+    assert table_deviation(table, back) == 0.0
+
 def test_table_validation_errors():
     table = uniform_table()
     broken = ProbabilityTable(

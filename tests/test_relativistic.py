@@ -695,6 +695,41 @@ def test_consistency_regions_progress():
     assert flags[-1] == (1, 1)
 
 
+
+def test_consistency_report_on_the_sharp_singlet(monkeypatch):
+    # At lambda = 1 along parallel axes one outcome makes the partner's opposite
+    # value certain: the records (1, 1) and (-1, -1) cannot occur and get no charts.
+    programme = two_sided_programme(sharpness=1.0)
+    body = relativistic._chart
+    charted = set()
+
+    def recording(prog, observer, roots, outcomes):
+        charted.add(outcomes)
+        return body(prog, observer, roots, outcomes)
+
+    monkeypatch.setattr(relativistic, "_chart", recording)
+    report = check_consistency(programme)
+    assert report.all_pass
+    assert charted == {(1, -1), (-1, 1)}
+
+
+def test_consistency_report_on_a_sharp_product_state():
+    # a sharp z measurement of the first particle of |01>: only +1 can occur
+    ket = np.array([0.0, 1.0, 0.0, 0.0])
+    programme = MeasurementProgramme(
+        np.outer(ket, ket), 1.0, (Measurement(SpacetimeEvent(0.0), Z, 1),)
+    )
+    assert check_consistency(programme).all_pass
+
+
+def test_consistency_flags_fall_along_a_backward_worldline():
+    worldline = Worldline(SpacetimeEvent(0.0, 2.5, 0.0, 0.0))
+    report = check_consistency(two_sided_programme(), worldline, np.linspace(12, -12, 25))
+    assert not report.flags_monotone
+    assert not report.worldline_consistent and not report.all_pass
+    assert report.regions_visited[0] == ((1, 1), (1, 1))
+    assert report.regions_visited[-1] == ((0, 0), (0, 0))
+
 def test_programme_json_round_trip():
     programme = two_sided_programme(axis2=X)
     data = json.loads(json.dumps(programme_to_json_dict(programme)))

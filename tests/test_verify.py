@@ -377,6 +377,16 @@ def test_chart_check_counts_spot_roots_differing_from_the_batch(monkeypatch):
     assert detail.endswith(", 52 sqrt_psd spot roots differing from the batch")
 
 
+
+def test_same_bits_compares_dtype_shape_and_every_byte():
+    a = np.array([1.0 + 2.0j, 3.0 - 1.0j])
+    assert verify._same_bits(a, a.copy())
+    # an imaginary part alone tells them apart
+    assert not verify._same_bits(a, a.real + np.array([2.0j, -1.5j]))
+    assert not verify._same_bits(a, a.real)  # dtype
+    assert not verify._same_bits(a.real, a.real.reshape(2, 1))  # shape
+    assert verify._same_bits([0.5, 1.0], np.array([0.5, 1.0]))
+
 def coexistence_grid():
     """The coexistence check's 200 x 200 grid: sharpness and the second axis."""
     sharpness = np.repeat(np.linspace(0.0, 1.0, 200), 200)
