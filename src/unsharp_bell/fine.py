@@ -399,6 +399,8 @@ class ChshCheck:
     all_hold: bool
     pair_form: tuple[float, float, float, float]
     single_form: tuple[float, float, float, float]
+    margin: float         # the smallest of p and 1 - p over the pair forms
+    near_boundary: bool   # |margin| <= DECISION_TOL
 
 
 # The CHSH forms over the positions of a table's entries.
@@ -459,11 +461,15 @@ def chsh_check(table: ProbabilityTable) -> ChshCheck:
     differ by two marginal relations, so on a table within
     ``CONSISTENCY_GATE`` they agree within twice its
     ``consistency_deviation()``; the battery's ``fine-equivalence`` check
-    compares them, not this call.
+    compares them, not this call.  ``margin`` is the smallest of p and
+    1 - p over the pair forms (on a violated table, minus the slack of
+    ``find_witness``), and ``near_boundary`` whether it is within
+    ``DECISION_TOL`` of zero, where the tolerance settled the decision.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
     pair, single, all_hold = _chsh_forms(table.row)
-    return ChshCheck(all_hold=all_hold, pair_form=tuple(pair), single_form=tuple(single))
+    margin = min(min(pair), 1.0 - max(pair))  # 1 - p rounds monotonically in p
+    return ChshCheck(all_hold, tuple(pair), tuple(single), margin, abs(margin) <= DECISION_TOL)
 
 
 def find_witness(table: ProbabilityTable) -> ChshWitness:

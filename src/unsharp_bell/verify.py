@@ -8,12 +8,16 @@ for a seed and is memoized, so library use plus ``verify-all`` cost one run.
 
 The checks follow one rule.  A large sample is evaluated as batched array
 arithmetic, never as one public call per point; a strided subset of it
-also goes through the public API, whose answers must match the batch.  It
-is drawn whole, then evaluated in ``_blocks`` of at most ``_BLOCK`` points,
-so the rng stream and every bit are those of one batch and the working set
-stays bounded.  Every closed form keeps one independent numeric cross-check
-(an eigensolver against the norm formula, the Born rule against the
-singlet formula, three feasibility routes against each other,
+also goes through the public API, whose answers must match the batch.  No
+check holds a whole sample: each is drawn or built in ``_blocks`` of at
+most ``_BLOCK`` points (or a fixed fraction of it) and evaluated block by
+block into running maxima and counts, keeping only its spot rows.  A
+check's consecutive large draws are read through
+``sampling.draws_in_blocks``, each from its own cursor, a copy of the rng
+where that draw begins, so the rng stream, where it ends and every bit are
+those of one batch.  Every closed form keeps one independent numeric
+cross-check (an eigensolver against the norm formula, the Born rule
+against the singlet formula, three feasibility routes against each other,
 ``generalized_bell_operator`` against (1/2)I - (s^2/4) B), and each
 identity the request paths rely on is checked here, not on every call.
 Each ``detail`` names how many points it evaluated, so a faster battery
@@ -24,12 +28,13 @@ axes lie in the xy-plane, so each effect is conjugated to a real symmetric
 matrix (a grid effect off that plane fails the check), and in the magic
 basis every ``sigma_i (x) sigma_j`` is real, so each of the Cirelson
 check's 100,000 Bell operators is a real combination of nine 4x4 matrices.
-The Fine check builds its 500 quantum tables as one Born-rule batch, the
+The Fine check builds its 500 quantum tables as Born-rule batches, the
 steps of ``fine.table_from_quantum`` broadcast over a leading axis, and
-runs its marginals, CHSH forms, float reconstruction and round trips over
-all 1000 tables through the bodies of ``fine``'s routes (which take one
-table's entries or a batch's columns); only the exact oracle, whose
-Python-int arithmetic has no batch, runs once per table.
+runs its marginals, CHSH forms, float reconstruction (in blocks of
+tables) and round trips over all 1000 tables through the bodies of
+``fine``'s routes (which take one table's entries or a batch's columns);
+only the exact oracle, whose Python-int arithmetic has no batch, runs
+once per table.
 
 The chart check applies in both orders the measurements that
 ``relativistic.observer_chart`` applies in one: it takes the charts'
@@ -86,7 +91,7 @@ from .relativistic import (
     information_cover,
     lorentz_boost,
 )
-from .sampling import DEFAULT_SEED, random_density, random_unit_vector, random_unit_vectors
+from .sampling import DEFAULT_SEED, draws_in_blocks, random_density, random_unit_vector
 from .spin_povm import (
     MARGIN_TOL,
     PAIR_SHARPNESS_LIMIT,
@@ -159,49 +164,53 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     zero within 1e-12 and strictly inside just below it.  Grid: over a
     200 x 200 (sharpness, angle) grid the joint effects have minimum
     eigenvalue >= -1e-10 precisely at the coexistent points; its axes lie in
-    the xy-plane, so the effects are eigensolved in their real form.  Every
-    ``SPOT_STRIDE``-th point goes through ``pair_coexistent`` and
-    ``joint_observable_pair``, which must construct the observable on the
-    coexistent side, raise :class:`CoexistenceError` on the other, and
-    report the grid's minimum eigenvalue.
+    the xy-plane, so the effects are eigensolved in their real form.  The
+    grid is built and eigensolved a block of points at a time.  Every
+    ``SPOT_STRIDE``-th point, checked as its block is formed, goes through
+    ``pair_coexistent`` and ``joint_observable_pair``, which must construct
+    the observable on the coexistent side, raise :class:`CoexistenceError`
+    on the other, and report the grid's minimum eigenvalue.
     """
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
     boundary = abs(coexistence_margin(PAIR_SHARPNESS_LIMIT, x, y))
     below = coexistence_margin(PAIR_SHARPNESS_LIMIT - 1e-6, x, y)
 
-    sharpness = np.repeat(np.linspace(0.0, 1.0, 200), 200)
-    angles = np.tile(np.linspace(0.0, np.pi, 200), 200)
+    grid_sharpness, angles = np.linspace(0.0, 1.0, 200), np.linspace(0.0, np.pi, 200)
     directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
     # Normalized as the public functions normalize the directions they are given.
     axes2 = directions / _norms(directions)[:, None]
-    margins = 2.0 - sharpness * (_norms(x + axes2) + _norms(x - axes2))
-    coexistent = margins >= -MARGIN_TOL
-    min_eigs = np.empty(sharpness.size)
-    departure = 0.0
-    for b in _blocks(sharpness.size):
-        min_eigs[b], off_plane = _min_eigenvalues(_pair_effects(sharpness[b], x, axes2[b]))
+    spread = _norms(x + axes2) + _norms(x - axes2)
+    points = grid_sharpness.size * angles.size
+    spots = range(0, points, SPOT_STRIDE)
+    wrong_side = coexistent_count = refused = 0
+    lowest, departure, api_gap = math.inf, 0.0, 0.0
+    for b in _blocks(points, _BLOCK // 4):
+        # Row-major over the grid: sharpness by row, the second axis's angle by column.
+        row, column = np.divmod(np.arange(b.start, b.stop), angles.size)
+        sharpness = grid_sharpness[row]
+        margins = 2.0 - sharpness * spread[column]
+        coexistent = margins >= -MARGIN_TOL
+        min_eigs, off_plane = _min_eigenvalues(_pair_effects(sharpness, x, axes2[column]))
         departure = max(departure, off_plane)
+        wrong_side += int(np.count_nonzero(coexistent != (min_eigs >= -1e-10)))
+        lowest = min(lowest, float(min_eigs[coexistent].min(initial=math.inf)))
+        coexistent_count += int(coexistent.sum())
+        for i in range(-b.start % SPOT_STRIDE, b.stop - b.start, SPOT_STRIDE):
+            s, direction = float(sharpness[i]), directions[column[i]]
+            api_coexistent, api_margin = pair_coexistent(s, x, direction)
+            wrong_side += int(api_coexistent != coexistent[i])
+            try:
+                api_eig = joint_observable_pair(s, x, direction).min_eigenvalue
+                wrong_side += int(not coexistent[i])
+            except CoexistenceError as exc:
+                api_eig = exc.min_eigenvalue
+                refused += 1
+                wrong_side += int(coexistent[i])
+            api_gap = max(api_gap, abs(api_margin - margins[i]), abs(api_eig - min_eigs[i]))
     if departure:  # an sz part or a complex diagonal: no real form
         return False, departure, 1e-10, f"grid effects leave the xy-plane by {departure:.3e}"
-    wrong_side = int(np.count_nonzero(coexistent != (min_eigs >= -1e-10)))
-    worst_eig = max(0.0, float(-min_eigs[coexistent].min()))
-
-    api_gap = 0.0
-    refused = 0
-    spots = range(0, sharpness.size, SPOT_STRIDE)
-    for i in spots:
-        s, direction = float(sharpness[i]), directions[i]
-        api_coexistent, api_margin = pair_coexistent(s, x, direction)
-        wrong_side += int(api_coexistent != coexistent[i])
-        try:
-            api_eig = joint_observable_pair(s, x, direction).min_eigenvalue
-            wrong_side += int(not coexistent[i])
-        except CoexistenceError as exc:
-            api_eig = exc.min_eigenvalue
-            refused += 1
-            wrong_side += int(coexistent[i])
-        api_gap = max(api_gap, abs(api_margin - margins[i]), abs(api_eig - min_eigs[i]))
+    worst_eig = max(0.0, -lowest)
 
     deviation = max(boundary, worst_eig, api_gap)
     passed = (
@@ -215,7 +224,7 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     detail = (
         f"boundary margin {boundary:.3e}, margin below threshold {below:.3e}, "
         f"grid eigenvalue deficit {worst_eig:.3e}, side mismatches {wrong_side} "
-        f"over {sharpness.size} grid points ({int(coexistent.sum())} coexistent), "
+        f"over {points} grid points ({coexistent_count} coexistent), "
         f"{len(spots)} spot checks ({refused} refused), API gap {api_gap:.3e}"
     )
     return passed, deviation, 1e-10, detail
@@ -279,6 +288,10 @@ def _bell_spectra(axes: np.ndarray) -> np.ndarray:
 def check_cirelson(rng) -> tuple[bool, float, float, str]:
     """The Bell operator norm never exceeds 2*sqrt(2) and attains it.
 
+    The four axes of 100,000 configurations are four whole draws of
+    ``random_unit_vectors``, read a block at a time by ``draws_in_blocks``.
+    Per block only the running eigensolver/closed-form agreement and
+    largest norm are kept, with the spot configurations' axes and spectra.
     Every ``SPOT_STRIDE``-th configuration is also eigensolved as the
     complex ``bell_operator``, whose spectrum must match within 1e-12.
     Every tenth spot configuration, at a ``_SMEAR_SHARPNESS`` value, also
@@ -289,38 +302,42 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
     and by the eigensolving ``operator_chsh_holds``: the verdicts must agree.
     """
     count = 100_000
-    axes = np.empty((4, count, 3))
-    for k in range(4):
-        axes[k] = random_unit_vectors(rng, count)
-    spectra, closed = np.empty((count, 4)), np.empty(count)
-    for b in _blocks(count):
-        spectra[b] = _bell_spectra(axes[:, b])
-        cross1, cross2 = (np.linalg.norm(np.cross(*axes[k:k + 2, b]), axis=1) for k in (0, 2))
-        closed[b] = 2.0 * np.sqrt(1.0 + cross1 * cross2)
-    norms = np.abs(spectra).max(axis=1)
-    agreement = float(np.max(np.abs(norms - closed)))
+    spots = range(0, count, SPOT_STRIDE)
+    agreement = largest = 0.0
+    spot_axes, spot_spectra = [], []
+    blocks = _blocks(count)
+    for b, drawn in zip(blocks, draws_in_blocks(rng, [("unit", (3,))] * 4, blocks)):
+        axes = np.stack(drawn)
+        spectra = _bell_spectra(axes)
+        cross1, cross2 = (np.linalg.norm(np.cross(*axes[k:k + 2]), axis=1) for k in (0, 2))
+        closed, norms = 2.0 * np.sqrt(1.0 + cross1 * cross2), np.abs(spectra).max(axis=1)
+        agreement = max(agreement, float(np.max(np.abs(norms - closed))))
+        largest = max(largest, float(norms.max()))
+        local = range(-b.start % SPOT_STRIDE, b.stop - b.start, SPOT_STRIDE)  # copies, not views
+        spot_axes.append(axes[:, local])
+        spot_spectra.append(spectra[local])
+    axes, spectra = np.concatenate(spot_axes, axis=1), np.concatenate(spot_spectra)
     bound = THRESHOLDS.cirelson
-    overshoot = max(0.0, float(norms.max()) - bound)
+    overshoot = max(0.0, largest - bound)
 
     orthogonal = orthogonal_configuration(1.0)
     attained = np.abs(_bell_spectra(np.stack(orthogonal.axes)[:, None, :])).max()
     attain_dev = abs(attained - bound)
 
-    spots = range(0, count, SPOT_STRIDE)
-    operators = [bell_operator(BellConfiguration(1.0, *axes[:, i])) for i in spots]
-    spot_gap = float(np.max(np.abs(np.linalg.eigvalsh(np.stack(operators)) - spectra[spots])))
+    operators = [bell_operator(BellConfiguration(1.0, *axes[:, k])) for k in range(len(spots))]
+    spot_gap = float(np.max(np.abs(np.linalg.eigvalsh(np.stack(operators)) - spectra)))
     smeared = range(0, len(spots), 10)
     smear_gap = max(
-        float(np.max(np.abs(generalized_bell_operator(BellConfiguration(s, *axes[:, spots[k]]))
+        float(np.max(np.abs(generalized_bell_operator(BellConfiguration(s, *axes[:, k]))
                             - (0.5 * I4 - (s**2 / 4.0) * operators[k]))))
         for k, s in zip(smeared, cycle(_SMEAR_SHARPNESS))
     )
     verdicts = []
     for k in smeared[::10]:
-        critical = math.sqrt(2.0 / float(norms[spots[k]]))
+        critical = math.sqrt(2.0 / float(np.abs(spectra[k]).max()))
         for s in (critical * (1.0 - 1e-9), critical * (1.0 + 1e-9)):
             if s <= 1.0:
-                config = BellConfiguration(s, *axes[:, spots[k]])
+                config = BellConfiguration(s, *axes[:, k])
                 holds, solved = operator_chsh_closed_form(config), operator_chsh_holds(config)
                 verdicts.append(holds == solved.holds)
 
@@ -378,20 +395,25 @@ def _born(states, observables) -> np.ndarray:
 
 
 def _quantum_tables(configs, states) -> np.ndarray:
-    """``fine.table_from_quantum`` of each configuration and state, as rows of one Born-rule batch.
+    """``fine.table_from_quantum`` of each configuration and state, as rows of Born-rule batches.
 
     The effects, Kronecker products, matrix products and traces are those
     of ``table_from_quantum`` applied elementwise over a leading axis, so
-    each row equals its table bit for bit.
+    each row equals its table bit for bit; the tables are formed in blocks
+    of at most ``_BLOCK // 64``.
     """
     sharpness = np.array([config.sharpness for config in configs])[:, None, None, None]
     axes = np.array([config.axes for config in configs])
-    # Signed axes in SINGLE_KEYS order.
-    effects = _effects(sharpness, np.stack([axes, -axes], axis=2).reshape(-1, 8, 3))
-    first, second = effects[:, :4], effects[:, 4:]
-    pairs = tensor(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
-    observables = np.concatenate([tensor(first, I2), tensor(I2, second), pairs], axis=1)
-    return _born(np.asarray(states, dtype=complex)[:, None], observables)
+    states = np.asarray(states, dtype=complex)[:, None]
+    rows = np.empty((len(configs), len(fine.SINGLE_KEYS + fine.PAIR_KEYS)))
+    for b in _blocks(len(configs), _BLOCK // 64):
+        # Signed axes in SINGLE_KEYS order.
+        effects = _effects(sharpness[b], np.stack([axes[b], -axes[b]], axis=2).reshape(-1, 8, 3))
+        first, second = effects[:, :4], effects[:, 4:]
+        pairs = tensor(first[:, :, None], second[:, None, :]).reshape(-1, 16, 4, 4)
+        observables = np.concatenate([tensor(first, I2), tensor(I2, second), pairs], axis=1)
+        rows[b] = _born(states[b], observables)
+    return rows
 
 
 def _same_bits(a, b) -> bool:
@@ -407,12 +429,12 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     of those have zero entries; the other half come from quantum states
     under unsharp spin pairs: every fifth of them the singlet near the
     optimal CHSH configuration, the rest random density operators under
-    random axes.  The quantum tables are one Born-rule batch.  The
-    marginals, the CHSH forms and the float reconstruction run over all
-    tables as columns, through the bodies ``fine``'s routes run on one
-    table; the exact oracle decides every table one call at a time, and
-    its integer arithmetic has no batch.  Both routes' round trips are one
-    batch of marginals.
+    random axes.  The quantum tables are Born-rule batches.  The
+    marginals, the CHSH forms and the float reconstruction (a block of
+    tables at a time) run over the tables as columns, through the bodies
+    ``fine``'s routes run on one table; the exact oracle decides every
+    table one call at a time, and its integer arithmetic has no batch.
+    Both routes' round trips are one batch of marginals.
 
     Spot checks compare the batches with the public API bit for bit: every
     tenth quantum table with ``fine.table_from_quantum``; one table in each
@@ -451,10 +473,14 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     inconsistency = np.array([table.consistency_deviation() for table in tables])
     # The forms differ by two marginal relations; this is their one comparison.
     agree = np.abs(pair - single).max(axis=1) <= fine.DECISION_TOL + 4.0 * inconsistency
-    system = fine._float_rows(rows[:, 8:])
-    minima, margins, near, feasible = fine._decision(system, 1)
-    entries, broken = fine._back_substitution(minima, system, 1, operator.truediv)
-    jpd = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
+    margins, jpd = np.empty(total), np.empty((total, 2, 2, 2, 2))
+    near, feasible, broken = (np.empty(total, dtype=bool) for _ in range(3))
+    for b in _blocks(total, _BLOCK // 16):  # reconstruct_jpd's body, a block of tables at a time
+        system = fine._float_rows(rows[b, 8:])
+        minima, margins[b], near[b], feasible[b] = fine._decision(system, 1)
+        entries, broken[b] = fine._back_substitution(minima, system, 1, operator.truediv)
+        jpd[b] = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
+    del system, minima, entries  # the last block's, before the oracles and round trips
     # Where reconstruct_jpd would raise: an empty interval, or a sum Jpd4 refuses.
     broken |= np.abs(jpd.reshape(-1, 16).sum(axis=1) - 1.0) > fine.SUM_TOL
     oracles = [fine.feasibility_oracle(table) for table in tables]
@@ -564,33 +590,31 @@ def check_singlet_formula(rng) -> tuple[bool, float, float, str]:
     return passed, deviation, 1e-12, detail
 
 
-def _accepted_pairs(rng, dim: int, quota: int) -> list[np.ndarray]:
+def _accepted_pairs(rng, dim: int, quota: int):
     """Rows rho, basis, spectra, effect, prob of the first ``quota`` random pairs (state, effect)
-    with probability above 1/2, drawn twice as many as are still needed at a time.  Half the
-    effects are mixed toward the identity, so small shortfalls are well represented.  Only the
-    draws are made whole, as one batch's stream; the pairs are formed in slices until the quota
-    is met.
+    with probability above 1/2, yielded in slices as each block of draws forms them.  Each attempt
+    draws twice as many pairs as are still needed, as seven consecutive whole draws (the stream of
+    one batch) read block by block through ``draws_in_blocks``, and stops reading once the quota
+    is met, with ``rng`` already past the attempt.  Half the effects are mixed toward the
+    identity, so small shortfalls are well represented.  No block is held past its slice.
     """
-    accepted = []
+    draws = [("normal", (dim, dim))] * 4 + [("random", (dim,)), ("random", ()), ("random", ())]
     while quota:
-        count = 2 * quota
-        rho_re, rho_im, basis_re, basis_im = (rng.normal(size=(count, dim, dim)) for _ in range(4))
-        raw, mix, mixed = rng.random((count, dim)), rng.random(count), rng.random(count) < 0.5
-        for b in _blocks(count, _BLOCK // 8):
-            g = rho_re[b] + 1j * rho_im[b]
+        drawn = draws_in_blocks(rng, draws, _blocks(2 * quota, _BLOCK // 8))
+        for rho_re, rho_im, basis_re, basis_im, raw, mix, coin in drawn:
+            g = rho_re + 1j * rho_im
             rho = g @ np.conj(np.swapaxes(g, 1, 2))
             rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-            basis, _ = np.linalg.qr(basis_re[b] + 1j * basis_im[b])
-            spectra = np.where(mixed[b, None], 1.0 - mix[b, None] * (1.0 - raw[b]), raw[b])
+            basis, _ = np.linalg.qr(basis_re + 1j * basis_im)
+            spectra = np.where(coin[:, None] < 0.5, 1.0 - mix[:, None] * (1.0 - raw), raw)
             effect = np.einsum("nij,nj,nkj->nik", basis, spectra, np.conj(basis))
             prob = np.einsum("nij,nji->n", rho, effect).real
             keep = np.flatnonzero(prob > 0.5)[:quota]
-            accepted.append([a[keep] for a in (rho, basis, spectra, effect, prob)])
             quota -= keep.size
+            if keep.size:
+                yield [a[keep] for a in (rho, basis, spectra, effect, prob)]
             if not quota:
                 break
-        del rho_re, rho_im, basis_re, basis_im  # before the next draw or the join
-    return [np.concatenate(rows) for rows in zip(*accepted)]
 
 
 def check_disturbance(rng) -> tuple[bool, float, float, str]:
@@ -598,40 +622,43 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
 
     Pairs (state, effect) are drawn at random in dimensions 2 and 4 and
     kept when the shortfall eps = 1 - tr[rho E] is below 1/2
-    (``_accepted_pairs``).  Checks the trace-norm bound and that the
-    effect's probability does not decrease under its own nonselective
+    (``_accepted_pairs``).  Each accepted slice is evaluated as it is
+    formed, into running maxima; every ``per_dim // 25``-th pair also goes
+    through ``disturbance_report``.  Checks the trace-norm bound and that
+    the effect's probability does not decrease under its own nonselective
     measurement.
     """
     per_dim = 5000
+    stride = per_dim // 25
     bound_excess = 0.0
     monotone_deficit = 0.0
     api_gap = 0.0
     for dim in (2, 4):
-        rho, basis, spectra, effect, prob = _accepted_pairs(rng, dim, per_dim)
-        eps = np.clip(1.0 - prob, 0.0, None)
-        bound = 2.0 * (eps + np.sqrt(eps))
-        distance = np.empty(per_dim)
-        for b in _blocks(per_dim):
+        done = 0
+        for rho, basis, spectra, effect, prob in _accepted_pairs(rng, dim, per_dim):
+            eps = np.clip(1.0 - prob, 0.0, None)
+            bound = 2.0 * (eps + np.sqrt(eps))
             root_yes, root_no = (
-                np.einsum("nij,nj,nkj->nik", basis[b], np.sqrt(p), np.conj(basis[b]))
-                for p in (spectra[b], 1.0 - spectra[b])
+                np.einsum("nij,nj,nkj->nik", basis, np.sqrt(p), np.conj(basis))
+                for p in (spectra, 1.0 - spectra)
             )
-            post = root_yes @ rho[b] @ root_yes + root_no @ rho[b] @ root_no
-            distance[b] = np.abs(np.linalg.eigvalsh(rho[b] - post)).sum(axis=1)
-            prob_after = np.einsum("nij,nji->n", post, effect[b]).real
-            monotone_deficit = max(monotone_deficit, float(np.max(prob[b] - prob_after)))
-        bound_excess = max(bound_excess, float(np.max(distance - bound)))
+            post = root_yes @ rho @ root_yes + root_no @ rho @ root_no
+            distance = np.abs(np.linalg.eigvalsh(rho - post)).sum(axis=1)
+            prob_after = np.einsum("nij,nji->n", post, effect).real
+            monotone_deficit = max(monotone_deficit, float(np.max(prob - prob_after)))
+            bound_excess = max(bound_excess, float(np.max(distance - bound)))
 
-        # Spot-check the public API against the batched arithmetic.
-        for i in range(0, per_dim, per_dim // 25):
-            report = disturbance_report(rho[i], effect[i])
-            api_gap = max(
-                api_gap,
-                abs(report.distance - float(distance[i])),
-                abs(report.bound - float(bound[i])),
-            )
-            if not report.holds:
-                bound_excess = max(bound_excess, report.distance - report.bound)
+            # Spot-check the public API against the batched arithmetic.
+            for i in range(-done % stride, prob.size, stride):
+                report = disturbance_report(rho[i], effect[i])
+                api_gap = max(
+                    api_gap,
+                    abs(report.distance - float(distance[i])),
+                    abs(report.bound - float(bound[i])),
+                )
+                if not report.holds:
+                    bound_excess = max(bound_excess, report.distance - report.bound)
+            done += prob.size
 
     deviation = max(bound_excess, monotone_deficit, api_gap, 0.0)
     passed = bound_excess <= 1e-10 and monotone_deficit <= 1e-12 and api_gap <= 1e-12

@@ -351,6 +351,31 @@ def test_fine_check_reads_csv(tmp_path, capsys):
     assert json.loads(out)["all_hold"] is True
 
 
+def test_fine_check_reports_its_margin(tmp_path, capsys):
+    # On a violated table the margin is minus the witness's slack, bit for bit;
+    # a pair form at exactly 0 sits on the boundary.
+    from unsharp_bell.fine import Jpd4, marginals, table_from_quantum
+
+    corner = np.zeros((2, 2, 2, 2))
+    corner[0, 0, 0, 0] = 1.0
+    tables = {
+        "violated": table_from_quantum(
+            bell.singlet_state(), bell.coplanar_configuration(1.0, np.pi / 4)),
+        "corner": marginals(Jpd4(corner)),
+    }
+    docs = {}
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(table.to_json_dict()))
+        code, out, _ = run_cli(capsys, "fine-check", "--table", str(path))
+        assert code == 0
+        docs[name] = json.loads(out)
+    violated, corner = docs["violated"], docs["corner"]
+    assert not violated["all_hold"] and violated["near_boundary"] is False
+    assert float.hex(violated["margin"]) == float.hex(-violated["witness"]["slack"])
+    assert corner["all_hold"] and corner["margin"] == 0.0 and corner["near_boundary"] is True
+
+
 def test_fine_solve_missing_file_exit_one(capsys):
     code, _, err = run_cli(capsys, "fine-solve", "--table", "/nonexistent/t.json")
     assert code == 1 and err.startswith("error:")

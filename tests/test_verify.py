@@ -23,6 +23,7 @@ from unsharp_bell.operators import I2, PAULI, expectation, sqrt_psd, tensor
 from unsharp_bell.relativistic import Measurement, SpacetimeEvent
 from unsharp_bell.sampling import (
     DEFAULT_SEED,
+    draws_in_blocks,
     random_density,
     random_unit_vector,
     random_unit_vectors,
@@ -118,12 +119,14 @@ def run_check(name: str):
     return check(*((np.random.default_rng([DEFAULT_SEED, index]),) if needs_rng else ()))
 
 
-BLOCKED_CHECKS = ("coexistence-threshold", "cirelson-bound", "disturbance-bound")
+BLOCKED_CHECKS = (
+    "coexistence-threshold", "cirelson-bound", "fine-equivalence", "disturbance-bound"
+)
 
 
 @pytest.mark.parametrize("name", BLOCKED_CHECKS)
 def test_blocked_checks_equal_one_batch(monkeypatch, name):
-    # a sample evaluated in blocks gives the verdict, deviation bits and detail of one batch
+    # a sample drawn and evaluated in blocks gives one batch's verdict, deviation bits and detail
     passed, deviation, _, detail = run_check(name)
     monkeypatch.setattr(verify, "_BLOCK", 100_000)  # each sample in one block
     assert len(verify._blocks(100_000)) == 1
@@ -143,13 +146,15 @@ def test_blocks_cover_a_sample_without_one_row_blocks(count):
 
 
 @pytest.mark.parametrize(
-    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (12, 20, 12.5, 2.5))
+    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (2, 3, 4, 2.5, 2.5))
 )
 def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
-    # numpy reports its buffers to tracemalloc; evaluated as one batch, the
-    # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB.
-    # The disturbance check peaked at 14.3 MiB with its whole draw evaluated,
-    # 11.9 MiB evaluated in slices up to its quota; the chart check at 2.2 MiB.
+    # numpy reports its buffers to tracemalloc.  Evaluated as one batch, the
+    # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB;
+    # evaluated in blocks but drawn or built whole, at 7.1 and 16.9 MiB, the
+    # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn and
+    # built block by block they peak at 1.3, 2.0-2.6, 3.5-3.7 and 2.0 MiB (the
+    # range is over test orders), and the chart check at 2.1-2.2 MiB.
     tracemalloc.start()
     try:
         passed = run_check(name)[0]
@@ -157,6 +162,76 @@ def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     finally:
         tracemalloc.stop()
     assert passed and peak <= limit_mib * 2**20
+
+
+COUNTS = [2, 3, verify._BLOCK + 1, 25 * verify._BLOCK + 1]
+
+
+@pytest.mark.parametrize("kind", ["normal", "random"])
+@pytest.mark.parametrize("count", COUNTS)
+def test_cursors_reproduce_consecutive_whole_draws(kind, count):
+    # read a block at a time, three draws give the bits of three whole draws
+    # made one after another, and leave the stream where those leave it
+    shapes = [(3,), (4, 4), ()]
+    rng, whole = np.random.default_rng(count), np.random.default_rng(count)
+    blocks = verify._blocks(count)
+    parts = list(draws_in_blocks(rng, [(kind, shape) for shape in shapes], blocks))
+    assert len(parts) == len(blocks)
+    for k, shape in enumerate(shapes):
+        want = getattr(whole, kind)(size=(count,) + shape)
+        assert verify._same_bits(np.concatenate([part[k] for part in parts]), want)
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_unit_cursors_reproduce_random_unit_vectors(count):
+    rng, whole = np.random.default_rng(count), np.random.default_rng(count)
+    blocks = verify._blocks(count)
+    parts = list(draws_in_blocks(rng, [("unit", (3,)), ("normal", (4, 4))], blocks))
+    assert verify._same_bits(np.concatenate([part[0] for part in parts]),
+                             random_unit_vectors(whole, count))
+    assert verify._same_bits(np.concatenate([part[1] for part in parts]),
+                             whole.normal(size=(count, 4, 4)))
+    # the stream ends past every draw even when only the first block is read
+    rng = np.random.default_rng(count)
+    next(draws_in_blocks(rng, [("unit", (3,)), ("normal", (4, 4))], blocks))
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+class ZeroRows:
+    """A generator whose normal draws are a seeded one's, except that the rows of
+    three at the stream positions ``zeros`` are zero, so too short to be a direction."""
+
+    def __init__(self, seed: int, zeros):
+        self.rng, self.zeros, self.drawn = np.random.default_rng(seed), zeros, 0
+
+    def normal(self, size):
+        return self.zeroed(self.rng.normal(size=size))
+
+    def standard_normal(self, out):
+        return self.zeroed(self.rng.standard_normal(out=out))
+
+    def zeroed(self, values):
+        rows = values.reshape(-1, 3)
+        rows[[z - self.drawn for z in self.zeros if 0 <= z - self.drawn < len(rows)]] = 0.0
+        self.drawn += len(rows)
+        return values
+
+
+def test_unit_cursors_redraw_degenerate_rows_as_random_unit_vectors_does():
+    count = verify._BLOCK + 1
+    # Row 7 of the first draw is zero and so is its first redraw, which
+    # follows the whole draw; the second draw then starts two rows later,
+    # and its row 1 is zero.
+    zeros = [7, count, count + 3]
+    rng, whole = ZeroRows(3, zeros), ZeroRows(3, zeros)
+    parts = list(draws_in_blocks(rng, [("unit", (3,))] * 2, verify._blocks(count)))
+    for k in range(2):
+        want = random_unit_vectors(whole, count)
+        assert verify._same_bits(np.concatenate([part[k] for part in parts]), want)
+        assert np.abs(np.linalg.norm(want, axis=1) - 1.0).max() <= 1e-15
+    assert whole.drawn == rng.drawn == 2 * count + 3
+    assert rng.rng.bit_generator.state == whole.rng.bit_generator.state
 
 
 def same_bits(a, b) -> bool:
