@@ -219,6 +219,9 @@ def _cmd_fine_solve(args) -> dict:
         ),
         "margin": result.margin,
         "near_boundary": result.near_boundary,
+        "rationalization_error": (
+            fine.rationalization_error(table) if args.method == "exact" else None
+        ),
     }
 
 

@@ -39,6 +39,7 @@ import csv
 import io
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 import math
 from types import MappingProxyType
@@ -62,6 +63,7 @@ __all__ = [
     "chsh_check",
     "reconstruct_jpd",
     "feasibility_oracle",
+    "rationalization_error",
     "find_witness",
     "table_from_quantum",
 ]
@@ -783,6 +785,21 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     clipped[clipped.index(max(clipped))] += sum(min(entry, 0) for entry in entries)
     jpd = Jpd4(_jpd_values(clipped, scale))
     return FeasibilityResult(True, jpd, None, "exact-elimination", margin, near)
+
+
+def rationalization_error(table: ProbabilityTable) -> float:
+    """The largest gap between a table's 24 entries and the rational surrogate
+    ``feasibility_oracle`` decides, computed exactly and rounded once.
+
+    The surrogate's eight generators are the ``_limit_denominator`` ratios of
+    the four outcome-+1 singles and the four unbarred pairs; the other singles
+    are one minus those, and every pair is its ``_generator_pairs`` combination.
+    """
+    generators = [1] + [Fraction(*_limit_denominator(table.row[n])) for n in _GENERATOR_COLUMNS]
+    surrogate = [entry for one in generators[1:5] for entry in (one, 1 - one)]
+    surrogate += [sum(c * g for c, g in zip(pair, generators))
+                  for pair in _generator_pairs().tolist()]
+    return float(max(abs(Fraction(x) - entry) for x, entry in zip(table.row, surrogate)))
 
 
 def table_from_quantum(state, config: BellConfiguration) -> ProbabilityTable:

@@ -12,10 +12,10 @@ also goes through the public API, whose answers must match the batch.  No
 check holds a whole sample: each is drawn or built in ``_blocks`` of at
 most ``_BLOCK`` points (or a fixed fraction of it) and evaluated block by
 block into running maxima and counts, keeping only its spot rows.  A
-check's consecutive large draws are read through
-``sampling.draws_in_blocks``, each from its own cursor, a copy of the rng
-where that draw begins, so the rng stream, where it ends and every bit are
-those of one batch.  Every closed form keeps one independent numeric
+check's large draws are read through ``sampling.draws_in_blocks``, each
+whole draw from its own stream spawned from the rng, so every bit is that
+of one batch however the draw is split, and the rng's own stream is not
+read.  Every closed form keeps one independent numeric
 cross-check (an eigensolver against the norm formula, the Born rule
 against the singlet formula, three feasibility routes against each other,
 ``generalized_bell_operator`` against (1/2)I - (s^2/4) B), and each
@@ -288,8 +288,9 @@ def _bell_spectra(axes: np.ndarray) -> np.ndarray:
 def check_cirelson(rng) -> tuple[bool, float, float, str]:
     """The Bell operator norm never exceeds 2*sqrt(2) and attains it.
 
-    The four axes of 100,000 configurations are four whole draws of
-    ``random_unit_vectors``, read a block at a time by ``draws_in_blocks``.
+    The four axes of 100,000 configurations are four unit draws, each from
+    its own stream spawned from ``rng``, read a block at a time by
+    ``draws_in_blocks``; ``rng``'s own stream is not read.
     Per block only the running eigensolver/closed-form agreement and
     largest norm are kept, with the spot configurations' axes and spectra.
     Every ``SPOT_STRIDE``-th configuration is also eigensolved as the
@@ -430,11 +431,13 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     under unsharp spin pairs: every fifth of them the singlet near the
     optimal CHSH configuration, the rest random density operators under
     random axes.  The quantum tables are Born-rule batches.  The
-    marginals, the CHSH forms and the float reconstruction (a block of
-    tables at a time) run over the tables as columns, through the bodies
-    ``fine``'s routes run on one table; the exact oracle decides every
-    table one call at a time, and its integer arithmetic has no batch.
-    Both routes' round trips are one batch of marginals.
+    marginals and the CHSH forms run over all the tables as columns, and
+    the float reconstruction and both routes' round trips over a block of
+    tables at a time, through the bodies ``fine``'s routes run on one
+    table; the exact oracle decides every table one call at a time, and
+    its integer arithmetic has no batch.  The tables and oracle results
+    are made a block at a time too; only per-table verdicts and gaps, and
+    the spot tables with their oracle results, outlive their block.
 
     Spot checks compare the batches with the public API bit for bit: every
     tenth quantum table with ``fine.table_from_quantum``; one table in each
@@ -458,49 +461,50 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     rows = np.empty((total, len(fine.SINGLE_KEYS + fine.PAIR_KEYS)))
     rows[0::2] = fine._marginal_entries(np.stack(jpds))
     rows[1::2] = quantum_rows
-    tables = [table.validate() for table in fine._tables(rows.tolist())]
 
     quantum_spots = range(0, len(parameters), 10)
     disagreements = sum(
         not _same_bits(fine.table_from_quantum(states[i], configs[i]).row, quantum_rows[i])
         for i in quantum_spots
     )
+    del parameters, configs, states, quantum_rows  # only the spot checks above read them
 
     # The routes' own bodies, given the tables as 24 columns.
     columns = list(rows.T)
     pair, single, holds = fine._chsh_forms(columns)
     pair, single = np.stack(pair, axis=1), np.stack(single, axis=1)
-    inconsistency = np.array([table.consistency_deviation() for table in tables])
-    # The forms differ by two marginal relations; this is their one comparison.
-    agree = np.abs(pair - single).max(axis=1) <= fine.DECISION_TOL + 4.0 * inconsistency
-    margins, jpd = np.empty(total), np.empty((total, 2, 2, 2, 2))
-    near, feasible, broken = (np.empty(total, dtype=bool) for _ in range(3))
-    for b in _blocks(total, _BLOCK // 16):  # reconstruct_jpd's body, a block of tables at a time
-        system = fine._float_rows(rows[b, 8:])
+    spots = [10 * k + k % 10 for k in range(total // 10)]
+    spot_routes = []  # each spot table and its oracle result
+    margins, jpd, gaps = np.empty(total), np.empty((total, 2, 2, 2, 2)), np.zeros((total, 2))
+    near, feasible, broken, agree = (np.empty(total, dtype=bool) for _ in range(4))
+    for b in _blocks(total, _BLOCK // 16):  # a block of tables at a time
+        tables = [table.validate() for table in fine._tables(rows[b].tolist())]
+        oracles = [fine.feasibility_oracle(table) for table in tables]
+        spot_routes += [(tables[i - b.start], oracles[i - b.start])
+                        for i in spots if b.start <= i < b.stop]
+        system = fine._float_rows(rows[b, 8:])  # reconstruct_jpd's body
         minima, margins[b], near[b], feasible[b] = fine._decision(system, 1)
         entries, broken[b] = fine._back_substitution(minima, system, 1, operator.truediv)
         jpd[b] = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
-    del system, minima, entries  # the last block's, before the oracles and round trips
-    # Where reconstruct_jpd would raise: an empty interval, or a sum Jpd4 refuses.
-    broken |= np.abs(jpd.reshape(-1, 16).sum(axis=1) - 1.0) > fine.SUM_TOL
-    oracles = [fine.feasibility_oracle(table) for table in tables]
-    agree &= (holds == feasible) & (feasible == [oracle.feasible for oracle in oracles])
-    agree &= ~(feasible & broken)
+        # Where reconstruct_jpd would raise: an empty interval, or a sum Jpd4 refuses.
+        broken[b] |= np.abs(jpd[b].reshape(-1, 16).sum(axis=1) - 1.0) > fine.SUM_TOL
+        inconsistency = np.array([table.consistency_deviation() for table in tables])
+        # The forms differ by two marginal relations; this is their one comparison.
+        agree[b] = (np.abs(pair[b] - single[b]).max(axis=1)
+                    <= fine.DECISION_TOL + 4.0 * inconsistency)
+        agree[b] &= (holds[b] == feasible[b]) & (feasible[b] == [o.feasible for o in oracles])
+        agree[b] &= ~(feasible[b] & broken[b])
+        # Round trips of both routes on the tables all three call feasible.
+        both = np.flatnonzero(agree[b] & feasible[b])
+        exact = np.reshape([oracles[i].jpd.values for i in both], (-1, 2, 2, 2, 2))
+        for route, values in enumerate((jpd[b][both], exact)):
+            back = fine._marginal_entries(values)
+            gaps[b.start + both, route] = np.abs(back - rows[b][both]).max(axis=1, initial=0.0)
     disagreements += int(np.count_nonzero(~agree))
-
-    # Round trips of both routes on the tables all three call feasible.
     both = agree & feasible
-    order = np.cumsum(both) - 1  # a table's position among them
-    exact = np.reshape([oracles[i].jpd.values for i in np.flatnonzero(both)], (-1, 2, 2, 2, 2))
-    rec_gap, exact_gap = (
-        np.abs(fine._marginal_entries(values) - rows[both]).max(axis=1, initial=0.0)
-        for values in (jpd[both], exact)
-    )
-    roundtrip = float(np.concatenate([rec_gap, exact_gap]).max(initial=0.0))
+    roundtrip = float(gaps[both].max(initial=0.0))
 
-    spots = [10 * k + k % 10 for k in range(total // 10)]
-    for i in spots:
-        table = tables[i]
+    for i, (table, oracle) in zip(spots, spot_routes):
         check = fine.chsh_check(table)
         rec = fine.reconstruct_jpd(table)
         same = (
@@ -514,8 +518,8 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
         if same and rec.feasible:
             same = _same_bits(rec.jpd.values, jpd[i])
         if same and both[i]:
-            gaps = [fine.roundtrip_residual(table, result.jpd) for result in (rec, oracles[i])]
-            same = _same_bits(gaps, [rec_gap[order[i]], exact_gap[order[i]]])
+            same = _same_bits([fine.roundtrip_residual(table, result.jpd)
+                               for result in (rec, oracle)], gaps[i])
         if same and i % 2 == 0:
             same = _same_bits(fine.marginals(fine.Jpd4(jpds[i // 2])).row, rows[i])
         disagreements += not same
@@ -593,10 +597,10 @@ def check_singlet_formula(rng) -> tuple[bool, float, float, str]:
 def _accepted_pairs(rng, dim: int, quota: int):
     """Rows rho, basis, spectra, effect, prob of the first ``quota`` random pairs (state, effect)
     with probability above 1/2, yielded in slices as each block of draws forms them.  Each attempt
-    draws twice as many pairs as are still needed, as seven consecutive whole draws (the stream of
-    one batch) read block by block through ``draws_in_blocks``, and stops reading once the quota
-    is met, with ``rng`` already past the attempt.  Half the effects are mixed toward the
-    identity, so small shortfalls are well represented.  No block is held past its slice.
+    draws twice as many pairs as are still needed, as seven whole draws from streams spawned from
+    ``rng`` and read block by block through ``draws_in_blocks``, and stops reading once the quota
+    is met.  Half the effects are mixed toward the identity, so small shortfalls are well
+    represented.  No block is held past its slice.
     """
     draws = [("normal", (dim, dim))] * 4 + [("random", (dim,)), ("random", ()), ("random", ())]
     while quota:

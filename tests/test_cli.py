@@ -138,9 +138,11 @@ def test_fine_solve_uniform_roundtrip(tmp_path, capsys):
     data = json.loads(out)
     assert data["feasible"] is True
     assert data["roundtrip_residual"] <= 1e-8
+    assert data["rationalization_error"] is None  # the interval route has no surrogate
     code, out, _ = run_cli(capsys, "fine-solve", "--table", str(table), "--method", "exact")
     data = json.loads(out)
     assert data["feasible"] is True and data["method"] == "exact-elimination"
+    assert data["rationalization_error"] == 0.0  # dyadic entries are their own surrogate
 
 
 def test_fine_solve_exact_at_the_tolerance_edge(tmp_path, capsys):
@@ -212,7 +214,7 @@ def pinned_tables() -> list[dict]:
 # sha256 of the concatenated ``fine-solve --method exact`` output over
 # ``pinned_tables()``.  The tables are int / int quotients and the exact route
 # decides in integers, so the digest depends on no math library or BLAS.
-EXACT_SOLVE_DIGEST = "3883ec8dbe8651649444574efb58a3f85615f109f88805890b10063a2e774271"
+EXACT_SOLVE_DIGEST = "c497c4aefc404e37e3c0ee45f89eadb8c8c4f63e7682c43bf819160c315edb3b"
 
 
 def test_exact_fine_solve_output_is_pinned(tmp_path, capsys):

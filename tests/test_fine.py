@@ -12,7 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from unsharp_bell import fine, fme
-from unsharp_bell.bell import coplanar_configuration, singlet_state
+from unsharp_bell.bell import BellConfiguration, coplanar_configuration, singlet_state
 from unsharp_bell.fine import (
     _ELIMINATION_ORDER,
     _ENTRY_CONSTS,
@@ -34,6 +34,7 @@ from unsharp_bell.fine import (
     feasibility_oracle,
     find_witness,
     marginals,
+    rationalization_error,
     reconstruct_jpd,
     table_from_quantum,
 )
@@ -593,6 +594,31 @@ def test_requests_do_not_eliminate(monkeypatch, rng):
         assert chsh_check(table).all_hold is want
         assert reconstruct_jpd(table).feasible is want
         assert feasibility_oracle(table).feasible is want
+
+
+def reference_rationalization_error(table: ProbabilityTable) -> float:
+    """The largest |entry - surrogate entry| over the 24 entries, in ``Fraction``s."""
+    ones = {k: Fraction(table.single(k)).limit_denominator(RATIONAL_DENOMINATOR)
+            for k in (1, 2, 3, 4)}
+    singles = {**ones, **{-k: 1 - one for k, one in ones.items()}}
+    pairs = rationalized_pair_values(table)
+    gaps = [abs(Fraction(table.single(k)) - singles[k]) for k in SINGLE_KEYS]
+    gaps += [abs(Fraction(table.pair(i, j)) - pairs[(i, j)]) for i, j in PAIR_KEYS]
+    return float(max(gaps))
+
+
+def test_rationalization_error_is_the_largest_gap_to_the_surrogate(rng):
+    # dyadic entries are their own surrogate
+    assert rationalization_error(uniform_table()) == 0.0
+    counts = rng.multinomial(1024, [1 / 16] * 16).reshape(2, 2, 2, 2)
+    assert rationalization_error(marginals(Jpd4(counts / 1024))) == 0.0
+    for _ in range(100):
+        config = BellConfiguration(float(rng.random()), *rng.normal(size=(4, 3)))
+        table = table_from_quantum(random_density(rng, 4), config)
+        error = rationalization_error(table)
+        # a derived entry sums up to four generators' gaps, each at most 1 / RATIONAL_DENOMINATOR
+        assert error == reference_rationalization_error(table)
+        assert 0.0 < error <= 4 / RATIONAL_DENOMINATOR
 
 
 def test_compiled_coefficients_keep_integers_exact():

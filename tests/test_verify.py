@@ -26,7 +26,6 @@ from unsharp_bell.sampling import (
     draws_in_blocks,
     random_density,
     random_unit_vector,
-    random_unit_vectors,
 )
 from unsharp_bell.spin_povm import _pair_effects, unsharp_effect
 
@@ -70,7 +69,8 @@ def test_magic_basis_is_unitary():
 
 def test_magic_basis_spectra_equal_bell_operator_spectra(rng):
     # the real magic-basis eigensolve against the complex Bell operator
-    axes = np.stack([random_unit_vectors(rng, 200) for _ in range(4)])
+    axes = rng.normal(size=(4, 200, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     orthogonal = np.stack(orthogonal_configuration(1.0).axes)[:, None, :]
     coplanar = np.stack(coplanar_configuration(1.0, np.pi / 4).axes)[:, None, :]
     axes = np.concatenate([orthogonal, coplanar, axes], axis=1)
@@ -84,11 +84,8 @@ def test_magic_basis_spectra_equal_bell_operator_spectra(rng):
 
 def test_cirelson_check_holds_the_smeared_operator_to_its_closed_form(monkeypatch):
     # the smeared spot checks draw nothing from the check's random stream
-    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-    passed, _, _, detail = verify.check_cirelson(rng)
-    for _ in range(4):
-        random_unit_vectors(reference, 100_000)
-    assert rng.bit_generator.state == reference.bit_generator.state
+    # (test_blocked_draws_leave_the_generator_state_unchanged)
+    passed, _, _, detail = verify.check_cirelson(np.random.default_rng(5))
     assert passed and "104 smeared operators" in detail
     assert {0.0, 2.0 ** -0.25, 1.0} <= set(verify._SMEAR_SHARPNESS)
     # an assembled operator 2e-12 off its closed form fails the check
@@ -146,15 +143,16 @@ def test_blocks_cover_a_sample_without_one_row_blocks(count):
 
 
 @pytest.mark.parametrize(
-    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (2, 3, 4, 2.5, 2.5))
+    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (2, 3, 3.5, 2.5, 2.5))
 )
 def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     # numpy reports its buffers to tracemalloc.  Evaluated as one batch, the
     # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB;
     # evaluated in blocks but drawn or built whole, at 7.1 and 16.9 MiB, the
     # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn and
-    # built block by block they peak at 1.3, 2.0-2.6, 3.5-3.7 and 2.0 MiB (the
-    # range is over test orders), and the chart check at 2.1-2.2 MiB.
+    # built block by block they peak at 1.3, 2.0-2.6, 2.4-3.2 and 2.0 MiB (the
+    # range is over test orders; the Fine check's top is when it runs alone),
+    # and the chart check at 2.1-2.2 MiB.
     tracemalloc.start()
     try:
         passed = run_check(name)[0]
@@ -167,71 +165,68 @@ def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
 COUNTS = [2, 3, verify._BLOCK + 1, 25 * verify._BLOCK + 1]
 
 
-@pytest.mark.parametrize("kind", ["normal", "random"])
+@pytest.mark.parametrize("kind", ["normal", "random", "unit"])
 @pytest.mark.parametrize("count", COUNTS)
-def test_cursors_reproduce_consecutive_whole_draws(kind, count):
-    # read a block at a time, three draws give the bits of three whole draws
-    # made one after another, and leave the stream where those leave it
+def test_blocks_equal_whole_draws_of_spawned_streams(kind, count):
+    # read a block at a time, each draw gives the bits of one whole draw
+    # from its own child of rng.spawn
     shapes = [(3,), (4, 4), ()]
-    rng, whole = np.random.default_rng(count), np.random.default_rng(count)
+    rng = np.random.default_rng(count)
     blocks = verify._blocks(count)
     parts = list(draws_in_blocks(rng, [(kind, shape) for shape in shapes], blocks))
     assert len(parts) == len(blocks)
-    for k, shape in enumerate(shapes):
-        want = getattr(whole, kind)(size=(count,) + shape)
+    children = np.random.default_rng(count).spawn(len(shapes))
+    for k, (shape, child) in enumerate(zip(shapes, children)):
+        want = getattr(child, "random" if kind == "random" else "normal")(size=(count,) + shape)
+        if kind == "unit":  # each row divided by its norm
+            norms = np.linalg.norm(want.reshape(count, -1), axis=1)
+            want /= norms.reshape((count,) + (1,) * len(shape))
         assert verify._same_bits(np.concatenate([part[k] for part in parts]), want)
-    assert rng.bit_generator.state == whole.bit_generator.state
 
 
-@pytest.mark.parametrize("count", COUNTS)
-def test_unit_cursors_reproduce_random_unit_vectors(count):
-    rng, whole = np.random.default_rng(count), np.random.default_rng(count)
-    blocks = verify._blocks(count)
-    parts = list(draws_in_blocks(rng, [("unit", (3,)), ("normal", (4, 4))], blocks))
-    assert verify._same_bits(np.concatenate([part[0] for part in parts]),
-                             random_unit_vectors(whole, count))
-    assert verify._same_bits(np.concatenate([part[1] for part in parts]),
-                             whole.normal(size=(count, 4, 4)))
-    # the stream ends past every draw even when only the first block is read
-    rng = np.random.default_rng(count)
-    next(draws_in_blocks(rng, [("unit", (3,)), ("normal", (4, 4))], blocks))
-    assert rng.bit_generator.state == whole.bit_generator.state
+DRAWS = [("unit", (3,)), ("normal", (4, 4)), ("random", ())]
+LEAVE_STATE = {
+    "draws_in_blocks": lambda rng: list(draws_in_blocks(rng, DRAWS, verify._blocks(10_000))),
+    "check_cirelson": verify.check_cirelson,
+    "check_disturbance": verify.check_disturbance,
+}
 
 
-class ZeroRows:
-    """A generator whose normal draws are a seeded one's, except that the rows of
-    three at the stream positions ``zeros`` are zero, so too short to be a direction."""
+@pytest.mark.parametrize("name", LEAVE_STATE)
+def test_blocked_draws_leave_the_generator_state_unchanged(name):
+    # the draws read spawned streams, and nothing else in these checks draws
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    LEAVE_STATE[name](rng)
+    assert rng.bit_generator.state == before
 
-    def __init__(self, seed: int, zeros):
-        self.rng, self.zeros, self.drawn = np.random.default_rng(seed), zeros, 0
+
+class ZeroRow:
+    """A generator whose ``spawn`` gives seeded children, the last of which
+    zeroes the normal row ``row`` of its draw, so too short to be a direction."""
+
+    def __init__(self, row: int):
+        self.row, self.drawn = row, 0
+
+    def spawn(self, n: int):
+        *children, self.last = np.random.default_rng(3).spawn(n)
+        return children + [self]
 
     def normal(self, size):
-        return self.zeroed(self.rng.normal(size=size))
-
-    def standard_normal(self, out):
-        return self.zeroed(self.rng.standard_normal(out=out))
-
-    def zeroed(self, values):
-        rows = values.reshape(-1, 3)
-        rows[[z - self.drawn for z in self.zeros if 0 <= z - self.drawn < len(rows)]] = 0.0
-        self.drawn += len(rows)
+        values = self.last.normal(size=size)
+        if 0 <= self.row - self.drawn < len(values):
+            values[self.row - self.drawn] = 0.0
+        self.drawn += len(values)
         return values
 
 
-def test_unit_cursors_redraw_degenerate_rows_as_random_unit_vectors_does():
-    count = verify._BLOCK + 1
-    # Row 7 of the first draw is zero and so is its first redraw, which
-    # follows the whole draw; the second draw then starts two rows later,
-    # and its row 1 is zero.
-    zeros = [7, count, count + 3]
-    rng, whole = ZeroRows(3, zeros), ZeroRows(3, zeros)
-    parts = list(draws_in_blocks(rng, [("unit", (3,))] * 2, verify._blocks(count)))
-    for k in range(2):
-        want = random_unit_vectors(whole, count)
-        assert verify._same_bits(np.concatenate([part[k] for part in parts]), want)
-        assert np.abs(np.linalg.norm(want, axis=1) - 1.0).max() <= 1e-15
-    assert whole.drawn == rng.drawn == 2 * count + 3
-    assert rng.rng.bit_generator.state == whole.rng.bit_generator.state
+def test_a_short_unit_row_raises_naming_its_draw_and_row():
+    count = 2 * verify._BLOCK + 1
+    parts = draws_in_blocks(ZeroRow(verify._BLOCK), [("unit", (3,))] * 2, verify._blocks(count))
+    first = next(parts)  # rows 0-2730
+    assert all(np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15 for rows in first)
+    with pytest.raises(ArithmeticError, match="unit draw 1 has row 4096 shorter than 1e-08"):
+        next(parts)
 
 
 def same_bits(a, b) -> bool:
