@@ -294,6 +294,10 @@ class Jpd4:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (2, 2, 2, 2):
             raise ValueError(f"joint distribution must have shape (2,2,2,2), got {self.values.shape}")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            bad = float(self.values[~finite][0])
+            raise ValueError(f"joint distribution has a non-finite entry ({bad!r})")
         low = float(self.values.min())
         if low < -RANGE_TOL:
             raise ValueError(f"joint distribution has a negative entry ({low:.3e})")

@@ -264,14 +264,23 @@ def information_cover(events) -> Cover:
     return _cover("information", events)
 
 
-def lorentz_boost(velocity) -> np.ndarray:
-    """Boost matrix acting on (t, x, y, z) coordinate columns."""
+def _subluminal(velocity, name: str) -> tuple[np.ndarray, float]:
+    """A velocity as a float 3-vector, and its squared speed; a refusal names ``name``."""
     v = np.asarray(velocity, dtype=float)
     if v.shape != (3,):
-        raise ValueError(f"velocity must be a 3-vector, got shape {v.shape}")
-    speed2 = float(v @ v)
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    speed = math.hypot(*v.tolist())  # without v @ v's overflow
+    speed2 = float(v @ v) if speed < 1.0 else math.inf
     if speed2 >= 1.0:
-        raise ValueError(f"speed {np.sqrt(speed2)!r} is not below 1")
+        raise ValueError(f"{name} has speed {speed!r}, not below 1")
+    return v, speed2
+
+
+def lorentz_boost(velocity) -> np.ndarray:
+    """Boost matrix acting on (t, x, y, z) coordinate columns."""
+    v, speed2 = _subluminal(velocity, "velocity")
     if speed2 == 0.0:
         return np.eye(4)
     gamma = 1.0 / np.sqrt(1.0 - speed2)
@@ -295,11 +304,7 @@ class Worldline:
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        v = np.asarray(self.velocity, dtype=float)
-        if v.shape != (3,):
-            raise ValueError("worldline velocity must be a 3-vector")
-        if float(v @ v) >= 1.0:
-            raise ValueError("worldline must be timelike (speed below 1)")
+        v, _ = _subluminal(self.velocity, "worldline velocity")
         object.__setattr__(self, "velocity", tuple(float(c) for c in v))
 
     def event_at(self, dt: float) -> SpacetimeEvent:

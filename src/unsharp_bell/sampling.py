@@ -1,4 +1,8 @@
-"""Seeded random generators shared by the tests and the verification suite."""
+"""The verification battery's seed and random draws, shared with the tests.
+
+A random direction is ``spin_povm.unit_vector(rng.normal(size=3))``: a
+normal row divided by its norm, as a ``draws_in_blocks`` unit row is.
+"""
 
 from __future__ import annotations
 
@@ -6,24 +10,13 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
-    "random_unit_vector",
     "draws_in_blocks",
     "random_density",
 ]
 
 DEFAULT_SEED = 20260819
-# A normal draw shorter than this has no direction: ``random_unit_vector`` draws it
-# again, and a ``draws_in_blocks`` unit row raises.
+# A ``draws_in_blocks`` unit row shorter than this has no direction, and raises.
 _DEGENERATE = 1e-8
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    """Uniform direction on the unit sphere."""
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > _DEGENERATE:
-            return v / norm
 
 
 def draws_in_blocks(rng: np.random.Generator, draws, blocks: list[slice]):

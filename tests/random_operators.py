@@ -2,6 +2,13 @@
 
 import numpy as np
 
+from unsharp_bell.spin_povm import unit_vector
+
+
+def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
+    """Uniform direction on the unit sphere."""
+    return unit_vector(rng.normal(size=3))
+
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -23,7 +23,9 @@ from unsharp_bell.bell import (
     singlet_state,
 )
 from unsharp_bell.operators import expectation, pauli_dot
-from unsharp_bell.sampling import random_density, random_unit_vector
+from unsharp_bell.sampling import random_density
+
+from random_operators import random_unit_vector
 
 ROOT2 = np.sqrt(2.0)
 

@@ -266,7 +266,7 @@ def test_coexistent_quadruple_solves_its_own_table(rng):
     # below the universal limit, the Born probabilities of the quadruple
     # joint observable form a valid jpd reproducing the quantum table
     from unsharp_bell.operators import expectation
-    from unsharp_bell.sampling import random_unit_vector
+    from random_operators import random_unit_vector
     from unsharp_bell.spin_povm import PAIR_SHARPNESS_LIMIT, quadruple_joint
 
     for _ in range(10):
@@ -825,6 +825,17 @@ def jpd_json(changes=()) -> dict:
 def test_jpd_json_refuses_bad_input(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Jpd4.from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_jpd_refuses_non_finite_entries(value):
+    # a NaN table passed the range and sum checks, and marginals made a NaN table of it
+    values = np.full((2, 2, 2, 2), 1 / 16)
+    values[1, 0, 1, 0] = value
+    with pytest.raises(ValueError, match=re.escape(f"non-finite entry ({value!r})")):
+        Jpd4(values)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        Jpd4(np.full((2, 2, 2, 2), value))
 
 
 @pytest.mark.parametrize(

@@ -19,10 +19,10 @@ from unsharp_bell.operators import (
     sqrt_psd,
     trace_norm,
 )
-from unsharp_bell.sampling import random_density, random_unit_vector
+from unsharp_bell.sampling import random_density
 from unsharp_bell.spin_povm import unsharp_effect
 
-from random_operators import random_effect
+from random_operators import random_effect, random_unit_vector
 
 Z = np.array([0.0, 0, 1])
 

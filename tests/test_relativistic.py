@@ -261,6 +261,29 @@ def test_worldline_timelike():
         Worldline(SpacetimeEvent(0.0), (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf])
+def test_non_finite_velocities_are_refused_by_name(component):
+    # a NaN velocity gave a NaN boost and a NaN worldline
+    velocity = (component, 0.0, 0.0)
+    refusal = r"^velocity must be finite, got \[(nan|inf|-inf), 0.0, 0.0\]$"
+    with pytest.raises(ValueError, match=refusal):
+        lorentz_boost(velocity)
+    with pytest.raises(ValueError, match="^worldline velocity must be finite"):
+        Worldline(SpacetimeEvent(0.0), velocity)
+
+
+@pytest.mark.parametrize(
+    "velocity, speed", [((1.0, 0.0, 0.0), "1.0"), ((1e200, 0.0, 0.0), "1e+200")]
+)
+def test_superluminal_refusals_print_the_speed_as_a_float(velocity, speed):
+    # the refusal printed ``np.float64(inf)`` for a speed whose square overflows
+    message = f"velocity has speed {speed}, not below 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lorentz_boost(velocity)
+    with pytest.raises(ValueError, match=re.escape(f"worldline {message}")):
+        Worldline(SpacetimeEvent(0.0), velocity)
+
+
 def test_chart_before_everything():
     programme = two_sided_programme()
     early = SpacetimeEvent(-100.0, 0.0, 0.0, 0.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from unsharp_bell.bell import BellConfiguration, singlet_pair_prob
 from unsharp_bell.operators import I2, pauli_dot, sqrt_psd
 from unsharp_bell.relativistic import Measurement, MeasurementProgramme, SpacetimeEvent
-from unsharp_bell.sampling import random_unit_vector
 from unsharp_bell.spin_povm import (
     PAIR_OUTCOMES,
     PAIR_SHARPNESS_LIMIT,
@@ -23,6 +22,8 @@ from unsharp_bell.spin_povm import (
     unit_vector,
     unsharp_effect,
 )
+
+from random_operators import random_unit_vector
 
 ORTHO = (np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
 

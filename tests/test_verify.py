@@ -25,9 +25,10 @@ from unsharp_bell.sampling import (
     DEFAULT_SEED,
     draws_in_blocks,
     random_density,
-    random_unit_vector,
 )
 from unsharp_bell.spin_povm import _pair_effects, unsharp_effect
+
+from random_operators import random_unit_vector
 
 SPECIAL_SHARPNESS = (0.0, 1.0, 2.0 ** -0.5, 2.0 ** -0.25)
 # A CHSH form of the optimal singlet table sits about 1e-9 past 1 here,
@@ -143,16 +144,20 @@ def test_blocks_cover_a_sample_without_one_row_blocks(count):
 
 
 @pytest.mark.parametrize(
-    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (2, 3, 3.5, 2.5, 2.5))
+    "name, limit_mib", zip(BLOCKED_CHECKS + ("chart-consistency",), (2, 2.5, 2.5, 2.5, 2.5))
 )
 def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     # numpy reports its buffers to tracemalloc.  Evaluated as one batch, the
     # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB;
     # evaluated in blocks but drawn or built whole, at 7.1 and 16.9 MiB, the
-    # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn and
-    # built block by block they peak at 1.3, 2.0-2.6, 2.4-3.2 and 2.0 MiB (the
-    # range is over test orders; the Fine check's top is when it runs alone),
-    # and the chart check at 2.1-2.2 MiB.
+    # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn,
+    # built, decided and spot-checked block by block they peak at 1.3, 1.9,
+    # 1.8 and 2.0 MiB, and the chart check at 2.1 MiB.  The first call in a
+    # process also counts one-time allocations (free lists, numpy's lazily
+    # built state), up to 0.8 MiB more, and how much of them an earlier test
+    # already made depends on the test order; so each check runs once before
+    # it is traced, and the peak is the same alone or in the suite.
+    assert run_check(name)[0]
     tracemalloc.start()
     try:
         passed = run_check(name)[0]
