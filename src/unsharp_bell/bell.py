@@ -17,6 +17,7 @@ alone from the operator's closed-form spectrum, with no eigensolve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -275,6 +276,8 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
     does, and a tie in the operator violation keeps its first term, as
     ``max`` does.
     """
+    if not isinstance(grid, numbers.Integral):
+        raise ValueError(f"grid must be an integer, got {_echo(grid)}")
     if grid < 10:
         raise ValueError(f"grid must be at least 10, got {_echo(grid)}")
     if grid > SCAN_GRID_LIMIT:  # refused before its columns are allocated

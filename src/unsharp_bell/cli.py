@@ -6,12 +6,12 @@ is the natural shape, and the ``verify-all`` report).  ``main`` is the one
 writer: it serializes the document and writes it once, to stdout or to the
 ``--out`` file every subcommand takes.  Output is deterministic for a
 given argument list and seed: keys are sorted, floats use ``repr``
-precision, and the only randomized subcommand (``verify-all``) is seeded.
+precision, and the only randomized subcommand (``verify-all``) is seeded
+by its ``--seed`` flag alone; no environment variable changes the seed.
 The serializer ``_to_json`` prints the bytes of
 ``json.dumps(document, sort_keys=True, indent=2)``, whose ``indent`` turns
 off the C encoder: it prints a list of floats, and a matrix's list of
 ``[re, im]`` pairs, with one string operation each.
-The environment variable ``UNSHARP_BELL_SEED`` overrides ``--seed``.
 
 The parser is built on the first ``main`` call and reused for the rest of
 the process, so in-process callers do not pay for argparse set-up on every
@@ -32,7 +32,6 @@ import functools
 import io
 import itertools
 import json
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -54,7 +53,7 @@ from .bell import (
     scan_lambda_threshold,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import _echo, _json_int, comma_floats, matrix_to_pairs
+from .operators import _json_int, comma_floats, matrix_to_pairs
 from .relativistic import (
     SpacetimeEvent,
     check_consistency,
@@ -410,8 +409,7 @@ def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` builds on its first call and reuses after that.
 
     Reuse is safe because argparse keeps no state between calls:
-    ``parse_args`` fills a fresh ``Namespace`` each time, and ``main``
-    applies the seed override to that namespace, never to the parser.
+    ``parse_args`` fills a fresh ``Namespace`` each time.
     """
     return build_parser()
 
@@ -491,18 +489,9 @@ def _to_json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _env_seed(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"UNSHARP_BELL_SEED must be an integer, got {_echo(text)}") from None
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if hasattr(args, "seed") and "UNSHARP_BELL_SEED" in os.environ:
-            args.seed = _env_seed(os.environ["UNSHARP_BELL_SEED"])
         document = args.func(args)
         status = 0
         if isinstance(document, tuple):  # verify-all: its report and exit status

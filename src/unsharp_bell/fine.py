@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -105,12 +104,12 @@ class TableError(ValueError):
 class ProbabilityTable:
     """Singles and pair probabilities indexed by signed observable labels.
 
-    ``singles`` maps k in {1,-1,...,4,-4} to the probability of outcome
-    sign(k) for observable |k|; ``pairs`` maps (i, j) with i in
-    {1,-1,2,-2} and j in {3,-3,4,-4} to coincidence probabilities.
+    ``single(k)`` is the probability of outcome sign(k) for observable |k|,
+    k in {1,-1,...,4,-4}; ``pair(i, j)``, with i in {1,-1,2,-2} and j in
+    {3,-3,4,-4}, is a coincidence probability.
 
     A table is read-only: its entries are ``row``, 24 floats in
-    ``SINGLE_KEYS + PAIR_KEYS`` order, which ``singles`` and ``pairs`` map.
+    ``SINGLE_KEYS + PAIR_KEYS`` order, which ``single`` and ``pair`` index.
     It is checked once, when it is made; construction accepts any entries
     and stores the verdict, which :meth:`validate` reports.
     """
@@ -164,10 +163,6 @@ class ProbabilityTable:
         gap = max(gaps)
         for name, value in zip(self.__slots__, (row, refusal, gap, gaps.index(gap))):
             object.__setattr__(self, name, value)
-
-    # Read-only mappings of the row by label.
-    singles = property(lambda self: MappingProxyType(dict(zip(SINGLE_KEYS, self.row))))
-    pairs = property(lambda self: MappingProxyType(dict(zip(PAIR_KEYS, self.row[8:]))))
 
     def single(self, k: int) -> float:
         return self.row[_COLUMN[k]]
@@ -310,25 +305,6 @@ class Jpd4:
 
     def to_json_dict(self) -> dict:
         return {key: self.entry(signs) for key, signs in _SIGN_LABELS.items()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Jpd4":
-        """Read the 16 entries ``to_json_dict`` writes, keyed "s1,s2,s3,s4" with each sign 1 or -1."""
-        if not isinstance(data, dict):
-            raise ValueError(f"joint distribution JSON must be an object, got {_echo(data)}")
-        for key in data:
-            if key not in _SIGN_LABELS:
-                raise ValueError(
-                    f"joint distribution JSON key {_echo(key)} is not a sign quadruple such as "
-                    f"'1,-1,1,1'"
-                )
-        values = np.zeros((2, 2, 2, 2))
-        for key, signs in _SIGN_LABELS.items():
-            if key not in data:
-                raise ValueError(f"joint distribution JSON is missing the entry {key!r}")
-            field = f"joint distribution JSON entry {key!r}"
-            values[tuple(_SIGN_INDEX[s] for s in signs)] = json_number(data[key], field)
-        return cls(values)
 
 
 def _marginal_entries(values: np.ndarray) -> np.ndarray:

@@ -14,8 +14,11 @@ Each public entry point checks its outside inputs once (``epr_measurement``'s
 default singlet is checked once, at import), then takes the
 effects' roots and applies ``lueders_update`` to the state it has
 already checked.  ``disturbance_report`` roots a general effect with
-``sqrt_psd``; ``epr_measurement`` roots an unsharp spin effect with the
-closed form ``spin_povm.effect_root``, no eigensolve.
+``sqrt_psd``.  An unsharp spin measurement on one particle of a pair is
+rooted by ``_measurement_roots`` alone, with the closed form
+``spin_povm.effect_root`` and no eigensolve: ``epr_measurement``, the
+observer charts of ``relativistic`` and the battery's chart check all
+take their roots from it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,20 @@ BOUND_TOL = 1e-10
 # itself: their imaginary zeros differ in sign, and the signs reach the output.
 _SINGLET = check_density(singlet_state())
 _SINGLET.flags.writeable = False
+
+
+def _embed(operator: np.ndarray, subsystem: int) -> np.ndarray:
+    return tensor(operator, I2) if subsystem == 1 else tensor(I2, operator)
+
+
+def _measurement_roots(axis: np.ndarray, sharpness: float, subsystem: int) -> dict:
+    """Square roots of the outcome effects of an unsharp spin measurement along the unit
+    ``axis`` on particle ``subsystem`` (1 or 2) of a pair, keyed by outcome +1 and -1.
+
+    Each root is ``spin_povm.effect_root``'s closed form, not an eigensolve,
+    embedded in the pair: the root of E (x) I is sqrt(E) (x) I.
+    """
+    return {o: _embed(effect_root(o * axis, sharpness), subsystem) for o in (1, -1)}
 
 
 def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:
@@ -149,12 +166,7 @@ def epr_measurement(axis, sharpness: float, state=None) -> EprMeasurementResult:
     if state.shape != (4, 4):
         raise ValueError("epr_measurement needs a two-particle (4x4) state")
 
-    # The effects are valid by construction, so their roots are taken
-    # directly, in closed form: the root of E (x) I is sqrt(E) (x) I.
-    roots = {
-        1: tensor(effect_root(axis, sharpness), I2),
-        -1: tensor(effect_root(-axis, sharpness), I2),
-    }
+    roots = _measurement_roots(axis, sharpness, 1)
     # Each outcome's subnormalized state; its trace is the outcome probability,
     # and an outcome at or below NULL_PROBABILITY has no conditional state.
     components = {k: lueders_update(state, roots, k) for k in (1, -1)}

@@ -17,11 +17,12 @@ answered by ``causal_relation``'s classification, and one flag rule,
 programme builds its influence cover once; ``_classify`` classifies a
 point (a chart's observer, a sampled worldline point) against each event
 once and reads both kinds of flags off that one list.  Every state update
-is ``instruments.lueders_update``.  A chart applies each region's
-measurements once, in programme order: they address distinct particles,
-so their updates commute.  ``check_consistency`` measures that order
-independence (``order_deviation``) on each outcome record, built once,
-and charts the worldline only for the records that can occur.
+is ``instruments.lueders_update`` by the roots ``instruments._measurement_roots``
+builds.  A chart applies each region's measurements once, in programme
+order: they address distinct particles, so their updates commute.
+``check_consistency`` measures that order independence
+(``order_deviation``) on each outcome record, built once, and charts the
+worldline only for the records that can occur.
 
 Conventions: units with c = 1, coordinates (t, x, y, z), metric
 signature (+, -, -, -).  Cones are closed (boundary and vertex
@@ -39,9 +40,8 @@ from itertools import product
 import numpy as np
 
 from .bell import singlet_state
-from .instruments import NULL_PROBABILITY, lueders_update
+from .instruments import NULL_PROBABILITY, _measurement_roots, lueders_update
 from .operators import (
-    I2,
     _echo,
     check_density,
     json_known_keys,
@@ -50,9 +50,8 @@ from .operators import (
     matrix_from_pairs,
     matrix_to_pairs,
     partial_trace,
-    tensor,
 )
-from .spin_povm import check_sharpness, effect_root, unit_vector
+from .spin_povm import check_sharpness, unit_vector
 
 __all__ = [
     "SpacetimeEvent",
@@ -328,8 +327,9 @@ class Measurement:
         if not isinstance(self.event, SpacetimeEvent):
             object.__setattr__(self, "event", SpacetimeEvent.from_sequence(self.event))
         object.__setattr__(self, "axis", unit_vector(self.axis))
-        if self.subsystem not in (1, 2):
-            raise ValueError(f"subsystem must be 1 or 2, got {self.subsystem}")
+        if isinstance(self.subsystem, (bool, np.bool_)) or self.subsystem not in (1, 2):
+            raise ValueError(f"subsystem must be 1 or 2, got {_echo(self.subsystem)}")
+        object.__setattr__(self, "subsystem", int(self.subsystem))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +360,9 @@ class MeasurementProgramme:
             if len(outs) != len(self.measurements):
                 raise ValueError("outcomes must match measurements one to one")
             for o in outs:
-                if o not in (1, -1, None):
+                if isinstance(o, (bool, np.bool_)) or o not in (1, -1, None):
                     raise ValueError(f"outcomes must be +1, -1 or None, got {_echo(o)}")
-            object.__setattr__(self, "outcomes", outs)
+            object.__setattr__(self, "outcomes", tuple(o if o is None else int(o) for o in outs))
         if not (isinstance(self.initial, str) and self.initial == "singlet"):
             object.__setattr__(self, "initial", check_density(self.initial, name="initial state"))
             if np.asarray(self.initial).shape != (4, 4):
@@ -389,21 +389,6 @@ class MeasurementProgramme:
 
     def events(self) -> tuple[SpacetimeEvent, ...]:
         return tuple(m.event for m in self.measurements)
-
-
-def _embed(operator: np.ndarray, subsystem: int) -> np.ndarray:
-    return tensor(operator, I2) if subsystem == 1 else tensor(I2, operator)
-
-
-def _measurement_roots(measurement: Measurement, sharpness: float) -> dict:
-    """Square roots of the two outcome effects, embedded in the pair.
-
-    Each root is ``spin_povm.effect_root``'s closed form, not an eigensolve.
-    """
-    return {
-        o: _embed(effect_root(o * measurement.axis, sharpness), measurement.subsystem)
-        for o in (1, -1)
-    }
 
 
 def _apply(roots: list, actions, order, state: np.ndarray) -> np.ndarray:
@@ -510,7 +495,8 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     """
     if not isinstance(observer, SpacetimeEvent):
         observer = SpacetimeEvent.from_sequence(observer)
-    roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
+    roots = [_measurement_roots(m.axis, programme.sharpness, m.subsystem)
+             for m in programme.measurements]
     return _chart(programme, observer, roots, programme.outcomes)
 
 
@@ -662,7 +648,8 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
     """Run the four chart-consistency checks over the outcome records that can occur."""
     initial = programme.initial_state
     k = len(programme.measurements)
-    roots = [_measurement_roots(m, programme.sharpness) for m in programme.measurements]
+    roots = [_measurement_roots(m.axis, programme.sharpness, m.subsystem)
+             for m in programme.measurements]
     # Each outcome record, subnormalized, its trace the record's probability.
     records = {combo: _apply(roots, combo, range(k), initial)
                for combo in product((1, -1), repeat=k)}

@@ -137,10 +137,6 @@ class JointObservable:
         if dev > STRUCT_TOL:
             raise ValueError(f"joint effects do not sum to the identity (deviation {dev:.3e})")
 
-    @property
-    def outcomes(self) -> list[tuple[int, ...]]:
-        return list(self.effects)
-
     def marginal(self, slot: int, sign: int) -> np.ndarray:
         """Sum of effects whose outcome tuple has ``sign`` at ``slot``."""
         return sum(

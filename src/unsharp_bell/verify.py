@@ -37,7 +37,7 @@ Python-int arithmetic has no batch, runs once per table.
 
 The chart check applies in both orders the measurements that
 ``relativistic.observer_chart`` applies in one: it takes the charts'
-closed-form roots from ``relativistic._measurement_roots``, writes the
+closed-form roots from ``instruments._measurement_roots``, writes the
 Lueders sandwiches of 100 programmes out as one stacked product (as
 ``check_disturbance`` writes out its own, rather than call
 ``instruments.lueders_update``), and holds the roots within ``ROOT_TOL``
@@ -55,7 +55,7 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, product
+from itertools import product
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .bell import (
     singlet_pair_prob,
     singlet_state,
 )
-from .instruments import disturbance_report, epr_measurement
+from .instruments import _measurement_roots, disturbance_report, epr_measurement
 from .operators import I2, I4, PAULI, expectation, pauli_dot, sqrt_psd, tensor
 from .relativistic import (
     _COVER_KINDS,
@@ -82,7 +82,6 @@ from .relativistic import (
     Measurement,
     MeasurementProgramme,
     SpacetimeEvent,
-    _measurement_roots,
     boost_event,
     causal_relation,
     check_consistency,
@@ -721,7 +720,8 @@ def _random_programme(rng) -> MeasurementProgramme:
 
 def _chart_roots(measurements, sharpness) -> np.ndarray:
     """The roots charts use, ``_measurement_roots`` at each sharpness, as (M, 2, 4, 4) arrays."""
-    return np.array([[r[1], r[-1]] for r in map(_measurement_roots, measurements, sharpness)])
+    roots = (_measurement_roots(m.axis, s, m.subsystem) for m, s in zip(measurements, sharpness))
+    return np.array([[r[1], r[-1]] for r in roots])
 
 
 def _sequential_vs_joint(roots: np.ndarray, initial: np.ndarray) -> np.ndarray:

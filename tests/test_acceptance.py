@@ -87,9 +87,8 @@ def test_criterion_09_chart_consistency(results):
     report(9, results["chart-consistency"])
 
 
-def test_criterion_10_verify_all_cli(results, capsys, monkeypatch):
+def test_criterion_10_verify_all_cli(results, capsys):
     # the bundled runner reports every check and exits zero
-    monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
     code = cli.main(["verify-all", "--seed", str(DEFAULT_SEED)])
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
@@ -133,8 +132,7 @@ def test_check_sizes_are_pinned(results):
     assert 0 < spots <= 500
 
 
-def test_verify_all_json_format(results, capsys, monkeypatch):
-    monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
+def test_verify_all_json_format(results, capsys):
     code = cli.main(["verify-all", "--seed", str(DEFAULT_SEED), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -169,7 +167,6 @@ def test_verify_all_says_why_a_check_failed(capsys, monkeypatch):
     ))
     results = verify.run_all.__wrapped__(DEFAULT_SEED)
     monkeypatch.setattr(cli, "run_all", lambda seed: results)
-    monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
     gap, chart = results
     assert gap.passed and not chart.passed and chart.deviation <= chart.tolerance
     assert "causal classification mismatches 1 under" in chart.detail

@@ -254,6 +254,14 @@ def test_scan_rejects_small_grid():
         scan_lambda_threshold(5)
 
 
+@pytest.mark.parametrize("grid", [10.5, 20.0, np.float64(20.0), "20", None],
+                         ids=["10.5", "20.0", "float64", "text", "None"])
+def test_scan_refuses_a_grid_that_is_not_an_integer(grid):
+    # 10.5 used to reach np.linspace and raise its bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"grid must be an integer, got {grid!r}")):
+        scan_lambda_threshold(grid)
+
+
 def test_configuration_normalizes_axes():
     config = BellConfiguration(0.5, *(np.array([0.0, 0, 2]),) * 4)
     for axis in config.axes:

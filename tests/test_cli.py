@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +21,17 @@ from unsharp_bell.fine import PAIR_KEYS, SINGLE_KEYS
 from unsharp_bell.operators import matrix_to_pairs
 from unsharp_bell.sampling import DEFAULT_SEED
 from unsharp_bell.spin_povm import parse_direction, unit_vector
+
+from pinned_outputs import (
+    CHART_FIXTURE,
+    DIGEST_CORE,
+    POINT_QUERY_FIXTURE,
+    assert_matches,
+    load,
+    mismatches,
+    openblas_core,
+    text_and_floats,
+)
 
 SRC = Path(cli.__file__).resolve().parents[1]
 COEXIST = ("coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", "0,1,0")
@@ -274,21 +288,39 @@ def pinned_point_queries() -> list[list[str]]:
     return argvs
 
 
+def point_query_runs() -> list[tuple[list[str], int, str, str]]:
+    """The argv, exit code, stdout and stderr of each of ``pinned_point_queries()``."""
+    runs = []
+    for argv in pinned_point_queries():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        runs.append((argv, code, out.getvalue(), err.getvalue()))
+    return runs
+
+
+def point_query_documents(runs) -> list:
+    """Each run's exit code, stdout read as JSON (None when empty) and stderr, split at its
+    numbers: a refusal may quote a computed float."""
+    return [[code, json.loads(out) if out else None, text_and_floats(err)]
+            for _, code, out, err in runs]
+
+
 # sha256 over the exit code, stdout and stderr of ``pinned_point_queries()``,
 # taken before the CLI's own JSON writer replaced ``json.dumps``, the closed-form
 # ``chsh`` decision replaced its eigensolve and the scalar cross products
 # replaced ``np.cross``.  The eigensolved fields carry LAPACK's bits, so the
 # digest pins one numpy build (2.x, OpenBLAS, x86-64) and one OpenBLAS kernel
-# family: it was taken with the SkylakeX kernels, and fails under
-# ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, whose last bits differ.
+# family, SkylakeX; the Haswell and Prescott kernels differ in the last bits,
+# which the fixture comparison allows.
 POINT_QUERY_DIGEST = "4186c867f7f9ce4e6ef29ab7db14c62c8ec74d920eacb011ccfe4a5bf4e95ea4"
 
 
-def test_point_query_output_is_pinned(capsys):
+def test_point_query_output_is_pinned():
     digest = hashlib.sha256()
     seen = set()
-    for argv in pinned_point_queries():
-        code, out, err = run_cli(capsys, *argv)
+    runs = point_query_runs()
+    for argv, code, out, err in runs:
         digest.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
         holds = json.loads(out).get("operator_chsh_holds") if code == 0 else None
         seen.add((argv[0], code, holds))
@@ -296,7 +328,33 @@ def test_point_query_output_is_pinned(capsys):
     assert {code for _, code, _ in seen} == {0, 1}
     for command in ("chsh", "bell-op"):
         assert {(command, 0, True), (command, 0, False)} <= seen
-    assert digest.hexdigest() == POINT_QUERY_DIGEST
+    assert_matches(point_query_documents(runs), POINT_QUERY_FIXTURE)
+    if openblas_core() == DIGEST_CORE:
+        assert digest.hexdigest() == POINT_QUERY_DIGEST
+
+
+def float_slots(document):
+    """(container, key) of each float in a JSON document, depth first."""
+    items = document.items() if isinstance(document, dict) else enumerate(document)
+    for key, value in items:
+        if isinstance(value, float):
+            yield document, key
+        elif isinstance(value, (dict, list)):
+            yield from float_slots(value)
+
+
+@pytest.mark.parametrize("name", [POINT_QUERY_FIXTURE, CHART_FIXTURE])
+def test_a_1e_12_change_to_one_float_fails_the_fixture_comparison(name):
+    expected = load(name)
+    actual = json.loads(json.dumps(expected))
+    holder, key = next((h, k) for h, k in float_slots(actual) if abs(h[k]) <= 1.0)
+    value = holder[key]
+    holder[key] = value + 2.0 * math.ulp(1.0)  # within the bound, as kernel gaps are
+    assert mismatches(actual, expected) == []
+    holder[key] = value + 1e-12
+    assert len(mismatches(actual, expected)) == 1
+    holder[key] = math.inf
+    assert len(mismatches(actual, expected)) == 1
 
 
 def test_axis_commands_print_the_normalized_parsed_direction(capsys):
@@ -503,14 +561,6 @@ def test_coexist_refuses_non_finite_axis(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "finite" in err
-
-
-def test_non_integer_seed_variable_exit_one(capsys, monkeypatch):
-    monkeypatch.setenv("UNSHARP_BELL_SEED", "abc")
-    code, out, err = run_cli(capsys, "verify-all")
-    assert code == 1
-    assert out == ""
-    assert "UNSHARP_BELL_SEED" in err
 
 
 def test_table_with_non_object_singles_exit_one(tmp_path, capsys):
@@ -768,7 +818,9 @@ def test_repeated_calls_match_fresh_processes(sequence, tmp_path, capsys, monkey
         assert in_process == fresh, argv
 
 
-def test_seed_variable_applies_per_call(capsys, monkeypatch):
+def test_seed_variable_is_ignored(capsys, monkeypatch):
+    # --seed alone sets the seed, per call; the former UNSHARP_BELL_SEED
+    # override is read no more
     seeds = []
 
     def stand_in(seed):
@@ -778,11 +830,11 @@ def test_seed_variable_applies_per_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all", stand_in)
     monkeypatch.setenv("UNSHARP_BELL_SEED", "7")
     assert cli.main(["verify-all", "--seed", "3"]) == 0
-    monkeypatch.delenv("UNSHARP_BELL_SEED")
-    assert cli.main(["verify-all", "--seed", "3"]) == 0
     assert cli.main(["verify-all"]) == 0
+    monkeypatch.setenv("UNSHARP_BELL_SEED", "abc")
+    assert cli.main(["verify-all", "--seed", "3"]) == 0
     capsys.readouterr()
-    assert seeds == [7, 3, DEFAULT_SEED]
+    assert seeds == [3, DEFAULT_SEED, 3]
 
 
 @pytest.mark.parametrize(
@@ -868,15 +920,11 @@ def test_overflowing_axis_is_refused_without_a_warning(capsys):
 
 @pytest.mark.parametrize("source", ["flag", "variable"])
 def test_negative_seed_is_refused_by_name(capsys, monkeypatch, source):
-    if source == "flag":
-        monkeypatch.delenv("UNSHARP_BELL_SEED", raising=False)
-        argv = ("verify-all", "--seed", "-1")
-    else:
-        monkeypatch.setenv("UNSHARP_BELL_SEED", "-3")
-        argv = ("verify-all", "--seed", "3")
-    code, out, err = run_cli(capsys, *argv)
-    seed = "-1" if source == "flag" else "-3"
-    assert (code, out, err) == (1, "", f"error: seed must be a non-negative integer, got {seed}\n")
+    # the flag's seed is refused, whether or not the former seed variable is set
+    if source == "variable":
+        monkeypatch.setenv("UNSHARP_BELL_SEED", "3")
+    code, out, err = run_cli(capsys, "verify-all", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be a non-negative integer, got -1\n")
 
 
 @pytest.mark.parametrize("grid", [10**6 + 1, 10**11])

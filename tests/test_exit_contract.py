@@ -233,10 +233,7 @@ def workdir(tmp_path_factory):
     (path / "uniform.json").write_text(json.dumps(TABLE))
     (path / "uniform.csv").write_text(ProbabilityTable.from_json_dict(TABLE).to_csv_text())
     (path / "programme.json").write_text(json.dumps(PROGRAMMES[0]))
-    # Without the seed variable, a refused --seed cannot be replaced by a valid one.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("UNSHARP_BELL_SEED", raising=False)
-        yield path
+    return path
 
 
 def pinned(kind, base, path, value):
@@ -437,25 +434,19 @@ def test_argv_keeps_the_exit_contract(workdir, argv):
 
 
 @pytest.mark.parametrize(
-    ("argv", "seed", "named"),
+    ("argv", "named"),
     [
-        (["epr", "--lambda", "0.5", "--axis", LONG_AXIS], None, "--axis"),
-        (["lueders", "--lambda", "0.5", "--axis", "0,0,1", "--state-axis", LONG_AXIS], None,
+        (["epr", "--lambda", "0.5", "--axis", LONG_AXIS], "--axis"),
+        (["lueders", "--lambda", "0.5", "--axis", "0,0,1", "--state-axis", LONG_AXIS],
          "--state-axis"),
-        (["coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", LONG_AXIS], None, "--n2"),
-        (["chart", "--programme", "programme.json", "--observer", LONG_OBSERVER], None,
-         "--observer"),
-        (["verify-all"], "1" + "x" * 3000, "UNSHARP_BELL_SEED"),
-        (["verify-all"], "1" * 5000, "UNSHARP_BELL_SEED"),  # past int's digit limit
+        (["coexist", "--lambda", "0.5", "--n1", "1,0,0", "--n2", LONG_AXIS], "--n2"),
+        (["chart", "--programme", "programme.json", "--observer", LONG_OBSERVER], "--observer"),
     ],
-    ids=["epr-axis", "lueders-state-axis", "coexist-n2", "chart-observer", "seed-text",
-         "seed-digits"],
+    ids=["epr-axis", "lueders-state-axis", "coexist-n2", "chart-observer"],
 )
-def test_long_values_are_quoted_once_by_name(workdir, monkeypatch, argv, seed, named):
+def test_long_values_are_quoted_once_by_name(workdir, argv, named):
     # Such values used to be quoted whole, and twice for an axis: 3,045 and
     # 6,071 bytes of stderr, the observer's naming no flag.
-    if seed is not None:
-        monkeypatch.setenv("UNSHARP_BELL_SEED", seed)
     argv = [str(workdir / token) if token in FILES else token for token in argv]
     code, _, err = run(argv)  # one error line under 300 characters
     assert code == 1

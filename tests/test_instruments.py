@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unsharp_bell import instruments, verify
 from unsharp_bell.bell import singlet_state
 from unsharp_bell.instruments import (
     NULL_PROBABILITY,
@@ -19,8 +20,9 @@ from unsharp_bell.operators import (
     sqrt_psd,
     trace_norm,
 )
+from unsharp_bell.relativistic import Measurement, MeasurementProgramme, observer_chart
 from unsharp_bell.sampling import random_density
-from unsharp_bell.spin_povm import unsharp_effect
+from unsharp_bell.spin_povm import effect_root, unsharp_effect
 
 from random_operators import random_effect, random_unit_vector
 
@@ -266,3 +268,20 @@ def test_epr_measurement_matches_the_eigensolved_instrument(rng):
             assert np.abs(result.component_posts[k] - sub / prob).max() <= tol
     projectors = {k: np.kron(unsharp_effect(k * result.axis, 1.0), I2) for k in (1, -1)}
     assert result.joint_post_mixture.tobytes() == lueders_update(state, projectors).tobytes()
+
+
+def test_every_spin_measurement_is_rooted_by_one_builder(monkeypatch):
+    # epr_measurement, the observer charts and the battery's chart check all
+    # take their Lueders roots from instruments._measurement_roots: a change
+    # to the roots it builds reaches each of them
+    rooted = []
+    monkeypatch.setattr(instruments, "effect_root",
+                        lambda axis, s: rooted.append((tuple(axis), s)) or effect_root(axis, s))
+    axis = np.array([0.6, 0.0, 0.8])
+    epr_measurement(axis, 0.7)
+    assert rooted == [(tuple(axis), 0.7), (tuple(-axis), 0.7)]
+    measurement = Measurement((0.0, 0.0, 0.0, 0.0), axis, 2)
+    observer_chart(MeasurementProgramme("singlet", 0.4, [measurement], (1,)), (1.0, 0.0, 0.0, 0.0))
+    verify._chart_roots([measurement], [0.9])
+    assert [s for _, s in rooted[2:]] == [0.4, 0.4, 0.9, 0.9]
+

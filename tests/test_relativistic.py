@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_bell import relativistic, verify
+from unsharp_bell import instruments, relativistic, verify
 from unsharp_bell.bell import THRESHOLDS, singlet_state
 from unsharp_bell.instruments import epr_measurement
 from unsharp_bell.relativistic import (
@@ -32,7 +32,9 @@ from unsharp_bell.relativistic import (
     programme_to_json_dict,
 )
 from unsharp_bell.sampling import random_density
-from unsharp_bell.spin_povm import PAIR_SHARPNESS_LIMIT
+from unsharp_bell.spin_povm import PAIR_SHARPNESS_LIMIT, unit_vector
+
+from pinned_outputs import CHART_FIXTURE, DIGEST_CORE, assert_matches, openblas_core
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -461,7 +463,7 @@ def test_lueders_steps_on_two_particles_commute(seed, sharpness, actions, subsys
     state = {"singlet": singlet_state, "random": lambda: random_density(rng, 4),
              "product": lambda: pure_product_state(rng)}[kind]()
     roots = [
-        relativistic._measurement_roots(Measurement(SpacetimeEvent(0.0), axis, sub), sharpness)
+        instruments._measurement_roots(unit_vector(axis), sharpness, sub)
         for axis, sub in zip(rng.normal(size=(2, 3)), subsystems)
     ]
     forward = relativistic._apply(roots, actions, (0, 1), state)
@@ -508,32 +510,44 @@ def pinned_observers(programme, rng) -> list:
     return [SpacetimeEvent.from_sequence(p) for p in points]
 
 
-# sha256 over the chart documents of ``pinned_chart_programmes()`` at
-# ``pinned_observers``, and the consistency reports of every second programme,
+def chart_runs() -> tuple[list, list]:
+    """The charts of ``pinned_chart_programmes()`` at ``pinned_observers``, and the
+    consistency reports of every second programme."""
+    rng = np.random.default_rng(20_181)
+    programmes = pinned_chart_programmes()
+    charts = [observer_chart(programme, observer)
+              for programme in programmes for observer in pinned_observers(programme, rng)]
+    return charts, [check_consistency(programme) for programme in programmes[::2]]
+
+
+def chart_documents(charts, reports) -> dict:
+    return {"charts": [chart.to_json_dict() for chart in charts],
+            "reports": [dataclasses.asdict(report) for report in reports]}
+
+
+# sha256 over the chart documents and consistency reports of ``chart_runs()``,
 # taken while each chart still applied every region's measurements in both
 # orders.  The random states and axes carry numpy's bits, so the digest pins
-# one numpy build (2.x, OpenBLAS, x86-64) and one OpenBLAS kernel family: it
-# was taken with the SkylakeX kernels, and fails under
-# ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, whose last bits differ.
+# one numpy build (2.x, OpenBLAS, x86-64) and one OpenBLAS kernel family,
+# SkylakeX; the Haswell and Prescott kernels differ in the last bits, which
+# the fixture comparison allows.
 CHART_DIGEST = "6a22e9fe011e9a64ec35fca40486363fdab19bb9a19cdff43a4c8f06408e6a0d"
 
 
 def test_chart_output_is_pinned():
-    rng = np.random.default_rng(20_181)
     digest = hashlib.sha256()
-    seen = set()
-    programmes = pinned_chart_programmes()
-    for programme in programmes:
-        for observer in pinned_observers(programme, rng):
-            chart = observer_chart(programme, observer)
-            digest.update(json.dumps(chart.to_json_dict(), sort_keys=True).encode())
-            seen.add((len(chart.informed) > 0, chart.influence_flags))
-    for programme in programmes[::2]:
-        digest.update(repr(check_consistency(programme)).encode())
+    charts, reports = chart_runs()
+    for chart in charts:
+        digest.update(json.dumps(chart.to_json_dict(), sort_keys=True).encode())
+    for report in reports:
+        digest.update(repr(report).encode())
     # every region of one- and two-event covers, entered informed and not
     regions = ((0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
+    seen = {(len(chart.informed) > 0, chart.influence_flags) for chart in charts}
     assert seen == set(itertools.product((True, False), regions))
-    assert digest.hexdigest() == CHART_DIGEST
+    assert_matches(chart_documents(charts, reports), CHART_FIXTURE)
+    if openblas_core() == DIGEST_CORE:
+        assert digest.hexdigest() == CHART_DIGEST
 
 
 def test_chart_assigns_every_region():
@@ -659,10 +673,10 @@ def test_consistency_charts_from_shared_roots_equal_observer_charts(monkeypatch,
         return chart
 
     roots_built = []
-    effect_root = relativistic.effect_root
+    effect_root = instruments.effect_root
     monkeypatch.setattr(relativistic, "_chart", recording)
     monkeypatch.setattr(
-        relativistic, "effect_root", lambda *args: roots_built.append(args) or effect_root(*args)
+        instruments, "effect_root", lambda *args: roots_built.append(args) or effect_root(*args)
     )
     offsets = np.linspace(-2.0, 12.0, 15)
     check_consistency(programme, Worldline(SpacetimeEvent(-3.0, 1.0, 0.0, 0.0)), offsets)
@@ -880,6 +894,33 @@ def test_programme_json_keeps_integral_numbers():
 def test_programme_json_refuses_text_and_booleans(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         programme_from_json_dict(single_measurement_json(**fields))
+
+
+@pytest.mark.parametrize("subsystem", [True, np.True_, 1.5, "1"])
+def test_measurement_refuses_what_the_json_reader_refuses(subsystem):
+    # True (== 1) and np.True_ used to be accepted, where programme JSON refuses a bool
+    with pytest.raises(ValueError, match=re.escape(f"subsystem must be 1 or 2, got {subsystem!r}")):
+        Measurement(SpacetimeEvent(0.0), Z, subsystem)
+
+
+@pytest.mark.parametrize("outcome", [True, np.True_, 0.5])
+def test_programme_refuses_an_outcome_the_json_reader_refuses(outcome):
+    measurement = Measurement(SpacetimeEvent(0.0), Z, 1)
+    with pytest.raises(ValueError, match=re.escape(f"outcomes must be +1, -1 or None, got {outcome!r}")):
+        MeasurementProgramme("singlet", 0.5, [measurement], (outcome,))
+
+
+def test_integral_subsystems_and_outcomes_are_stored_as_ints():
+    first = Measurement(SpacetimeEvent(0.0), Z, 2.0)
+    second = Measurement(SpacetimeEvent(1.0), Z, np.int64(1))
+    assert (type(first.subsystem), type(second.subsystem)) == (int, int)
+    programme = MeasurementProgramme("singlet", 0.5, [first, second], (-1.0, np.int64(1)))
+    assert [type(o) for o in programme.outcomes] == [int, int]
+    # a float outcome used to reach the chart's "+d" format and raise there
+    chart = observer_chart(programme, (5.0, 0.0, 0.0, 0.0))
+    assert chart.to_json_dict() == observer_chart(
+        MeasurementProgramme("singlet", 0.5, [first, second], (-1, 1)), (5.0, 0.0, 0.0, 0.0)
+    ).to_json_dict()
 
 
 def with_measurement_key(**fields) -> dict:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_bell import bell, fine, relativistic, verify
+from unsharp_bell import bell, fine, instruments, relativistic, verify
 from unsharp_bell.bell import (
     THRESHOLDS,
     BellConfiguration,
@@ -363,7 +363,7 @@ def test_chart_check_reports_the_root_gap_within_its_tolerance():
 def reference_sequential_vs_joint(programme) -> float:
     """The chart check's algebra on one programme, with its own loop over outcome pairs."""
     initial = programme.initial_state
-    roots = [relativistic._measurement_roots(m, programme.sharpness)
+    roots = [instruments._measurement_roots(m.axis, programme.sharpness, m.subsystem)
              for m in programme.measurements]
     worst = 0.0
     for o1, o2 in product((1, -1), repeat=2):
@@ -379,9 +379,9 @@ def reference_sequential_vs_joint(programme) -> float:
 
 def reference_root_gap(measurement: Measurement, sharpness: float) -> float:
     """One measurement's chart roots against ``sqrt_psd`` of its effects, one call each."""
-    roots = relativistic._measurement_roots(measurement, sharpness)
+    roots = instruments._measurement_roots(measurement.axis, sharpness, measurement.subsystem)
     return max(
-        float(np.max(np.abs(roots[o] - relativistic._embed(
+        float(np.max(np.abs(roots[o] - instruments._embed(
             sqrt_psd(unsharp_effect(o * measurement.axis, sharpness)), measurement.subsystem
         ))))
         for o in (1, -1)
@@ -437,10 +437,10 @@ def test_root_gap_catches_a_wrong_root(monkeypatch):
     # roots off by 1e-6, or no root taken at all, fail the cross-check
     measurement = Measurement(SpacetimeEvent(0.0), np.array([2.0, 1.0, 1.0]), 2)
     assert batched_root_gap(measurement, 0.6) <= 1e-14
-    root = relativistic.effect_root
-    monkeypatch.setattr(relativistic, "effect_root", lambda n, s: root(n, s) + 1e-6 * I2)
+    root = instruments.effect_root
+    monkeypatch.setattr(instruments, "effect_root", lambda n, s: root(n, s) + 1e-6 * I2)
     assert batched_root_gap(measurement, 0.6) > verify.ROOT_TOL
-    monkeypatch.setattr(relativistic, "effect_root", unsharp_effect)
+    monkeypatch.setattr(instruments, "effect_root", unsharp_effect)
     assert batched_root_gap(measurement, 0.6) > verify.ROOT_TOL
 
 
