@@ -53,7 +53,7 @@ from .bell import (
     scan_lambda_threshold,
 )
 from .instruments import disturbance_report, epr_measurement
-from .operators import _json_int, comma_floats, matrix_to_pairs
+from .operators import _echo, _json_int, comma_floats, matrix_to_pairs
 from .relativistic import (
     SpacetimeEvent,
     check_consistency,
@@ -308,16 +308,27 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
     return "\n".join(lines), status
 
 
+def _number(convert):
+    """argparse's ``type`` for an ``int`` or ``float`` flag, quoting a refused value short."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {_echo(text)}") from None
+    return parse
+
+
 def _add_sharpness(parser):
     parser.add_argument(
-        "--lambda", dest="sharpness", type=float, required=True,
+        "--lambda", dest="sharpness", type=_number(float), required=True,
         help="sharpness parameter in [0, 1]",
     )
 
 
 def _add_config_flags(parser):
     _add_sharpness(parser)
-    parser.add_argument("--angle", type=float, default=None, help="coplanar family angle")
+    parser.add_argument("--angle", type=_number(float), default=None, help="coplanar family angle")
     for name in ("--n1", "--n2", "--n3", "--n4"):
         parser.add_argument(name, default=None, help=f"axis {name[2:]} as x,y,z")
 
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("scan", help="critical sharpness scan over a grid")
-    p.add_argument("--grid", type=int, required=True, help="number of grid intervals")
+    p.add_argument("--grid", type=_number(int), required=True, help="number of grid intervals")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_scan)
 
@@ -378,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sharpness(p)
     p.add_argument("--axis", required=True, help="effect axis as x,y,z")
     p.add_argument("--state-axis", default=None, help="state axis (defaults to effect axis)")
-    p.add_argument("--epsilon", type=float, default=None, help="explicit bound parameter")
+    p.add_argument("--epsilon", type=_number(float), default=None, help="explicit bound parameter")
     p.set_defaults(func=_cmd_lueders)
 
     p = sub.add_parser("epr", help="one-sided measurement on the singlet pair")
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chart)
 
     p = sub.add_parser("verify-all", help="run every numeric check and report deviations")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_number(int), default=DEFAULT_SEED)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify_all)
 

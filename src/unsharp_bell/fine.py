@@ -17,15 +17,16 @@ joint distribution over all four sign outcomes.  Three routes answer it:
 The last two share one system, nonnegativity of the sixteen joint entries
 over seven free ones, eliminated once at import on integer coefficient
 vectors over the pair values (``_SYSTEMS``).  A table is decided on the
-final rows (``_decision``) and extended by back-substitution
+minima of the rows (``_verdict``) and extended by back-substitution
 (``_back_substitution``); the routes differ only in the values the rows
-take: the table's pair values in floats, or the sums of a rational
-surrogate's Python-int generators (``_exact_rows``), on which
-back-substitution stays exact.  ``chsh_check`` never reads the compiled
-system, so the routes still check each other.  Each body takes one
-table's row, or a batch's 24 columns, and rounds alike; only a min or
-max picks elementwise on columns (``_picks``).  The verification battery
-decides its tables through them.
+take: the table's pair values in floats (``_float_minima``), or sums of a
+rational surrogate's Python-int generators (``_exact_minima``), on which
+back-substitution stays exact.  The exact rows and back-substitution are
+straight-line code written from the system and compiled at import
+(``_kernel``).  ``chsh_check`` never reads the compiled system, so the
+routes check each other.  Each body takes one table's row, or a batch's
+24 columns, and rounds alike; only a min or max picks elementwise on
+columns (``_picks``).  The verification battery decides through them.
 
 One rule decides on every route: a table is feasible when no inequality
 is violated by more than ``DECISION_TOL``; the exact route applies it in
@@ -393,11 +394,6 @@ _SINGLE_FORMS = [
 ]
 
 
-def _entries(array: np.ndarray) -> list:
-    """The first axis of an array as a list: numbers for one table, arrays over a batch."""
-    return array.tolist() if array.ndim == 1 else list(array)
-
-
 def _picks(value) -> tuple:
     """``max`` and ``min`` for numbers, or for float arrays elementwise picks like them.
 
@@ -584,59 +580,63 @@ _FLOAT_MATRICES = [m.astype(float) for m in _MATRICES]
 _TOL_NUMERATOR, _TOL_DENOMINATOR = DECISION_TOL.as_integer_ratio()
 
 
-def _float_rows(pairs) -> np.ndarray:
-    """The stacked rows on one table's 16 pair values, or a column per table of (N, 16) ones.
-
-    Each table takes its own matrix-vector products: the BLAS matrix
-    product ``pairs @ matrix.T`` rounds differently.
-    """
+def _float_minima(pairs) -> tuple:
+    """Each run's minimum (only it binds) and the 16 entry rows: numbers on one table's 16 pair
+    values, arrays on a column per table of (N, 16) ones.  Each table takes its own matrix-vector
+    products: the BLAS matrix product ``pairs @ matrix.T`` rounds differently."""
     column = np.asarray(pairs, dtype=float)[..., None]
-    return np.concatenate([np.matmul(m, column) for m in _FLOAT_MATRICES], axis=-2)[..., 0].T
+    rows = np.concatenate([np.matmul(m, column) for m in _FLOAT_MATRICES], axis=-2)[..., 0].T
+    minima, entries = np.minimum.reduceat(rows[:_COMPILED_ROWS], _RUN_STARTS), rows[_COMPILED_ROWS:]
+    return (minima.tolist(), entries.tolist()) if rows.ndim == 1 else (list(minima), list(entries))
 
 
-def _decision(rows: np.ndarray, scale) -> tuple:
-    """The decision on the stacked rows, times ``scale``, of one table or a batch.
-
-    Returns each run's minimum (only it binds), the margin, whether it is
-    within ``DECISION_TOL``, and feasibility: no final row below it.
-    """
-    minima = _entries(np.minimum.reduceat(rows[:_COMPILED_ROWS], _RUN_STARTS))
-    lowest = minima[-1]
-    tolerance = _TOL_NUMERATOR * scale
+def _verdict(minima: list, scale) -> tuple:
+    """The margin (the last run's minimum: the final rows) times ``scale``, whether it is within
+    ``DECISION_TOL``, and feasibility: no final row below it.  One table's or a batch's."""
+    lowest, tolerance = minima[-1], _TOL_NUMERATOR * scale
     near_boundary = abs(lowest) * _TOL_DENOMINATOR <= tolerance
-    return minima, lowest / scale, near_boundary, lowest * _TOL_DENOMINATOR >= -tolerance
+    return lowest / scale, near_boundary, lowest * _TOL_DENOMINATOR >= -tolerance
 
 
-def _back_substitution(minima: list, rows: np.ndarray, scale, divide) -> tuple:
-    """The 16 joint entries times ``scale``, and whether an interval was empty.
+def _signed(start: str, terms, name: str) -> str:
+    """Source adding each ``c * name<j>`` of ``terms`` to ``start`` in turn, as |c| terms
+    ``+- name<j>``: for c = +-1 the bits of ``+ c * y``; a larger |c| is only met on exact ints."""
+    return start + "".join(f" {'-' if c < 0 else '+'} {name}{j}" * abs(c) for j, c in terms)
 
-    Each free entry takes its interval's midpoint, by ``operator.truediv``
-    on floats or ``floordiv`` on ints.  Each bound is ``-+(const + sum c_j x_j)``
-    with c = +-1, so constants divisible by ``2**7`` keep every midpoint an
-    exact int.  An interval is empty past ``DECISION_TOL``.
-    """
-    larger, smaller = _picks(minima[-1])
-    free = [0] * len(_ELIMINATION_ORDER)
-    widest = -math.inf  # the most a lower end passes its upper end by
-    for index, runs in zip(reversed(_ELIMINATION_ORDER), reversed(_BOUND_RUNS)):
-        lower, upper = -math.inf, math.inf
-        for run, below, terms in runs:
-            rest = minima[run]
-            for j, c in terms:
-                rest = rest + c * free[j]
-            if below:
-                lower = larger(lower, -rest)
-            else:
-                upper = smaller(upper, rest)
-        widest = larger(widest, lower - upper)
-        free[index] = divide(lower + upper, 2)
-    entries = []
-    for value, terms in zip(_entries(rows[_COMPILED_ROWS:]), _ENTRY_TERMS):
-        total = 0  # an int, as ``sum`` starts: exact ints stay ints, and ``0 + -0.0`` is ``0.0``
-        for j, c in terms:
-            total = total + c * free[j]
-        entries.append(value + total)
-    return entries, widest * _TOL_DENOMINATOR > _TOL_NUMERATOR * scale
+
+def _kernel(name: str, params: str, body: list, result: str):
+    """``def name(params): body; return result``, compiled from its source once, at import."""
+    source = "\n    ".join([f"def {name}({params}):", *body, f"return {result}"])
+    exec(compile(source, f"<fine.{name}>", "exec"), namespace := {})
+    return namespace[name]
+
+
+def _substitution_source() -> tuple:
+    """The loops over ``_BOUND_RUNS`` and ``_ENTRY_TERMS``, unrolled: free entry ``f<j>`` is its
+    interval's midpoint; a bound's sum starts from its run's minimum, an entry's from the int 0
+    (exact ints stay ints, and ``0 + -0.0`` is ``0.0``), as the loops did."""
+    body = []
+    for step, (index, runs) in enumerate(zip(reversed(_ELIMINATION_ORDER), reversed(_BOUND_RUNS))):
+        for end, pick, side in (("lower", "larger", True), ("upper", "smaller", False)):
+            ends = [f"{'-' * side}({_signed(f'm[{run}]', terms, 'f')})"
+                    for run, below, terms in runs if below == side]
+            body += [f"{end} = {ends[0]}"] + [f"{end} = {pick}({end}, {e})" for e in ends[1:]]
+        body += [f"widest = {'larger(widest, lower - upper)' if step else 'lower - upper'}",
+                 f"f{index} = divide(lower + upper, 2)"]
+    entries = [f"e[{n}] + ({_signed('0', terms, 'f')})" for n, terms in enumerate(_ENTRY_TERMS)]
+    return body, f"[{', '.join(entries)}], widest"
+
+
+_substitute = _kernel("_substitute", "m, e, larger, smaller, divide", *_substitution_source())
+
+
+def _back_substitution(minima: list, entries: list, scale, divide) -> tuple:
+    """The 16 joint entries times ``scale``, from the runs' minima and the entry rows, and whether
+    an interval was empty past ``DECISION_TOL``.  ``_substitute`` sets each free entry to its
+    interval's midpoint, by ``operator.truediv`` on floats or ``floordiv`` on ints; each bound is
+    ``-+(const + sum c_j x_j)`` with c = +-1, so constants divisible by ``2**7`` keep it an int."""
+    values, widest = _substitute(minima, entries, *_picks(minima[-1]), divide)
+    return values, widest * _TOL_DENOMINATOR > _TOL_NUMERATOR * scale
 
 
 def _jpd_values(entries: list, scale=1) -> np.ndarray:
@@ -656,13 +656,12 @@ def reconstruct_jpd(table: ProbabilityTable) -> FeasibilityResult:
     compiled row is violated by more than ``DECISION_TOL``.
     """
     table.validate(marginal_tol=CONSISTENCY_GATE)
-    rows = _float_rows(table.row[8:])
-    minima, margin, near, feasible = _decision(rows, 1)
+    minima, entries = _float_minima(table.row[8:])
+    margin, near, feasible = _verdict(minima, 1)
     if not feasible:
-        return FeasibilityResult(
-            False, None, find_witness(table), "interval-reconstruction", margin, near
-        )
-    entries, empty = _back_substitution(minima, rows, 1, operator.truediv)
+        witness = find_witness(table)
+        return FeasibilityResult(False, None, witness, "interval-reconstruction", margin, near)
+    entries, empty = _back_substitution(minima, entries, 1, operator.truediv)
     if empty:
         raise ArithmeticError("back-substitution met an empty interval")
     # Interval midpoints can sit a rounding error below zero at
@@ -712,26 +711,21 @@ def _generator_pairs() -> np.ndarray:
     return pairs
 
 
-# The distinct stacked compiled and entry rows over the generators, as slots
-# into the generators' multiples by ``_EXACT_COEFFS``: coefficient c of
-# generator j picks slot ``len(_EXACT_COEFFS) * j + c + span``.  A row
-# without terms picks the 0 multiple, so that no segment of ``reduceat`` is empty.
-_EXACT_ROWS = np.vstack(_MATRICES) @ _generator_pairs()
-_EXACT_ROWS, _EXACT_ROW_OF = np.unique(_EXACT_ROWS, axis=0, return_inverse=True)
-_EXACT_ROW_OF, _EXACT_SPAN = _EXACT_ROW_OF.reshape(-1), int(np.abs(_EXACT_ROWS).max())
-_EXACT_COEFFS = range(-_EXACT_SPAN, _EXACT_SPAN + 1)
-_EXACT_PICKS = [
-    [len(_EXACT_COEFFS) * j + c + _EXACT_SPAN for j, c in enumerate(row.tolist()) if c]
-    or [_EXACT_SPAN] for row in _EXACT_ROWS
-]
-_EXACT_STARTS = np.cumsum([0] + [len(picks) for picks in _EXACT_PICKS[:-1]])
-_EXACT_PICKS = np.concatenate(_EXACT_PICKS)
+def _exact_source() -> tuple:
+    """Each distinct stacked row over the generators ``g<j>`` as one Python-int sum ``r<n>``, and
+    each run's minimum and the 16 entry rows of them."""
+    stacked = np.vstack(_MATRICES) @ _generator_pairs()
+    distinct, row_of = np.unique(stacked, axis=0, return_inverse=True)
+    body = [f"r{n} = " + (_signed("", enumerate(row), "g").lstrip(" +") or "0")
+            for n, row in enumerate(distinct.tolist())]
+    rows = [f"r{n}" for n in row_of.reshape(-1).tolist()]
+    runs = [", ".join(dict.fromkeys(rows[a:b]))
+            for a, b in zip(_RUN_STARTS, _RUN_STARTS[1:] + [_COMPILED_ROWS])]
+    minima = ", ".join(f"min({run})" if "," in run else run for run in runs)
+    return body, f"[{minima}], [{', '.join(rows[_COMPILED_ROWS:])}]"
 
 
-def _exact_rows(generators: list) -> np.ndarray:
-    """The stacked rows on Python-int generators: Python ints, each a sum of multiples."""
-    multiples = np.array([c * g for g in generators for c in _EXACT_COEFFS], dtype=object)
-    return np.add.reduceat(multiples[_EXACT_PICKS], _EXACT_STARTS)[_EXACT_ROW_OF]
+_exact_minima = _kernel("_exact_minima", ", ".join(f"g{j}" for j in range(9)), *_exact_source())
 
 
 def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
@@ -748,14 +742,11 @@ def feasibility_oracle(table: ProbabilityTable) -> FeasibilityResult:
     ratios = [_limit_denominator(table.row[n]) for n in _GENERATOR_COLUMNS]
     # Back-substitution halves once per free entry.
     scale = math.lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
-    generators = [scale] + [p * (scale // q) for p, q in ratios]
-    rows = _exact_rows(generators)
-    minima, margin, near, feasible = _decision(rows, scale)
+    minima, entries = _exact_minima(scale, *(p * (scale // q) for p, q in ratios))
+    margin, near, feasible = _verdict(minima, scale)
     if not feasible:
-        return FeasibilityResult(
-            False, None, find_witness(table), "exact-elimination", margin, near
-        )
-    entries, empty = _back_substitution(minima, rows, scale, operator.floordiv)
+        return FeasibilityResult(False, None, find_witness(table), "exact-elimination", margin, near)
+    entries, empty = _back_substitution(minima, entries, scale, operator.floordiv)
     if empty:
         raise ArithmeticError("back-substitution met an empty interval")
     # A table feasible only within DECISION_TOL leaves entries up to that far

@@ -60,8 +60,6 @@ def project(rows, order):
     ``systems[len(order)]`` contains only constant rows.
     """
     systems = [list(rows)]
-    current = list(rows)
     for index in order:
-        current = eliminate_variable(current, index)
-        systems.append(current)
+        systems.append(eliminate_variable(systems[-1], index))
     return systems

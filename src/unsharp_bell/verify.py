@@ -461,9 +461,9 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
         pair, single = np.stack(pair, axis=1), np.stack(single, axis=1)
         tables = [table.validate() for table in fine._tables(rows.tolist())]
         oracles = [fine.feasibility_oracle(table) for table in tables]
-        system = fine._float_rows(rows[:, 8:])  # reconstruct_jpd's body
-        minima, margins, near, feasible = fine._decision(system, 1)
-        entries, broken = fine._back_substitution(minima, system, 1, operator.truediv)
+        minima, entries = fine._float_minima(rows[:, 8:])  # reconstruct_jpd's body
+        margins, near, feasible = fine._verdict(minima, 1)
+        entries, broken = fine._back_substitution(minima, entries, 1, operator.truediv)
         jpd = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
         # Where reconstruct_jpd would raise: an empty interval, or a sum Jpd4 refuses.
         broken |= np.abs(jpd.reshape(-1, 16).sum(axis=1) - 1.0) > fine.SUM_TOL

@@ -451,3 +451,27 @@ def test_long_values_are_quoted_once_by_name(workdir, argv, named):
     code, _, err = run(argv)  # one error line under 300 characters
     assert code == 1
     assert err.startswith(f"error: {named} ")
+
+
+# A number flag's long value: argparse used to quote it whole, 3,142-3,188 bytes of stderr.
+LONG_NUMBER = "1" + "x" * 3000
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["verify-all", "--seed", LONG_NUMBER], "--seed"),
+        (["scan", "--grid", LONG_NUMBER], "--grid"),
+        (["chsh", "--lambda", LONG_NUMBER], "--lambda"),
+        (["bell-op", "--lambda", "0.5", "--angle", LONG_NUMBER], "--angle"),
+        (["lueders", "--lambda", "0.5", "--axis", "0,0,1", "--epsilon", LONG_NUMBER], "--epsilon"),
+    ],
+    ids=["seed", "grid", "lambda", "angle", "epsilon"],
+)
+def test_long_number_flags_are_quoted_short(argv, named):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    *usage, line = err.splitlines()  # argparse's usage, then one error line under 300 characters
+    assert usage[0].startswith("usage: ") and all(len(text) < 300 for text in usage)
+    assert line.startswith(f"unsharp-bell {argv[0]}: error: argument {named}: invalid ")
+    assert "'1xxx" in line and len(line) < 300

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 from unsharp_bell import fine, fme
 from unsharp_bell.bell import BellConfiguration, coplanar_configuration, singlet_state
 from unsharp_bell.fine import (
+    _COMPILED_ROWS,
     _ELIMINATION_ORDER,
     _ENTRY_CONSTS,
+    _RUN_STARTS,
     _SYSTEMS,
-    _exact_rows,
+    _exact_minima,
     _generator_pairs,
     _limit_denominator,
     BELL_PAIR_FORMS,
@@ -639,6 +642,18 @@ INTEGER_MATRICES = [m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]
 DENSE_EXACT_ROWS = np.vstack(INTEGER_MATRICES) @ _generator_pairs()
 
 
+def dense_minima(rows: list) -> tuple:
+    """Each run's minimum of the stacked rows, and the 16 entry rows, read off the rows whole."""
+    ends = _RUN_STARTS[1:] + [_COMPILED_ROWS]
+    return [min(rows[a:b]) for a, b in zip(_RUN_STARTS, ends)], rows[_COMPILED_ROWS:]
+
+
+def dense_exact_minima(generators: list) -> tuple:
+    """``dense_minima`` of the dense integer product on Python-int generators."""
+    rows = DENSE_EXACT_ROWS.astype(object) @ np.array(generators, dtype=object)
+    return dense_minima(rows.tolist())
+
+
 @settings(max_examples=300, deadline=None)
 @given(generators=st.lists(
     st.integers(-(2**310), 2**310) | st.sampled_from([0, 1, -1, 2**300 + 1, -(2**300)]),
@@ -647,32 +662,32 @@ DENSE_EXACT_ROWS = np.vstack(INTEGER_MATRICES) @ _generator_pairs()
 @example(generators=[0] * 9)
 @example(generators=[2**300 + k for k in range(9)])
 def test_exact_rows_are_the_dense_product(generators):
-    rows = _exact_rows(generators)
-    dense = DENSE_EXACT_ROWS.astype(object) @ np.array(generators, dtype=object)
-    assert rows.tolist() == dense.tolist()
-    assert all(type(value) is int for value in rows.tolist())
+    minima, entries = _exact_minima(*generators)
+    assert (minima, entries) == dense_exact_minima(generators)
+    assert all(type(value) is int for value in minima + entries)
 
 
-def captured_rows(monkeypatch, route, tables):
-    """The rows each table's ``route`` call hands to ``fine._decision``."""
-    seen, decision = [], fine._decision
+def captured_rows(monkeypatch, name, route, tables):
+    """What ``fine.<name>`` returns to each table's ``route`` call, one capture per table."""
+    seen, kernel = [], getattr(fine, name)
 
-    def record(rows, *args):
-        seen.append(rows)
-        return decision(rows, *args)
+    def record(*args):
+        seen.append(kernel(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(fine, "_decision", record)
+    monkeypatch.setattr(fine, name, record)
     for table in tables:
         route(table)
     monkeypatch.undo()
+    assert len(seen) == len(tables)
     return seen
 
 
 def test_exact_rows_stay_python_ints(monkeypatch, rng):
     tables = [count_table(rng) for _ in range(20)] + [past_chsh_bound_table(rng) for _ in range(5)]
-    for rows in captured_rows(monkeypatch, feasibility_oracle, tables):
-        assert len(rows) == len(DENSE_EXACT_ROWS)
-        assert all(type(value) is int for value in rows.tolist())
+    for minima, entries in captured_rows(monkeypatch, "_exact_minima", feasibility_oracle, tables):
+        assert (len(minima), len(entries)) == (len(_RUN_STARTS), len(_ENTRY_CONSTS))
+        assert all(type(value) is int for value in minima + entries)
 
 
 def test_exact_route_beyond_int64_matches_fraction_reference(monkeypatch, rng):
@@ -683,7 +698,8 @@ def test_exact_route_beyond_int64_matches_fraction_reference(monkeypatch, rng):
     tables = [zero_entry_table(rng) for _ in range(10)] + [past_chsh_bound_table(rng) for _ in range(5)]
     tables.append(table_from_quantum(singlet_state(), coplanar_configuration(1.0, np.pi / 4)))
     beyond = set()  # (feasible, near boundary) of the tables whose rows pass 2**63
-    for table, rows in zip(tables, captured_rows(monkeypatch, feasibility_oracle, tables)):
+    captured = captured_rows(monkeypatch, "_exact_minima", feasibility_oracle, tables)
+    for table, (minima, entries) in zip(tables, captured):
         oracle = feasibility_oracle(table)
         reference = reference_exact_jpd(table)
         assert oracle.feasible == (reference is not None)
@@ -691,7 +707,7 @@ def test_exact_route_beyond_int64_matches_fraction_reference(monkeypatch, rng):
             np.testing.assert_array_equal(oracle.jpd.values, reference)
         systems, _ = reference_systems(table)
         assert oracle.margin == float(min(const for const, _ in systems[-1]))
-        if max(abs(value) for value in rows.tolist()) > 2**63:
+        if max(abs(value) for value in minima + entries) > 2**63:
             beyond.add((oracle.feasible, oracle.near_boundary))
     assert beyond == {(True, False), (True, True), (False, False)}
 
@@ -702,10 +718,84 @@ def test_float_route_rows_match_the_integer_matrices(monkeypatch, rng):
     tables = [random_jpd_table(rng)[0] for _ in range(20)]
     tables += [zero_entry_table(rng) for _ in range(20)] + [past_chsh_bound_table(rng)]
     assert all(m.dtype == np.int64 for m in INTEGER_MATRICES)
-    for table, rows in zip(tables, captured_rows(monkeypatch, reconstruct_jpd, tables)):
+    captured = captured_rows(monkeypatch, "_float_minima", reconstruct_jpd, tables)
+    for table, (minima, entries) in zip(tables, captured):
         pair_values = np.array([table.pair(*key) for key in PAIR_KEYS])
         want = np.concatenate([m @ pair_values for m in INTEGER_MATRICES])
-        assert rows.tobytes() == want.tobytes()
+        runs = np.minimum.reduceat(want[:_COMPILED_ROWS], _RUN_STARTS)
+        assert bits((minima, entries)) == bits((runs, want[_COMPILED_ROWS:]))
+
+
+def reference_back_substitution(minima, entries, scale, divide):
+    """The loops over ``_BOUND_RUNS`` and ``_ENTRY_TERMS`` that ``fine._substitute`` unrolls."""
+    larger, smaller = fine._picks(minima[-1])
+    free = [0] * len(_ELIMINATION_ORDER)
+    widest = -math.inf
+    for index, runs in zip(reversed(_ELIMINATION_ORDER), reversed(fine._BOUND_RUNS)):
+        lower, upper = -math.inf, math.inf
+        for run, below, terms in runs:
+            rest = minima[run]
+            for j, c in terms:
+                rest = rest + c * free[j]
+            if below:
+                lower = larger(lower, -rest)
+            else:
+                upper = smaller(upper, rest)
+        widest = larger(widest, lower - upper)
+        free[index] = divide(lower + upper, 2)
+    values = []
+    for value, terms in zip(entries, fine._ENTRY_TERMS):
+        total = 0
+        for j, c in terms:
+            total = total + c * free[j]
+        values.append(value + total)
+    return values, widest * fine._TOL_DENOMINATOR > fine._TOL_NUMERATOR * scale
+
+
+def exact_generators(table) -> tuple:
+    """``feasibility_oracle``'s Python-int generators of a table, and their scale."""
+    ratios = [_limit_denominator(table.row[n]) for n in fine._GENERATOR_COLUMNS]
+    scale = lcm(*(q for _, q in ratios)) << len(_ELIMINATION_ORDER)
+    return [scale] + [p * (scale // q) for p, q in ratios], scale
+
+
+def bits(value):
+    """Floats by ``hex``, signed zeros included; ints and bools by type and value; sequences
+    and arrays elementwise."""
+    if isinstance(value, np.ndarray):
+        return bits(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value.hex() if type(value) is float else (type(value), value)
+
+
+def range_edge_table(table) -> ProbabilityTable:
+    """A table with its zero entries moved to ``-RANGE_TOL`` and its ones to ``1 + RANGE_TOL``."""
+    moved = {0.0: -fine.RANGE_TOL, 1.0: 1.0 + fine.RANGE_TOL}
+    singles, pairs = ({k: moved.get(v, v) for k, v in part.items()} for part in labelled(table))
+    return ProbabilityTable(singles, pairs)
+
+
+def test_kernels_equal_their_loop_reference(rng):
+    # Bit for bit, on one float table, one Python-int table and a batch of columns.
+    deltas = [marginals(Jpd4(np.eye(16)[n].reshape(2, 2, 2, 2))) for n in (0, 5, 15)]
+    edges = [range_edge_table(t) for t in deltas + [zero_entry_table(rng) for _ in range(5)]]
+    tables = [random_jpd_table(rng)[0] for _ in range(10)] + [count_table(rng) for _ in range(10)]
+    tables += [zero_entry_table(rng) for _ in range(10)]
+    tables += [past_chsh_bound_table(rng) for _ in range(5)]
+    tables += [table.validate(marginal_tol=fine.CONSISTENCY_GATE) for table in edges]
+    assert min(min(t.row) for t in edges) == -fine.RANGE_TOL
+    assert max(max(t.row) for t in edges) == 1.0 + fine.RANGE_TOL
+    for table in tables:
+        generators, scale = exact_generators(table)
+        minima, entries = _exact_minima(*generators)
+        assert bits((minima, entries)) == bits(dense_exact_minima(generators))
+        for args in ((*fine._float_minima(table.row[8:]), 1, operator.truediv),
+                     (minima, entries, scale, operator.floordiv)):
+            assert bits(fine._back_substitution(*args)) == bits(reference_back_substitution(*args))
+    rows = np.array([table.row for table in tables])
+    args = (*fine._float_minima(rows[:, 8:]), 1, operator.truediv)
+    assert bits(fine._back_substitution(*args)) == bits(reference_back_substitution(*args))
 
 
 # Every entry a valid table admits, [-RANGE_TOL, 1 + RANGE_TOL], with both ends and the

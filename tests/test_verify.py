@@ -313,9 +313,9 @@ def test_batched_reconstruction_equals_reconstruct_jpd(seed, count):
     # Decision, margin, near-boundary flag, distribution and round trip, bit
     # for bit.  Forming the rows as pairs @ matrix.T instead changes margins.
     rows = battery_rows(seed, count)
-    system = fine._float_rows(rows[:, 8:])
-    minima, margins, near, feasible = fine._decision(system, 1)
-    entries, empty = fine._back_substitution(minima, system, 1, operator.truediv)
+    minima, entries = fine._float_minima(rows[:, 8:])
+    margins, near, feasible = fine._verdict(minima, 1)
+    entries, empty = fine._back_substitution(minima, entries, 1, operator.truediv)
     assert not (feasible & empty).any()
     jpd = np.clip(fine._jpd_values(entries), -fine.RANGE_TOL, None)
     back = fine._marginal_entries(jpd)
