@@ -15,8 +15,12 @@ off the C encoder: it prints a list of floats, and a matrix's list of
 
 The parser is built on the first ``main`` call and reused for the rest of
 the process, so in-process callers do not pay for argparse set-up on every
-request.  Repeated ``main`` calls in one process print the same bytes as
-the same argument list and seed run in a fresh process.
+request.  A call is parsed by its subcommand's own parser, so argparse
+reads each flag once; the top-level parser reads only an argument list
+that names no subcommand first, and refuses leftover arguments with its
+own usage line, as its ``parse_args`` would.  Repeated ``main`` calls in
+one process print the same bytes as the same argument list and seed run
+in a fresh process.
 
 Exit codes: 0 on success (for ``verify-all``, all checks passing), 1 for
 an operation rejecting its inputs, 2 for unusable flags.  Note that the
@@ -186,7 +190,11 @@ def _cmd_scan(args) -> dict | str:
 
 def _read_json(path: str):
     """A JSON document from a file, whose reader refuses an overlong integer literal by field."""
-    return json.loads(Path(path).read_text(), parse_int=_json_int)
+    text = Path(path).read_text()
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_table(path: str) -> fine.ProbabilityTable:
@@ -425,6 +433,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name: the choices of ``_parser()``'s subparsers action."""
+    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, reading a subcommand's flags once.
+
+    When ``argv[0]`` names a subcommand, its own parser reads the rest, as the
+    top-level parser's subparsers action would, and the top-level parser
+    refuses what is left over with its own message.  Any other ``argv``
+    (empty, ``-h``, an unknown or abbreviated command, a leading ``--``)
+    goes through the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return _parser().parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 
@@ -501,7 +536,7 @@ def _to_json(value, indent: str = "\n") -> str:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         document = args.func(args)
         status = 0

@@ -5,6 +5,8 @@ bounds, equivalences) and returns (passed, deviation, tolerance, detail):
 the largest deviation it measured against the tolerance it must meet.
 ``_CHECKS`` names every check once; ``run_all`` seeds, runs and times each
 for a seed and is memoized, so library use plus ``verify-all`` cost one run.
+A check that raises is that check's failure, with a NaN deviation and
+tolerance and a detail naming the exception; the other checks still run.
 
 The checks follow one rule.  A large sample is evaluated as batched array
 arithmetic, never as one public call per point; a strided subset of it
@@ -955,7 +957,11 @@ def run_all(seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
     for index, (name, check, needs_rng) in enumerate(_CHECKS):
         args = (np.random.default_rng([seed, index]),) if needs_rng else ()
         start = time.perf_counter()
-        passed, deviation, tolerance, detail = check(*args)
+        try:
+            passed, deviation, tolerance, detail = check(*args)
+        except Exception as exc:  # this check's FAIL, measuring nothing; the rest still run
+            passed, deviation, tolerance = False, math.nan, math.nan
+            detail = f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
         results.append(CheckResult(name, bool(passed), float(deviation), float(tolerance),
                                    detail, seconds))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -816,6 +817,100 @@ def test_repeated_calls_match_fresh_processes(sequence, tmp_path, capsys, monkey
         in_process = run_in_process(capsys, argv), take_out_file(argv)
         fresh = run_fresh(argv), take_out_file(argv)
         assert in_process == fresh, argv
+
+
+# Argument lists at argparse's edges: help, unknown and abbreviated commands and
+# flags, leftovers, missing, repeated and refused values, values with a minus sign.
+EDGE_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("-h", "chsh"),
+    ("chs",),
+    ("Chsh", "--lambda", "0.5"),
+    ("--", "chsh", "--lambda", "0.5"),
+    ("--lambda", "0.5"),
+    ("chsh", "-h"),
+    ("chsh", "--he"),
+    ("chsh", "--lambda", "0.5", "-h"),
+    ("chsh",),
+    ("chsh", "--lambda"),
+    ("chsh", "--lambda", "0.5", "--n1"),
+    ("chsh", "--lam", "0.5"),
+    ("chsh", "--n", "1,0,0", "--lambda", "0.5"),
+    ("chsh", "--lambda", "0.5", "--lambda", "0.9"),
+    ("chsh", "--lambda", "-0.5"),
+    ("chsh", "--lambda", "x"),
+    ("chsh", "--lambda", "0.5", "--angle", "-1e-3"),
+    ("chsh", "--lambda", "0.5", "extra"),
+    ("chsh", "--lambda", "0.5", "extra", "more", "--foo"),
+    ("chsh", "--lambda", "0.5", "--foo"),
+    ("chsh", "--lambda", "0.5", "--foo=1"),
+    ("chsh", "--lambda", "0.5", "-x"),
+    ("chsh", "--lambda", "0.5", "-"),
+    ("chsh", "--lambda", "0.5", "--"),
+    ("chsh", "--lambda", "0.5", "--", "extra"),
+    ("chsh", "--", "--lambda", "0.5"),
+    (*COEXIST, "--out"),
+    (*COEXIST, "--n1", "-1,0,0"),
+    ("coexist", "--lambda=0.5", "--n1=-inf,0,0", "--n2", "0,1,0"),
+    ("lueders", "--lambda", "0.5", "--axis", "0,0,1", "--epsilon", "-1"),
+    ("scan", "--grid", "-10"),
+    ("scan", "--grid", "10", "--format", "xml"),
+    ("scan", "--grid", "10", "--format"),
+    ("verify-all", "--format", "csv"),
+    ("verify-all", "--seed", "1.5"),
+    ("fine-solve", "--table", "t.json", "--method", "exactly"),
+    ("fine-check",),
+    ("chart", "--check"),
+]
+
+
+def test_routing_on_the_command_changes_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda seed: ())
+    argvs = [*EDGE_ARGVS, *every_subcommand(tmp_path)]
+    routed = [run_in_process(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args", cli._parser().parse_args)
+    full = [run_in_process(capsys, argv) for argv in argvs]
+    for argv, mine, theirs in zip(argvs, routed, full):
+        assert mine == theirs, argv
+    assert {code for code, _, _ in full} == {0, 1, 2}
+
+
+def test_routing_parses_the_point_query_stream_into_the_same_namespace():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("point_query_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = cli._parser()
+    for request in itertools.islice(workloads.PointQueries(1).stream(), 600):
+        argv = request["argv"]
+        assert vars(cli._parse_args(argv)) == vars(parser.parse_args(argv)), argv
+
+
+def test_a_subcommand_reads_its_flags_once(capsys, monkeypatch):
+    readers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        readers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert cli.main(list(COEXIST)) == 0
+    capsys.readouterr()
+    assert readers == ["unsharp-bell coexist"]
+
+
+@pytest.mark.parametrize("depth", [1_200, 100_000])
+@pytest.mark.parametrize("command", ["fine-check", "fine-solve", "chart"])
+def test_deeply_nested_json_is_refused_naming_the_file(tmp_path, capsys, command, depth):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    flag = "--programme" if command == "chart" else "--table"
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: JSON nested too deeply to read\n")
 
 
 def test_seed_variable_is_ignored(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """The verification battery's batched arithmetic against the public API it stands for."""
 
+import json
+import math
 import operator
 import tracemalloc
 from itertools import product
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unsharp_bell import bell, fine, instruments, relativistic, verify
+from unsharp_bell import bell, cli, fine, instruments, relativistic, verify
 from unsharp_bell.bell import (
     THRESHOLDS,
     BellConfiguration,
@@ -492,3 +494,46 @@ def test_coexistence_check_refuses_effects_off_the_xy_plane(monkeypatch, fault):
     passed, deviation, _, detail = verify.check_coexistence_threshold()
     assert not passed and deviation >= 1e-9
     assert detail.startswith("grid effects leave the xy-plane")
+
+
+@pytest.fixture
+def uncached_battery():
+    """``run_all``'s memo emptied before and after the test, so no patched result outlives it."""
+    verify.run_all.cache_clear()
+    yield
+    verify.run_all.cache_clear()
+
+
+def test_a_check_that_raises_is_that_checks_failure(uncached_battery, capsys, monkeypatch):
+    def raising(error):
+        def check(*args):
+            raise error(f"{error.__name__} inside the check")
+        return check
+
+    checks = list(verify._CHECKS)
+    for index, error in ((1, ValueError), (4, TypeError)):
+        name, _, needs_rng = checks[index]
+        checks[index] = (name, raising(error), needs_rng)
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    failing = {checks[1][0]: "raised ValueError: ValueError inside the check",
+               checks[4][0]: "raised TypeError: TypeError inside the check"}
+
+    assert cli.main(["verify-all", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "7/9 checks passed (seed 1)"
+    for line, name in zip(lines, verify.CHECK_NAMES):
+        verdict = "FAIL" if name in failing else "PASS"
+        assert line.startswith(f"{verdict} {name}: max deviation ")
+        if name in failing:
+            assert line.endswith(f"): {failing[name]}") and "deviation nan (tolerance nan" in line
+
+    assert cli.main(["verify-all", "--seed", "1", "--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    assert (document["passed"], document["total"]) == (7, 9)
+    assert [check["name"] for check in document["checks"]] == list(verify.CHECK_NAMES)
+    for check in document["checks"]:
+        assert check["passed"] is (check["name"] not in failing)
+        if check["name"] in failing:
+            assert check["detail"] == failing[check["name"]]
+            assert math.isnan(check["deviation"]) and math.isnan(check["tolerance"])
+            assert check["headroom"] is None
