@@ -23,10 +23,13 @@ take: the table's pair values in floats (``_float_minima``), or sums of a
 rational surrogate's Python-int generators (``_exact_minima``), on which
 back-substitution stays exact.  The exact rows and back-substitution are
 straight-line code written from the system and compiled at import
-(``_kernel``).  ``chsh_check`` never reads the compiled system, so the
-routes check each other.  Each body takes one table's row, or a batch's
-24 columns, and rounds alike; only a min or max picks elementwise on
-columns (``_picks``).  The verification battery decides through them.
+(``_kernel``); each exact row is built from its nearest row already
+built, along a minimum spanning tree over the rows.  The CHSH forms are a
+kernel too, written from the forms alone: ``chsh_check`` never reads the
+compiled system, so the routes check each other.  Each body takes one
+table's row, or a batch's 24 columns, and rounds alike; only a min or max
+picks elementwise on columns (``_picks``).  The verification battery
+decides through them.
 
 One rule decides on every route: a table is feasible when no inequality
 is violated by more than ``DECISION_TOL``; the exact route applies it in
@@ -406,29 +409,35 @@ def _picks(value) -> tuple:
     return max, min
 
 
-def _signed_sum(entries, terms):
-    """``sum(sign * entries[n] for n, sign in terms)``, added left to right."""
-    total = 0
-    for n, sign in terms:
-        total = total + sign * entries[n]
-    return total
+def _signed(start: str, terms, name: str) -> str:
+    """Source adding each ``c * name<j>`` of ``terms`` to ``start`` in turn, as |c| terms
+    ``+- name<j>``: for c = +-1 the bits of ``+ c * y``; a larger |c| is only met on exact ints."""
+    return start + "".join(f" {'-' if c < 0 else '+'} {name}{j}" * abs(c) for j, c in terms)
 
 
-def _chsh_forms(entries) -> tuple:
-    """The CHSH forms of one table's 24 entries, or of a batch's 24 columns.
+def _kernel(name: str, params: str, body: list, result: str):
+    """``def name(params): body; return result``, compiled from its source once, at import."""
+    source = "\n    ".join([f"def {name}({params}):", *body, f"return {result}"])
+    exec(compile(source, f"<fine.{name}>", "exec"), namespace := {})
+    return namespace[name]
 
-    Returns the four pair forms, the four singles forms, and whether all
-    eight inequalities hold within ``DECISION_TOL``, decided on the pair
-    forms.
-    """
-    pair = [_signed_sum(entries, form) for form in _PAIR_FORMS]
-    single = [
-        entries[a] + entries[b] + _signed_sum(entries, part) for (a, b), part in _SINGLE_FORMS
-    ]
-    holds = True
-    for p in pair:
-        holds = holds & (p >= -DECISION_TOL) & (p <= 1.0 + DECISION_TOL)
-    return pair, single, holds
+
+def _chsh_source() -> tuple:
+    """The CHSH forms of the entries ``x<n>`` of one table's 24 entries, or of a batch's 24
+    columns: the four pair forms, the four singles forms, and whether all eight inequalities hold
+    within ``DECISION_TOL``, decided on the pair forms.  Each sum starts from the int 0, and a
+    singles form adds its two entries first, so every bit, signed zeros included, is the loop's."""
+    pair = [_signed("0", terms, "x") for terms in _PAIR_FORMS]
+    single = [f"x{a} + x{b} + ({_signed('0', terms, 'x')})" for (a, b), terms in _SINGLE_FORMS]
+    holds = "".join(f" & (p{n} >= {-DECISION_TOL!r}) & (p{n} <= {1.0 + DECISION_TOL!r})"
+                    for n in range(len(pair)))
+    body = [f"{', '.join(f'x{n}' for n in range(len(_LABELS)))} = e"]
+    body += [f"p{n} = {form}" for n, form in enumerate(pair)]
+    pairs = ", ".join(f"p{n}" for n in range(len(pair)))
+    return body, f"[{pairs}], [{', '.join(single)}], True{holds}"
+
+
+_chsh_forms = _kernel("_chsh_forms", "e", *_chsh_source())
 
 
 def chsh_check(table: ProbabilityTable) -> ChshCheck:
@@ -598,19 +607,6 @@ def _verdict(minima: list, scale) -> tuple:
     return lowest / scale, near_boundary, lowest * _TOL_DENOMINATOR >= -tolerance
 
 
-def _signed(start: str, terms, name: str) -> str:
-    """Source adding each ``c * name<j>`` of ``terms`` to ``start`` in turn, as |c| terms
-    ``+- name<j>``: for c = +-1 the bits of ``+ c * y``; a larger |c| is only met on exact ints."""
-    return start + "".join(f" {'-' if c < 0 else '+'} {name}{j}" * abs(c) for j, c in terms)
-
-
-def _kernel(name: str, params: str, body: list, result: str):
-    """``def name(params): body; return result``, compiled from its source once, at import."""
-    source = "\n    ".join([f"def {name}({params}):", *body, f"return {result}"])
-    exec(compile(source, f"<fine.{name}>", "exec"), namespace := {})
-    return namespace[name]
-
-
 def _substitution_source() -> tuple:
     """The loops over ``_BOUND_RUNS`` and ``_ENTRY_TERMS``, unrolled: free entry ``f<j>`` is its
     interval's midpoint; a bound's sum starts from its run's minimum, an entry's from the int 0
@@ -678,12 +674,12 @@ def _limit_denominator(x: float) -> tuple[int, int]:
         return n, d
     p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
     while True:
-        a, rest = divmod(num, den)
+        a = num // den
         q2 = q0 + a * q1
         if q2 > bound:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, rest
+        num, den = den, num - a * den
     k = (bound - q0) // q1
     p, q = p0 + k * p1, q0 + k * q1
     # The closer of the convergent p1/q1 and the semiconvergent p/q; p1/q1 on a tie.
@@ -699,8 +695,8 @@ _GENERATOR_BLOCKS = ((1, 3), (1, 4), (2, 3), (2, 4))
 _GENERATOR_COLUMNS = [_COLUMN[k] for k in (1, 2, 3, 4) + _GENERATOR_BLOCKS]
 
 
-def _generator_pairs() -> np.ndarray:
-    """Each pair value (in ``PAIR_KEYS`` order) as a combination of the generators."""
+def _generator_pairs() -> tuple:
+    """Each pair value (in ``PAIR_KEYS`` order) as a combination of the generators, in ints."""
     unit = np.eye(5 + len(_GENERATOR_BLOCKS), dtype=np.int64)
     pairs = np.zeros((len(PAIR_KEYS), len(unit)), dtype=np.int64)
     for block, (i, j) in zip(unit[5:], _GENERATOR_BLOCKS):
@@ -708,16 +704,33 @@ def _generator_pairs() -> np.ndarray:
         pairs[PAIR_KEYS.index((i, -j))] = unit[i] - block
         pairs[PAIR_KEYS.index((-i, j))] = unit[j] - block
         pairs[PAIR_KEYS.index((-i, -j))] = unit[0] - unit[i] - unit[j] + block
-    return pairs
+    return tuple(map(tuple, pairs.tolist()))
+
+
+_GENERATOR_PAIRS = _generator_pairs()
 
 
 def _exact_source() -> tuple:
     """Each distinct stacked row over the generators ``g<j>`` as one Python-int sum ``r<n>``, and
-    each run's minimum and the 16 entry rows of them."""
-    stacked = np.vstack(_MATRICES) @ _generator_pairs()
+    each run's minimum and the 16 entry rows of them.  A row is the nearest row built before it
+    plus the generators they differ by, in the build order of a minimum spanning tree over the
+    rows' coefficient vectors (L1 distance; a row started from nothing costs its own terms).
+    Python ints add exactly in any order, so the rows are those of the dense product."""
+    stacked = np.vstack(_MATRICES) @ np.array(_GENERATOR_PAIRS)
     distinct, row_of = np.unique(stacked, axis=0, return_inverse=True)
-    body = [f"r{n} = " + (_signed("", enumerate(row), "g").lstrip(" +") or "0")
-            for n, row in enumerate(distinct.tolist())]
+    cost, nearest = np.abs(distinct).sum(axis=1), np.full(len(distinct), -1)
+    left, body = np.ones(len(distinct), dtype=bool), []
+    for _ in range(len(distinct)):
+        n = int(np.argmin(np.where(left, cost, np.inf)))
+        left[n], start = False, nearest[n]
+        if start < 0:
+            row = _signed("", enumerate(distinct[n].tolist()), "g").lstrip(" +") or "0"
+        else:
+            row = _signed(f"r{start}", enumerate((distinct[n] - distinct[start]).tolist()), "g")
+        body.append(f"r{n} = {row}")
+        distance = np.abs(distinct - distinct[n]).sum(axis=1)
+        closer = left & (distance < cost)
+        cost[closer], nearest[closer] = distance[closer], n
     rows = [f"r{n}" for n in row_of.reshape(-1).tolist()]
     runs = [", ".join(dict.fromkeys(rows[a:b]))
             for a, b in zip(_RUN_STARTS, _RUN_STARTS[1:] + [_COMPILED_ROWS])]
@@ -764,12 +777,11 @@ def rationalization_error(table: ProbabilityTable) -> float:
 
     The surrogate's eight generators are the ``_limit_denominator`` ratios of
     the four outcome-+1 singles and the four unbarred pairs; the other singles
-    are one minus those, and every pair is its ``_generator_pairs`` combination.
+    are one minus those, and every pair is its ``_GENERATOR_PAIRS`` combination.
     """
     generators = [1] + [Fraction(*_limit_denominator(table.row[n])) for n in _GENERATOR_COLUMNS]
     surrogate = [entry for one in generators[1:5] for entry in (one, 1 - one)]
-    surrogate += [sum(c * g for c, g in zip(pair, generators))
-                  for pair in _generator_pairs().tolist()]
+    surrogate += [sum(c * g for c, g in zip(pair, generators)) for pair in _GENERATOR_PAIRS]
     return float(max(abs(Fraction(x) - entry) for x, entry in zip(table.row, surrogate)))
 
 

@@ -18,10 +18,10 @@ from unsharp_bell.fine import (
     _COMPILED_ROWS,
     _ELIMINATION_ORDER,
     _ENTRY_CONSTS,
+    _GENERATOR_PAIRS,
     _RUN_STARTS,
     _SYSTEMS,
     _exact_minima,
-    _generator_pairs,
     _limit_denominator,
     BELL_PAIR_FORMS,
     DECISION_TOL,
@@ -639,7 +639,7 @@ def test_compiled_coefficients_keep_integers_exact():
 # The compiled and entry rows' integer matrices, and their stacked rows over
 # the generators as one dense integer matrix.
 INTEGER_MATRICES = [m for m, _, _ in _SYSTEMS] + [_ENTRY_CONSTS]
-DENSE_EXACT_ROWS = np.vstack(INTEGER_MATRICES) @ _generator_pairs()
+DENSE_EXACT_ROWS = np.vstack(INTEGER_MATRICES) @ np.array(_GENERATOR_PAIRS)
 
 
 def dense_minima(rows: list) -> tuple:
@@ -665,6 +665,14 @@ def test_exact_rows_are_the_dense_product(generators):
     minima, entries = _exact_minima(*generators)
     assert (minima, entries) == dense_exact_minima(generators)
     assert all(type(value) is int for value in minima + entries)
+
+
+def test_exact_rows_share_their_terms():
+    # Each row is built from its nearest built row: 174 generator terms, against
+    # 609 (571 nonzero coefficients) when every distinct row is summed from nothing.
+    body, _ = fine._exact_source()
+    assert sum(len(re.findall(r"\bg\d", line)) for line in body) <= 200
+    assert len(body) == len(np.unique(DENSE_EXACT_ROWS, axis=0))
 
 
 def captured_rows(monkeypatch, name, route, tables):
@@ -776,17 +784,41 @@ def range_edge_table(table) -> ProbabilityTable:
     return ProbabilityTable(singles, pairs)
 
 
+def reference_chsh_forms(entries) -> tuple:
+    """The loops ``fine._chsh_forms`` unrolls: each sum from the int 0, a singles form's two
+    entries added first, and the decision on the pair forms."""
+    def signed_sum(terms):
+        total = 0
+        for n, sign in terms:
+            total = total + sign * entries[n]
+        return total
+
+    pair = [signed_sum(form) for form in fine._PAIR_FORMS]
+    single = [entries[a] + entries[b] + signed_sum(part) for (a, b), part in fine._SINGLE_FORMS]
+    holds = True
+    for p in pair:
+        holds = holds & (p >= -DECISION_TOL) & (p <= 1.0 + DECISION_TOL)
+    return pair, single, holds
+
+
 def test_kernels_equal_their_loop_reference(rng):
-    # Bit for bit, on one float table, one Python-int table and a batch of columns.
-    deltas = [marginals(Jpd4(np.eye(16)[n].reshape(2, 2, 2, 2))) for n in (0, 5, 15)]
+    # Bit for bit, signed zeros included, on one float table, one Python-int table and a batch
+    # of columns.
+    deltas = [marginals(Jpd4(np.eye(16)[n].reshape(2, 2, 2, 2))) for n in (0, 4, 5, 15)]
     edges = [range_edge_table(t) for t in deltas + [zero_entry_table(rng) for _ in range(5)]]
     tables = [random_jpd_table(rng)[0] for _ in range(10)] + [count_table(rng) for _ in range(10)]
     tables += [zero_entry_table(rng) for _ in range(10)]
     tables += [past_chsh_bound_table(rng) for _ in range(5)]
     tables += [table.validate(marginal_tol=fine.CONSISTENCY_GATE) for table in edges]
+    # Zero entries as -0.0 but for the one a pair form subtracts: that form, if all zero (the
+    # first on outcome 4), sums to 0.0 only from the int 0.
+    for delta, form in itertools.product(deltas, fine._PAIR_FORMS):
+        row = [v or (0.0 if (n, -1) in form else -0.0) for n, v in enumerate(delta.row)]
+        tables += fine._tables([row])
     assert min(min(t.row) for t in edges) == -fine.RANGE_TOL
     assert max(max(t.row) for t in edges) == 1.0 + fine.RANGE_TOL
     for table in tables:
+        assert bits(fine._chsh_forms(table.row)) == bits(reference_chsh_forms(table.row))
         generators, scale = exact_generators(table)
         minima, entries = _exact_minima(*generators)
         assert bits((minima, entries)) == bits(dense_exact_minima(generators))
@@ -794,6 +826,7 @@ def test_kernels_equal_their_loop_reference(rng):
                      (minima, entries, scale, operator.floordiv)):
             assert bits(fine._back_substitution(*args)) == bits(reference_back_substitution(*args))
     rows = np.array([table.row for table in tables])
+    assert bits(fine._chsh_forms(list(rows.T))) == bits(reference_chsh_forms(list(rows.T)))
     args = (*fine._float_minima(rows[:, 8:]), 1, operator.truediv)
     assert bits(fine._back_substitution(*args)) == bits(reference_back_substitution(*args))
 
@@ -808,6 +841,8 @@ def test_kernels_equal_their_loop_reference(rng):
 @example(x=1.0 + fine.RANGE_TOL)
 @example(x=5e-324)
 @example(x=-5e-324)
+@example(x=2.0 ** -1074)  # quotients past 2**900: the smallest subnormal and a tiny normal
+@example(x=1e-300)
 @example(x=3 / 7)  # k/N
 @example(x=17 / 64)
 @example(x=29 / 62)

@@ -1,5 +1,6 @@
 """The verification battery's batched arithmetic against the public API it stands for."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -453,6 +454,23 @@ def test_chart_check_counts_spot_roots_differing_from_the_batch(monkeypatch):
     assert not passed and deviation <= tolerance
     assert detail.endswith(", 52 sqrt_psd spot roots differing from the batch")
 
+
+@pytest.mark.parametrize("shift, flip", [(1e-6, False), (-1e-11, False), (0.0, True)],
+                         ids=["margin+1e-6", "margin-1e-11", "near-flipped"])
+def test_fine_check_compares_the_oracle_margin(monkeypatch, shift, flip):
+    # the oracle's margin off by far less than DECISION_TOL, or its near flag flipped, fails
+    oracle = fine.feasibility_oracle
+
+    def faulty(table):
+        result = oracle(table)
+        return dataclasses.replace(result, margin=result.margin + shift,
+                                   near_boundary=result.near_boundary != flip)
+
+    passed, _, _, detail = run_check("fine-equivalence")
+    assert passed and float(detail.rsplit(" ", 1)[1]) <= 1e-14
+    monkeypatch.setattr(fine, "feasibility_oracle", faulty)
+    passed, _, _, detail = run_check("fine-equivalence")
+    assert not passed and " 0 disagreements" not in detail
 
 
 def test_same_bits_compares_dtype_shape_and_every_byte():
