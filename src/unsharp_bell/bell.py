@@ -10,8 +10,8 @@ F = 2 / (1 - 2 eps).  Both formulations change character at the same
 sharpness threshold 2**(-1/4), which ``scan_lambda_threshold`` locates
 numerically.  ``operator_chsh_holds`` builds the smeared operator once and
 returns it with its verdict, so a caller that also reports the operator
-need not build it again; ``operator_chsh_closed_form`` gives the verdict
-alone from the operator's closed-form spectrum, with no eigensolve.
+need not build it again (exactly Hermitian, it is eigensolved unchecked);
+``operator_chsh_closed_form`` gives the verdict alone, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import _echo, eigen_hermitian, pauli_dot, tensor
+from .operators import _echo, pauli_dot, tensor
 from .spin_povm import PAIR_SHARPNESS_LIMIT, check_sharpness, unit_vector, unsharp_effect
 
 __all__ = [
@@ -175,7 +175,7 @@ class OperatorChshResult(NamedTuple):
 def operator_chsh_holds(config: BellConfiguration) -> OperatorChshResult:
     """Whether O <= Btilde <= I for the smeared Bell combination, which the result carries."""
     operator = generalized_bell_operator(config)
-    vals, _ = eigen_hermitian(operator)
+    vals, _ = np.linalg.eigh(operator)
     low, high = float(vals[0]), float(vals[-1])
     holds = low >= -CHSH_VIOLATION_TOL and high <= 1.0 + CHSH_VIOLATION_TOL
     return OperatorChshResult(holds, low, high, operator)
@@ -290,7 +290,7 @@ def scan_lambda_threshold(grid: int) -> ScanResult:
 
     # Spectrum of the sharp Bell combination at the optimal angle; the
     # smeared operator's spectrum is an affine image of it.
-    bell_eigs, _ = eigen_hermitian(bell_operator(coplanar_configuration(1.0, best_angle)))
+    bell_eigs, _ = np.linalg.eigh(bell_operator(coplanar_configuration(1.0, best_angle)))
     bell_min, bell_max = float(bell_eigs[0]), float(bell_eigs[-1])
 
     sharpness = np.linspace(0.0, 1.0, grid + 1)

@@ -78,10 +78,6 @@ from .verify import run_all
 __all__ = ["main", "main_entry"]
 
 
-def _axis_list(axis) -> list[float]:
-    return [float(c) for c in axis]
-
-
 def _axes(values) -> list:
     """``--n1``, ``--n2``, ... in order, as parsed directions."""
     return [parse_direction(text, f"--n{n}") for n, text in enumerate(values, start=1)]
@@ -105,8 +101,8 @@ def _cmd_coexist(args) -> dict:
     coexistent, margin = pair_coexistent(args.sharpness, n1, n2)
     return {
         "sharpness": args.sharpness,
-        "axis1": _axis_list(unit_vector(n1)),
-        "axis2": _axis_list(unit_vector(n2)),
+        "axis1": unit_vector(n1).tolist(),
+        "axis2": unit_vector(n2).tolist(),
         "coexistent": coexistent,
         "margin": margin,
     }
@@ -138,7 +134,7 @@ def _cmd_bell_op(args) -> dict:
     op_result = operator_chsh_holds(config)
     return {
         "sharpness": config.sharpness,
-        "axes": [_axis_list(a) for a in config.axes],
+        "axes": [a.tolist() for a in config.axes],
         "bell_operator": matrix_to_pairs(operator),
         "norm_closed_form": bell_norm(config),
         "norm_eigensolver": float(np.max(np.abs(eigs))),
@@ -240,7 +236,7 @@ def _cmd_lueders(args) -> dict:
     )
     return {
         "sharpness": args.sharpness,
-        "axis": _axis_list(unit_vector(axis)),
+        "axis": unit_vector(axis).tolist(),
         "probability": report.probability,
         "epsilon": report.epsilon,
         "trace_distance": report.distance,
@@ -253,7 +249,7 @@ def _cmd_epr(args) -> dict:
     result = epr_measurement(parse_direction(args.axis, "--axis"), args.sharpness)
     return {
         "sharpness": result.sharpness,
-        "axis": _axis_list(result.axis),
+        "axis": result.axis.tolist(),
         "probabilities": {str(k): v for k, v in result.probabilities.items()},
         "reduced_pre": matrix_to_pairs(result.reduced_pre),
         "reduced_post_components": {
@@ -292,16 +288,8 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
     status = 0 if passed == len(results) else 1
     if args.format == "json":
         checks = [
-            {
-                "name": res.name,
-                "passed": res.passed,
-                "seconds": res.seconds,
-                "deviation": res.deviation,
-                "tolerance": res.tolerance,
-                "headroom": res.tolerance / res.deviation if res.deviation > 0.0 else None,
-                "seed": args.seed,
-                "detail": res.detail,
-            }
+            {**asdict(res), "seed": args.seed,
+             "headroom": res.tolerance / res.deviation if res.deviation > 0.0 else None}
             for res in results
         ]
         return {"checks": checks, "passed": passed, "total": len(results)}, status

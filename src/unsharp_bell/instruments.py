@@ -59,10 +59,6 @@ _SINGLET = check_density(singlet_state())
 _SINGLET.flags.writeable = False
 
 
-def _embed(operator: np.ndarray, subsystem: int) -> np.ndarray:
-    return tensor(operator, I2) if subsystem == 1 else tensor(I2, operator)
-
-
 def _measurement_roots(axis: np.ndarray, sharpness: float, subsystem: int) -> dict:
     """Square roots of the outcome effects of an unsharp spin measurement along the unit
     ``axis`` on particle ``subsystem`` (1 or 2) of a pair, keyed by outcome +1 and -1.
@@ -70,7 +66,8 @@ def _measurement_roots(axis: np.ndarray, sharpness: float, subsystem: int) -> di
     Each root is ``spin_povm.effect_root``'s closed form, not an eigensolve,
     embedded in the pair: the root of E (x) I is sqrt(E) (x) I.
     """
-    return {o: _embed(effect_root(o * axis, sharpness), subsystem) for o in (1, -1)}
+    roots = {o: effect_root(o * axis, sharpness) for o in (1, -1)}
+    return {o: tensor(r, I2) if subsystem == 1 else tensor(I2, r) for o, r in roots.items()}
 
 
 def lueders_update(state, roots: dict, outcome=None) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Dense Hermitian linear algebra on 2x2 and 4x4 complex matrices.
 
 Operators are plain ``numpy`` arrays.  The functions collected here are
-the only linear-algebra primitives the rest of the package uses:
-Kronecker products, Hermitian eigendecompositions, positive square
-roots, partial traces and the trace norm, together with validation
-helpers for the operator classes that appear throughout (Hermitian
-operators, density operators, effects).  ``pauli_dot`` and ``tensor``
-broadcast over leading axes, so batched code builds its operators through
-the same two functions as single requests, bit for bit.
+the package's linear-algebra primitives: Kronecker products, positive
+square roots, partial traces and the trace norm, together with validation
+helpers, which every matrix from outside passes, for the operator classes
+that appear throughout (Hermitian operators, density operators, effects).
+``pauli_dot`` and ``tensor`` broadcast over leading axes: batched code builds
+its operators through the same two functions as single requests, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "PSD_TOL",
     "pauli_dot",
     "tensor",
-    "eigen_hermitian",
     "sqrt_psd",
     "partial_trace",
     "trace_norm",
@@ -70,12 +68,6 @@ def _as_matrix(matrix, name: str = "operator") -> np.ndarray:
     return mat
 
 
-def asymmetry(matrix) -> float:
-    """Largest entrywise deviation of a matrix from its own adjoint."""
-    mat = np.asarray(matrix, dtype=complex)
-    return float(np.max(np.abs(mat - mat.conj().T)))
-
-
 def check_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
     """Validate self-adjointness and return the Hermitian part.
 
@@ -87,7 +79,7 @@ def check_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "operator"
     if not np.isfinite(mat).all():
         # A NaN entry would make the asymmetry NaN, which ``dev > tol`` lets through.
         raise ValueError(f"{name} must have finite entries")
-    dev = asymmetry(mat)
+    dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian (asymmetry {dev:.3e} exceeds {tol:.1e})")
     return (mat + mat.conj().T) / 2.0
@@ -129,19 +121,9 @@ def tensor(a, b) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-4] + (4, 4))
 
 
-def eigen_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
-    ascending order and orthonormal eigenvectors as columns.
-    """
-    herm = check_hermitian(matrix)
-    return np.linalg.eigh(herm)
-
-
 def sqrt_psd(matrix) -> np.ndarray:
     """Unique positive square root of a positive semidefinite matrix."""
-    vals, vecs = eigen_hermitian(matrix)
+    vals, vecs = np.linalg.eigh(check_hermitian(matrix))
     low = float(vals.min())
     if low < -PSD_TOL:
         raise ValueError(

@@ -215,9 +215,6 @@ class Cover:
     def flags_at(self, point: SpacetimeEvent) -> tuple[int, ...]:
         return _flags(self.kind, [causal_relation(e, point) for e in self.events])
 
-    def region_index(self, point: SpacetimeEvent) -> int:
-        return self._index_of(self.flags_at(point))
-
     def _index_of(self, flags: tuple[int, ...]) -> int:
         """The index of the region with these flags; every flag tuple has one."""
         _, _, orders = _COVER_KINDS[self.kind]
@@ -595,29 +592,10 @@ class ConsistencyReport:
     regions_visited: tuple
 
     @property
-    def order_independent(self) -> bool:
-        return self.order_deviation <= ORDER_TOL
-
-    @property
-    def mixture_consistent(self) -> bool:
-        return self.mixture_deviation <= MIXTURE_TOL
-
-    @property
-    def no_signalling(self) -> bool:
-        return self.signalling_deviation <= SIGNALLING_TOL
-
-    @property
-    def worldline_consistent(self) -> bool:
-        return self.grouping_deviation <= GROUPING_TOL and self.flags_monotone
-
-    @property
     def all_pass(self) -> bool:
-        return (
-            self.order_independent
-            and self.mixture_consistent
-            and self.no_signalling
-            and self.worldline_consistent
-        )
+        return (self.order_deviation <= ORDER_TOL and self.mixture_deviation <= MIXTURE_TOL
+                and self.signalling_deviation <= SIGNALLING_TOL
+                and self.grouping_deviation <= GROUPING_TOL and self.flags_monotone)
 
 
 def _default_worldline(events) -> tuple[Worldline, np.ndarray]:

@@ -63,6 +63,7 @@ import numpy as np
 
 from . import fine
 from .bell import (
+    CHSH_VIOLATION_TOL,
     THRESHOLDS,
     BellConfiguration,
     bell_operator,
@@ -100,6 +101,7 @@ from .spin_povm import (
     coexistence_margin,
     joint_observable_pair,
     pair_coexistent,
+    quadruple_joint,
     unit_vector,
     unsharp_effect,
 )
@@ -158,6 +160,12 @@ def _min_eigenvalues(effects: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.eigvalsh(real.reshape(effects.shape)).min(axis=(-2, -1)), departure
 
 
+def _marginal_gap(joint, expected: np.ndarray) -> float:
+    """Largest gap of ``joint.marginal(slot, sign)`` to ``expected[slot]``, + then - effect."""
+    api = [[joint.marginal(slot, sign) for sign in (1, -1)] for slot in range(len(expected))]
+    return float(np.abs(np.subtract(api, expected)).max())
+
+
 def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     """Pair coexistence flips exactly at the margin sign change.
 
@@ -170,7 +178,10 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     ``SPOT_STRIDE``-th point, checked as its block is formed, goes through
     ``pair_coexistent`` and ``joint_observable_pair``, which must construct
     the observable on the coexistent side, raise :class:`CoexistenceError`
-    on the other, and report the grid's minimum eigenvalue.
+    on the other, and report the grid's minimum eigenvalue.  Each slot's
+    marginals must be (I +- s n.sigma)/2 within 1e-12: the grid's sums,
+    ``JointObservable.marginal`` at each coexistent spot, and at every tenth
+    of those the four slots of ``quadruple_joint`` with the pair on both sides.
     """
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
@@ -182,18 +193,27 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
     # Normalized as the public functions normalize the directions they are given.
     axes2 = directions / _norms(directions)[:, None]
     spread = _norms(x + axes2) + _norms(x - axes2)
+    # Each slot's marginals are I/2 + s m/2 over m = +-n.sigma: n is x, or the column's axis.
+    half_x, half_columns = (np.stack([m, -m], -3) / 2.0 for m in map(pauli_dot, (x, axes2)))
     points = grid_sharpness.size * angles.size
     spots = range(0, points, SPOT_STRIDE)
-    wrong_side = coexistent_count = refused = 0
-    lowest, departure, api_gap = math.inf, 0.0, 0.0
+    wrong_side = coexistent_count = refused = constructed = 0
+    lowest, departure, api_gap, marginal_gap = math.inf, 0.0, 0.0, 0.0
     for b in _blocks(points, _BLOCK // 4):
         # Row-major over the grid: sharpness by row, the second axis's angle by column.
         row, column = np.divmod(np.arange(b.start, b.stop), angles.size)
         sharpness = grid_sharpness[row]
         margins = 2.0 - sharpness * spread[column]
         coexistent = margins >= -MARGIN_TOL
-        min_eigs, off_plane = _min_eigenvalues(_pair_effects(sharpness, x, axes2[column]))
+        effects = _pair_effects(sharpness, x, axes2[column])
+        min_eigs, off_plane = _min_eigenvalues(effects)
         departure = max(departure, off_plane)
+        # Outcomes (s1, s2) as two axes: a slot's marginals sum out the other slot's outcome.
+        outcomes, weight = effects.reshape(-1, 2, 2, 2, 2), sharpness[:, None, None, None]
+        marginal_gap = max(marginal_gap, *(  # one statement: no block's temporaries outlive it
+            float(np.abs(first + second - (I2 / 2.0 + weight * half)).max())
+            for first, second, half in ((outcomes[:, :, 0], outcomes[:, :, 1], half_x),
+                                        (outcomes[:, 0], outcomes[:, 1], half_columns[column]))))
         wrong_side += int(np.count_nonzero(coexistent != (min_eigs >= -1e-10)))
         lowest = min(lowest, float(min_eigs[coexistent].min(initial=math.inf)))
         coexistent_count += int(coexistent.sum())
@@ -202,8 +222,16 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
             api_coexistent, api_margin = pair_coexistent(s, x, direction)
             wrong_side += int(api_coexistent != coexistent[i])
             try:
-                api_eig = joint_observable_pair(s, x, direction).min_eigenvalue
+                joint = joint_observable_pair(s, x, direction)
+                api_eig = joint.min_eigenvalue
                 wrong_side += int(not coexistent[i])
+                pair = I2 / 2.0 + s * np.stack([half_x, half_columns[column[i]]])
+                marginal_gap = max(marginal_gap, _marginal_gap(joint, pair))
+                if constructed % 10 == 0:  # the pair on both particles
+                    quadruple = quadruple_joint(s, x, direction, x, direction)
+                    embedded = np.concatenate([tensor(pair, I2), tensor(I2, pair)])
+                    marginal_gap = max(marginal_gap, _marginal_gap(quadruple, embedded))
+                constructed += 1
             except CoexistenceError as exc:
                 api_eig = exc.min_eigenvalue
                 refused += 1
@@ -213,20 +241,21 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
         return False, departure, 1e-10, f"grid effects leave the xy-plane by {departure:.3e}"
     worst_eig = max(0.0, -lowest)
 
-    deviation = max(boundary, worst_eig, api_gap)
+    deviation = max(boundary, worst_eig, api_gap, marginal_gap)
     passed = (
         boundary <= 1e-12
         and below > 0.0
         and wrong_side == 0
         and worst_eig <= 1e-10
-        and api_gap <= 1e-12
+        and max(api_gap, marginal_gap) <= 1e-12
         and 0 < refused < len(spots)
     )
     detail = (
         f"boundary margin {boundary:.3e}, margin below threshold {below:.3e}, "
         f"grid eigenvalue deficit {worst_eig:.3e}, side mismatches {wrong_side} "
         f"over {points} grid points ({coexistent_count} coexistent), "
-        f"{len(spots)} spot checks ({refused} refused), API gap {api_gap:.3e}"
+        f"{len(spots)} spot checks ({refused} refused), API gap {api_gap:.3e}, "
+        f"marginal gap {marginal_gap:.3e} (with {len(range(0, constructed, 10))} quadruple joints)"
     )
     return passed, deviation, 1e-10, detail
 
@@ -301,7 +330,10 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
     form (1/2)I - (s^2/4) B.  Every tenth of those is also decided just
     below and just above its critical sharpness sqrt(2/|B|) by
     ``operator_chsh_closed_form``, which ``chsh`` prints, and by the
-    eigensolving ``operator_chsh_holds``: the verdicts must agree.
+    eigensolving ``operator_chsh_holds``, whose ``min_eig`` and ``max_eig``
+    must lie within 1e-12 of 1/2 - (s^2/4) times the ends of B's spectrum:
+    the verdicts must agree.  Each spot operator must equal its adjoint, as
+    ``bell`` eigensolves both kinds unchecked.
     """
     count = 100_000
     spots = range(0, count, SPOT_STRIDE)
@@ -317,9 +349,9 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
         largest = max(largest, float(norms.max()))
 
         local = range(-b.start % SPOT_STRIDE, b.stop - b.start, SPOT_STRIDE)
-        sharp = [bell_operator(BellConfiguration(1.0, *axes[:, i])) for i in local]
-        complex_spectra = np.linalg.eigvalsh(np.stack(sharp))
-        spot_gap = max(spot_gap, float(np.max(np.abs(complex_spectra - spectra[local]))))
+        sharp = np.stack([bell_operator(BellConfiguration(1.0, *axes[:, i])) for i in local])
+        spot_gap = max(spot_gap, float(np.max(np.abs(np.linalg.eigvalsh(sharp) - spectra[local]))),
+                       float(np.max(np.abs(sharp - np.conj(np.swapaxes(sharp, 1, 2))))))
         for i, op in zip(local, sharp):
             k = (b.start + i) // SPOT_STRIDE  # the spot's index over the whole sample
             if k % 10:
@@ -327,8 +359,8 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
             s = _SMEAR_SHARPNESS[k // 10 % len(_SMEAR_SHARPNESS)]
             smeared += 1
             assembled = generalized_bell_operator(BellConfiguration(s, *axes[:, i]))
-            smear_gap = max(smear_gap, float(np.max(np.abs(
-                assembled - (0.5 * I4 - (s**2 / 4.0) * op)))))
+            smear_gap = max(smear_gap, float(np.max(np.abs(assembled - assembled.conj().T))),
+                            float(np.max(np.abs(assembled - (0.5 * I4 - (s**2 / 4.0) * op)))))
             if k % 100:
                 continue
             critical = math.sqrt(2.0 / float(np.abs(spectra[i]).max()))
@@ -337,6 +369,8 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
                     config = BellConfiguration(s, *axes[:, i])
                     holds, solved = operator_chsh_closed_form(config), operator_chsh_holds(config)
                     verdicts.append(holds == solved.holds)
+                    lo, hi = (0.5 - (s**2 / 4.0) * spectra[i, [-1, 0]]).tolist()  # B's ends
+                    smear_gap = max(smear_gap, abs(solved.min_eig - lo), abs(solved.max_eig - hi))
     bound = THRESHOLDS.cirelson
     overshoot = max(0.0, largest - bound)
 
@@ -351,10 +385,10 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
         f"eigensolver vs closed form {agreement:.3e}, overshoot above 2*sqrt(2) "
         f"{overshoot:.3e}, orthogonal attainment off by {attain_dev:.3e} "
         f"over {count} configurations, {len(spots)} spot checks against "
-        f"bell_operator off by {spot_gap:.3e}, {smeared} smeared operators "
-        f"against (1/2)I - (s^2/4)B off by {smear_gap:.3e}, closed-form operator "
-        f"verdicts at {len(verdicts)} sharpnesses beside the critical one "
-        f"({verdicts.count(False)} disagreeing with the eigensolver)"
+        f"bell_operator off by {spot_gap:.3e}, {smeared} smeared operators against "
+        f"(1/2)I - (s^2/4)B off by {smear_gap:.3e} (with the verdicts' spectra), "
+        f"closed-form operator verdicts at {len(verdicts)} sharpnesses beside the "
+        f"critical one ({verdicts.count(False)} disagreeing with the eigensolver)"
     )
     return passed, deviation, 1e-9, detail
 
@@ -421,7 +455,7 @@ def _same_bits(a, b) -> bool:
 
 
 # The largest gap allowed between the exact and the float route's margins (check_fine_equivalence).
-MARGIN_TOL = 1e-12
+ROUTE_MARGIN_TOL = 1e-12
 
 
 def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
@@ -448,9 +482,9 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     ``roundtrip_residual``; and the joint-distribution tables among those
     with ``marginals``.  Any mismatch counts as a disagreement.
 
-    Each table's oracle and float margins must agree within ``MARGIN_TOL``,
+    Each table's oracle and float margins must agree within ``ROUTE_MARGIN_TOL``,
     and so must their ``near_boundary`` unless ``|margin|`` is within
-    ``MARGIN_TOL`` of ``DECISION_TOL``.  The margins are the same final rows
+    ``ROUTE_MARGIN_TOL`` of ``DECISION_TOL``.  The margins are the same final rows
     on the rational surrogate and on the table's floats, so they part by the
     rationalization error and rounding: at most 3.3e-15 in this check over
     seeds 1, 7, 101-110 and the default, and 8.7e-14 (on a random joint
@@ -491,9 +525,10 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
         # The routes' margins, and their near_boundary wherever the margin is clear of DECISION_TOL.
         gap = np.abs(np.array([oracle.margin for oracle in oracles]) - margins)
         flipped = np.array([oracle.near_boundary for oracle in oracles]) != near
-        settled = np.abs(np.abs(margins) - fine.DECISION_TOL) > MARGIN_TOL
+        settled = np.abs(np.abs(margins) - fine.DECISION_TOL) > ROUTE_MARGIN_TOL
         margin_gap = max(margin_gap, float(gap.max()))
-        disagreements += int(np.count_nonzero(~agree | (gap > MARGIN_TOL) | (flipped & settled)))
+        wrong = ~agree | (gap > ROUTE_MARGIN_TOL) | (flipped & settled)
+        disagreements += int(np.count_nonzero(wrong))
         # Round trips of both routes on the tables all three call feasible.
         both = np.flatnonzero(agree & feasible)
         feasible_count += both.size
@@ -565,7 +600,9 @@ def check_singlet_formula(rng) -> tuple[bool, float, float, str]:
     The draws are made one at a time, then both sides are evaluated for
     all of them as one batch; every tenth draw also goes through
     ``singlet_pair_prob`` and the Born rule on ``unsharp_effect`` and
-    ``tensor``, which must match the batch bit for bit.
+    ``tensor``, which must match the batch bit for bit.  On every hundredth
+    draw and the next, ``chsh_report`` must print ``singlet_pair_prob`` of each
+    signed axis pair, the bound 2/s^2, (1 - s^2)/2 and ``f > bound``.
     """
     state = singlet_state()
     draws = 1000
@@ -586,17 +623,30 @@ def check_singlet_formula(rng) -> tuple[bool, float, float, str]:
             state, tensor(unsharp_effect(axis_i, s), unsharp_effect(axis_j, s))
         )
         mismatches += not _same_bits([api_closed, api_traced], [closed[n], traced[n]])
+    reports, misreported = range(0, draws - 1, 100), 0
+    for n in reports:  # chsh's printed fields, on a configuration of draws n and n + 1
+        s = float(sharpness[n])
+        config = BellConfiguration(s, *axes[n], *axes[n + 1])
+        report = chsh_report(config)
+        signed = {o * k: o * axis for k, axis in enumerate(config.axes, 1) for o in (1, -1)}
+        pairs = {(i, j): singlet_pair_prob(s, signed[i], signed[j])
+                 for i in (1, -1, 2, -2) for j in (3, -3, 4, -4)}
+        bound = math.inf if s == 0.0 else 2.0 / s**2
+        misreported += not (report.pair_probs == pairs and report.bound == bound
+                            and report.epsilon == (1.0 - s**2) / 2.0
+                            and report.violated == (report.f > bound + CHSH_VIOLATION_TOL))
 
     f_value = chsh_report(coplanar_configuration(1.0, np.pi / 4)).f
     f_dev = abs(f_value - THRESHOLDS.cirelson)
     eps_dev = abs(THRESHOLDS.unsharpness_chsh - 0.5 * (1.0 - 1.0 / np.sqrt(2.0)))
 
     deviation = max(worst, f_dev, eps_dev)
-    passed = deviation <= 1e-12 and mismatches == 0
+    passed = deviation <= 1e-12 and mismatches == 0 and misreported == 0
     detail = (
         f"pair probability deviation {worst:.3e} over {draws} draws, "
         f"{len(spots)} spot checks against singlet_pair_prob and the Born rule "
-        f"({mismatches} mismatches), optimal f off "
+        f"({mismatches} mismatches), {len(reports)} chsh_report configurations "
+        f"({misreported} misreported), optimal f off "
         f"2*sqrt(2) by {f_dev:.3e}, critical unsharpness off by {eps_dev:.3e}"
     )
     return passed, deviation, 1e-12, detail
@@ -636,7 +686,8 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
     kept when the shortfall eps = 1 - tr[rho E] is below 1/2
     (``_accepted_pairs``).  Each accepted slice is evaluated as it is
     formed, into running maxima; every ``per_dim // 25``-th pair also goes
-    through ``disturbance_report``.  Checks the trace-norm bound and that
+    through ``disturbance_report``, whose probability, distance and bound
+    must match the batch within 1e-12.  Checks the trace-norm bound and that
     the effect's probability does not decrease under its own nonselective
     measurement.
     """
@@ -665,6 +716,7 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
                 report = disturbance_report(rho[i], effect[i])
                 api_gap = max(
                     api_gap,
+                    abs(report.probability - float(prob[i])),
                     abs(report.distance - float(distance[i])),
                     abs(report.bound - float(bound[i])),
                 )
@@ -683,7 +735,7 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
 
 
 def check_epr_calculus() -> tuple[bool, float, float, str]:
-    """Steering arithmetic on the singlet matches its closed forms."""
+    """Steering arithmetic on the singlet matches its closed forms; both reductions are I/2."""
     axes = (
         np.array([0.0, 0.0, 1.0]),
         np.array([1.0, 0.0, 0.0]),
@@ -702,14 +754,12 @@ def check_epr_calculus() -> tuple[bool, float, float, str]:
                 worst = max(worst, float(np.max(np.abs(conditional - partner))))
                 worst = max(worst, abs(result.outcome_prob_after[outcome] - expected_prob))
                 worst = max(worst, abs(result.probabilities[outcome] - 0.5))
-            mixture_dev = float(
-                np.max(np.abs(result.reduced_post_mixture - np.eye(2) / 2.0))
-            )
-            worst = max(worst, mixture_dev)
+            for reduced in (result.reduced_pre, result.reduced_post_mixture):
+                worst = max(worst, float(np.max(np.abs(reduced - np.eye(2) / 2.0))))
     passed = worst <= 1e-12
     detail = (
         f"max deviation {worst:.3e} across sharpness 0, 0.5, 0.8, 1 and three "
-        f"axes (components, conditional probability, nonselective reduction)"
+        f"axes (components, conditional probability, reductions before and after)"
     )
     return passed, worst, 1e-12, detail
 
@@ -850,24 +900,25 @@ def _cover_flags(cover, points: np.ndarray) -> np.ndarray:
     return np.where(np.stack(in_cone, axis=1), inside, 1 - inside)
 
 
-def _boosted_codes(matrices: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``_causal_codes`` of (B, P, 4) event pairs, before and after each row's (B, 4, 4) boost."""
-    return _causal_codes(a, b), _causal_codes(*(e @ np.swapaxes(matrices, 1, 2) for e in (a, b)))
-
-
-def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int]:
+def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int, int]:
     """Causal classifications changed by a boost, over every boost and pair.
 
     Each boost's pairs are drawn in batches of the number still needed (the
     draws of one pair at a time), then all are classified as one batch; every
     25th pair of each boost also goes through ``boost_event`` and
     ``causal_relation``, and a classification they disagree on counts as a
-    mismatch.  Returns the mismatches and the number of pairs checked.
+    mismatch.  Returns those, the pairs checked, and the boosts by v that miss
+    taking (1, v) to (1/gamma, 0) or keeping the metric by more than 1e-12.
     """
+    metric, wrong_boosts = np.diag([1.0, -1.0, -1.0, -1.0]), 0
     matrices = np.empty((boosts, 4, 4))
     pairs = np.empty((boosts, pairs_per_boost, 8))
     for k in range(boosts):
-        matrices[k] = lorentz_boost(0.9 * rng.random() * unit_vector(rng.normal(size=3)))
+        velocity = 0.9 * rng.random() * unit_vector(rng.normal(size=3))
+        boost = matrices[k] = lorentz_boost(velocity)
+        rest = boost @ np.array([1.0, *velocity]) - [math.sqrt(1.0 - velocity @ velocity), 0, 0, 0]
+        metric_gap = boost.T @ metric @ boost - metric
+        wrong_boosts += int(max(np.abs(rest).max(), np.abs(metric_gap).max()) > 1e-12)
         kept = []
         needed = pairs_per_boost
         while needed:
@@ -879,7 +930,8 @@ def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int]
             needed -= draws.shape[0]
         pairs[k] = np.concatenate(kept)
     a, b = pairs[..., :4], pairs[..., 4:]
-    before, after = _boosted_codes(matrices, a, b)
+    before = _causal_codes(a, b)
+    after = _causal_codes(*(e @ np.swapaxes(matrices, 1, 2) for e in (a, b)))
     mismatches = int(np.count_nonzero(before != after))
     for k, i in product(range(boosts), range(0, pairs_per_boost, 25)):
         first, second = (SpacetimeEvent.from_sequence(e[k, i]) for e in (a, b))
@@ -887,7 +939,7 @@ def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int]
         api_after = causal_relation(*(boost_event(matrices[k], e) for e in (first, second)))
         mismatches += int(api_before is not _RELATIONS[before[k, i]])
         mismatches += int(api_after is not _RELATIONS[after[k, i]])
-    return mismatches, before.size
+    return mismatches, before.size, wrong_boosts
 
 
 def _programme_deviations(rng, count: int, fixed) -> tuple[float, float, int, bool]:
@@ -936,17 +988,18 @@ def check_chart_consistency(rng) -> tuple[bool, float, float, str]:
     spots = 2 * len(cases) * len(range(0, samples, SPOT_STRIDE))  # both covers of each case
 
     boosts = 100
-    mismatches, boosted_pairs = _boost_mismatches(rng, boosts, pairs_per_boost=100)
+    mismatches, boosted_pairs, wrong_boosts = _boost_mismatches(rng, boosts, pairs_per_boost=100)
 
     passed = (worst <= 1e-12 and root_gap <= ROOT_TOL and not differing and monotone
-              and violations == 0 and mismatches == 0)
+              and violations == 0 and mismatches == 0 and wrong_boosts == 0)
     detail = (
         f"max algebraic deviation {worst:.3e} over {programmes} programmes, "
         f"closed-form root gap {root_gap:.3e} to sqrt_psd (tolerance {ROOT_TOL:.0e}) "
         f"over their roots and {len(fixed)} fixed ones, cover partition violations "
         f"{violations} on {samples * len(cases)} points ({spots} spot checks), causal "
         f"classification mismatches {mismatches} under {boosts} boosts x "
-        f"{boosted_pairs // boosts} pairs"
+        f"{boosted_pairs // boosts} pairs ({wrong_boosts} boosts off their rest frame "
+        f"or the metric by more than 1e-12)"
     )
     if differing:
         detail += f", {differing} sqrt_psd spot roots differing from the batch"

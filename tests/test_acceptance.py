@@ -158,8 +158,8 @@ def test_verify_all_says_why_a_check_failed(capsys, monkeypatch):
     boost_mismatches = verify._boost_mismatches
 
     def one_mismatch(*args, **kwargs):
-        mismatches, checked = boost_mismatches(*args, **kwargs)
-        return mismatches + 1, checked
+        mismatches, *counts = boost_mismatches(*args, **kwargs)
+        return mismatches + 1, *counts
 
     monkeypatch.setattr(verify, "_boost_mismatches", one_mismatch)
     monkeypatch.setattr(verify, "_CHECKS", tuple(

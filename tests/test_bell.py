@@ -22,7 +22,7 @@ from unsharp_bell.bell import (
     singlet_pair_prob,
     singlet_state,
 )
-from unsharp_bell.operators import expectation, pauli_dot
+from unsharp_bell.operators import check_hermitian, expectation, pauli_dot
 from unsharp_bell.sampling import random_density
 
 from random_operators import random_unit_vector
@@ -181,6 +181,19 @@ def test_coplanar_refuses_an_angle_whose_double_overflows(angle):
 def test_coplanar_accepts_the_largest_angles_with_a_finite_double():
     for angle in (8e307, -8e307):
         chsh_report(coplanar_configuration(0.5, angle))
+
+
+def test_bell_operators_are_exactly_hermitian(rng):
+    # operator_chsh_holds and the scan eigensolve them unchecked: each must equal
+    # its adjoint, so check_hermitian's Hermitian part eigensolves to the same bits
+    configs = [orthogonal_configuration(0.84), coplanar_configuration(1.0, np.pi / 4)]
+    configs += [random_configuration(rng) for _ in range(500)]
+    for config in configs:
+        for operator in (bell_operator(config), generalized_bell_operator(config)):
+            assert (operator == operator.conj().T).all()
+            gated = np.linalg.eigh(check_hermitian(operator))
+            for got, want in zip(np.linalg.eigh(operator), gated):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_operator_chsh_result_carries_its_operator(rng):

@@ -1049,7 +1049,8 @@ def test_chsh_decides_the_operator_inequality_without_an_eigensolve(capsys, monk
     def refuse(matrix):
         raise AssertionError("chsh eigensolved")
 
-    monkeypatch.setattr(bell, "eigen_hermitian", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for s, holds in ((2 ** -0.25 * (1 - 1e-9), True), (2 ** -0.25 * (1 + 1e-9), False)):
         code, out, _ = run_cli(capsys, "chsh", "--lambda", repr(s))
         assert code == 0 and json.loads(out)["operator_chsh_holds"] is holds

@@ -11,7 +11,6 @@ from unsharp_bell.operators import (
     check_density,
     check_effect,
     check_hermitian,
-    eigen_hermitian,
     expectation,
     json_list,
     json_number,
@@ -133,13 +132,6 @@ def test_expectation_real_for_hermitian_pair(rng):
     value = expectation(rho, e)
     assert isinstance(value, float)
     np.testing.assert_allclose(value, np.trace(rho @ e).real, atol=1e-14)
-
-
-def test_eigen_hermitian_reconstructs(rng):
-    h = random_hermitian(rng, 4)
-    vals, vecs = eigen_hermitian(h)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-12)
-    assert np.all(np.diff(vals) >= -1e-14)
 
 
 def test_check_density_accepts_and_normalizes(rng):

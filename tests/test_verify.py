@@ -1,6 +1,5 @@
 """The verification battery's batched arithmetic against the public API it stands for."""
 
-import dataclasses
 import json
 import math
 import operator
@@ -154,8 +153,9 @@ def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB;
     # evaluated in blocks but drawn or built whole, at 7.1 and 16.9 MiB, the
     # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn,
-    # built, decided and spot-checked block by block they peak at 1.3, 1.9,
-    # 1.8 and 2.0 MiB, and the chart check at 2.1 MiB.  The first call in a
+    # built, decided and spot-checked block by block they peak at 1.6 (1.3
+    # before the coexistence check held its marginals), 1.9, 1.8 and 2.0 MiB,
+    # and the chart check at 2.1 MiB.  The first call in a
     # process also counts one-time allocations (free lists, numpy's lazily
     # built state), up to 0.8 MiB more, and how much of them an earlier test
     # already made depends on the test order; so each check runs once before
@@ -383,12 +383,12 @@ def reference_sequential_vs_joint(programme) -> float:
 def reference_root_gap(measurement: Measurement, sharpness: float) -> float:
     """One measurement's chart roots against ``sqrt_psd`` of its effects, one call each."""
     roots = instruments._measurement_roots(measurement.axis, sharpness, measurement.subsystem)
-    return max(
-        float(np.max(np.abs(roots[o] - instruments._embed(
-            sqrt_psd(unsharp_effect(o * measurement.axis, sharpness)), measurement.subsystem
-        ))))
-        for o in (1, -1)
-    )
+    gaps = []
+    for o in (1, -1):
+        root = sqrt_psd(unsharp_effect(o * measurement.axis, sharpness))
+        embedded = tensor(root, I2) if measurement.subsystem == 1 else tensor(I2, root)
+        gaps.append(float(np.max(np.abs(roots[o] - embedded))))
+    return max(gaps)
 
 
 def fixed_measurements():
@@ -424,7 +424,9 @@ def test_boost_batch_codes_equal_per_boost_codes(rng):
     pairs[:, 5:10, 4:] = pairs[:, 5:10, :4] + [1.0, 1.0, 0.0, 0.0]  # lightlike future
     pairs[:, 10:15, 4:] = pairs[:, 10:15, :4] - [2.0, 0.0, 2.0, 0.0]  # lightlike past
     a, b = pairs[..., :4], pairs[..., 4:]
-    before, after = verify._boosted_codes(matrices, a, b)
+    # _boost_mismatches' batch: each row of pairs boosted by its own matrix
+    before = verify._causal_codes(a, b)
+    after = verify._causal_codes(*(e @ np.swapaxes(matrices, 1, 2) for e in (a, b)))
     assert set(before.ravel().tolist()) == set(range(len(verify._RELATIONS)))
     for k, boost in enumerate(matrices):
         assert (before[k] == verify._causal_codes(a[k], b[k])).all()
@@ -453,24 +455,6 @@ def test_chart_check_counts_spot_roots_differing_from_the_batch(monkeypatch):
     passed, deviation, tolerance, detail = run_check("chart-consistency")
     assert not passed and deviation <= tolerance
     assert detail.endswith(", 52 sqrt_psd spot roots differing from the batch")
-
-
-@pytest.mark.parametrize("shift, flip", [(1e-6, False), (-1e-11, False), (0.0, True)],
-                         ids=["margin+1e-6", "margin-1e-11", "near-flipped"])
-def test_fine_check_compares_the_oracle_margin(monkeypatch, shift, flip):
-    # the oracle's margin off by far less than DECISION_TOL, or its near flag flipped, fails
-    oracle = fine.feasibility_oracle
-
-    def faulty(table):
-        result = oracle(table)
-        return dataclasses.replace(result, margin=result.margin + shift,
-                                   near_boundary=result.near_boundary != flip)
-
-    passed, _, _, detail = run_check("fine-equivalence")
-    assert passed and float(detail.rsplit(" ", 1)[1]) <= 1e-14
-    monkeypatch.setattr(fine, "feasibility_oracle", faulty)
-    passed, _, _, detail = run_check("fine-equivalence")
-    assert not passed and " 0 disagreements" not in detail
 
 
 def test_same_bits_compares_dtype_shape_and_every_byte():
