@@ -14,13 +14,13 @@ Every cone question (cover flags, region lookup, region emptiness) is
 answered by ``causal_relation``'s classification, and one flag rule,
 ``_flags`` over ``_COVER_KINDS``, turns classifications into the flags of
 ``Cover.flags_at``, of charts and of the battery's batched flags.  A
-programme builds its influence cover once; ``_classify`` classifies a
-point (a chart's observer, a sampled worldline point) against each event
-once and reads both kinds of flags off that one list.  Every state update
-is ``instruments.lueders_update`` by the roots ``instruments._measurement_roots``
-builds.  A chart applies each region's measurements once, in programme
-order: they address distinct particles, so their updates commute.
-``check_consistency`` measures that order independence
+programme builds its influence cover once, and its events are the cover's;
+``_classify`` classifies a point (a chart's observer, a sampled worldline
+point) against each event once and reads both kinds of flags off that one
+list.  Every state update is ``instruments.lueders_update`` by the roots
+``_programme_roots`` builds.  A chart applies each region's measurements
+once, in programme order: they address distinct particles, so their
+updates commute.  ``check_consistency`` measures that order independence
 (``order_deviation``) on each outcome record, built once, and charts the
 worldline only for the records that can occur.
 
@@ -221,16 +221,6 @@ class Cover:
         return orders[len(self.events)].index(flags)
 
 
-def _as_events(events) -> tuple[SpacetimeEvent, ...]:
-    out = tuple(
-        e if isinstance(e, SpacetimeEvent) else SpacetimeEvent.from_sequence(e)
-        for e in events
-    )
-    if len(out) not in (1, 2):
-        raise ValueError(f"covers are implemented for 1 or 2 events, got {len(out)}")
-    return out
-
-
 def _cover(kind: str, events) -> Cover:
     """Partition by the kind's cones, with exact emptiness for each region.
 
@@ -238,7 +228,10 @@ def _cover(kind: str, events) -> Cover:
     empty exactly when the first cone is contained in the second, which
     for equal-shape cones reduces to e_i lying in e_j's cone.
     """
-    evts = _as_events(events)
+    evts = tuple(e if isinstance(e, SpacetimeEvent) else SpacetimeEvent.from_sequence(e)
+                 for e in events)
+    if len(evts) not in (1, 2):
+        raise ValueError(f"covers are implemented for 1 or 2 events, got {len(evts)}")
     inside, cone, orders = _COVER_KINDS[kind]
     regions = []
     for flags in orders[len(evts)]:
@@ -375,17 +368,14 @@ class MeasurementProgramme:
 
     @functools.cached_property
     def cover(self) -> Cover:
-        """The influence cover of the measurement events, built once."""
-        return influence_cover(self.events())
+        """The influence cover of the measurement events, built once: the programme's events."""
+        return influence_cover([m.event for m in self.measurements])
 
     @functools.cached_property
     def is_singlet(self) -> bool:
         return isinstance(self.initial, str) or bool(
             np.allclose(self.initial_state, singlet_state(), atol=1e-12)
         )
-
-    def events(self) -> tuple[SpacetimeEvent, ...]:
-        return tuple(m.event for m in self.measurements)
 
 
 def _apply(roots: list, actions, order, state: np.ndarray) -> np.ndarray:
@@ -492,14 +482,18 @@ def observer_chart(programme: MeasurementProgramme, observer) -> ChartResult:
     """
     if not isinstance(observer, SpacetimeEvent):
         observer = SpacetimeEvent.from_sequence(observer)
-    roots = [_measurement_roots(m.axis, programme.sharpness, m.subsystem)
-             for m in programme.measurements]
-    return _chart(programme, observer, roots, programme.outcomes)
+    return _chart(programme, observer, _programme_roots(programme), programme.outcomes)
+
+
+def _programme_roots(programme: MeasurementProgramme) -> list:
+    """The Lueders roots of each of the programme's measurements, in programme order."""
+    return [_measurement_roots(m.axis, programme.sharpness, m.subsystem)
+            for m in programme.measurements]
 
 
 def _classify(programme: MeasurementProgramme, point: SpacetimeEvent) -> tuple[tuple, tuple]:
     """The point's influence and information flags, classifying it against each event once."""
-    relations = [causal_relation(e, point) for e in programme.events()]
+    relations = [causal_relation(e, point) for e in programme.cover.events]
     return _flags("influence", relations), _flags("information", relations)
 
 
@@ -626,8 +620,7 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
     """Run the four chart-consistency checks over the outcome records that can occur."""
     initial = programme.initial_state
     k = len(programme.measurements)
-    roots = [_measurement_roots(m.axis, programme.sharpness, m.subsystem)
-             for m in programme.measurements]
+    roots = _programme_roots(programme)
     # Each outcome record, subnormalized, its trace the record's probability.
     records = {combo: _apply(roots, combo, range(k), initial)
                for combo in product((1, -1), repeat=k)}
@@ -650,7 +643,7 @@ def check_consistency(programme: MeasurementProgramme, worldline: Worldline | No
         signalling_dev = max(signalling_dev, dev)
 
     if worldline is None:
-        worldline, default_offsets = _default_worldline(programme.events())
+        worldline, default_offsets = _default_worldline(programme.cover.events)
         if offsets is None:
             offsets = default_offsets
     elif offsets is None:

@@ -13,14 +13,15 @@ arithmetic, never as one public call per point; a strided subset of it
 also goes through the public API, whose answers must match the batch.  No
 check holds a whole sample: each is drawn or built in ``_blocks`` of at
 most ``_BLOCK`` points (or a fixed fraction of it), and each block is
-evaluated into running maxima and counts and spot-checked before the next
-is drawn, so no spot pass comes after the loop.  A check's large draws are read through ``sampling.draws_in_blocks``, each
-whole draw from its own stream spawned from the rng, so every bit is that
-of one batch however the draw is split, and the rng's own stream is not
-read.  Every closed form keeps one independent numeric
-cross-check (an eigensolver against the norm formula, the Born rule
-against the singlet formula, three feasibility routes against each other,
-``generalized_bell_operator`` against (1/2)I - (s^2/4) B), and each
+evaluated into running maxima and counts, spot-checked and its arrays
+deleted before the next is drawn, so no spot pass comes after the loop and
+no block's arrays outlive it.  A check's large draws are read through
+``sampling.draws_in_blocks``, each whole draw from its own stream spawned
+from the rng, so every bit is that of one batch however the draw is
+split, and the rng's own stream is not read.  Every closed form keeps one
+independent numeric cross-check (an eigensolver against the norm formula,
+the Born rule against the singlet formula, three feasibility routes against
+each other, ``generalized_bell_operator`` against (1/2)I - (s^2/4) B), and each
 identity the request paths rely on is checked here, not on every call.
 Each ``detail`` names how many points it evaluated, so a faster battery
 cannot come from checking less.
@@ -47,6 +48,8 @@ of one batched eigensolve in ``operators.sqrt_psd``'s steps.  Its cover
 points are flagged by ``_causal_codes`` under ``relativistic._COVER_KINDS``'
 flag rule, and its boosted pairs classified, as batches.  Strided spots go
 through ``sqrt_psd``, ``Cover.flags_at``, ``boost_event`` and
+``causal_relation``.  Pairs exactly on the light cone or coincident, built
+without the rng, are classified by both ``_causal_codes`` and
 ``causal_relation``.
 """
 
@@ -56,6 +59,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -237,6 +241,7 @@ def check_coexistence_threshold() -> tuple[bool, float, float, str]:
                 refused += 1
                 wrong_side += int(coexistent[i])
             api_gap = max(api_gap, abs(api_margin - margins[i]), abs(api_eig - min_eigs[i]))
+        del effects, outcomes, weight, min_eigs, margins, coexistent, sharpness, row, column
     if departure:  # an sz part or a complex diagonal: no real form
         return False, departure, 1e-10, f"grid effects leave the xy-plane by {departure:.3e}"
     worst_eig = max(0.0, -lowest)
@@ -371,6 +376,7 @@ def check_cirelson(rng) -> tuple[bool, float, float, str]:
                     verdicts.append(holds == solved.holds)
                     lo, hi = (0.5 - (s**2 / 4.0) * spectra[i, [-1, 0]]).tolist()  # B's ends
                     smear_gap = max(smear_gap, abs(solved.min_eig - lo), abs(solved.max_eig - hi))
+        del drawn, axes, spectra, cross1, cross2, closed, norms
     bound = THRESHOLDS.cirelson
     overshoot = max(0.0, largest - bound)
 
@@ -448,6 +454,22 @@ def _quantum_tables(configs, states) -> np.ndarray:
     return _born(np.asarray(states, dtype=complex)[:, None], observables)
 
 
+def _rationalization_reference(table) -> float:
+    """``fine.rationalization_error`` from the standard library: ``Fraction.limit_denominator``
+    of the eight generator entries, read by label, and the other 16 entries by the surrogate's
+    rule (1 - g for a barred single; g_i - g_ij, g_j - g_ij and 1 - g_i - g_j + g_ij for the
+    barred pairs), compared exactly with the table's entries."""
+    entries = {**{k: table.single(k) for k in fine.SINGLE_KEYS},
+               **{key: table.pair(*key) for key in fine.PAIR_KEYS}}
+    g = {key: Fraction(entries[key]).limit_denominator(fine.RATIONAL_DENOMINATOR)
+         for key in (1, 2, 3, 4, (1, 3), (1, 4), (2, 3), (2, 4))}
+    surrogate = {**g, **{-k: 1 - g[k] for k in (1, 2, 3, 4)}}
+    for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        surrogate[i, -j], surrogate[-i, j] = g[i] - g[i, j], g[j] - g[i, j]
+        surrogate[-i, -j] = 1 - g[i] - g[j] + g[i, j]
+    return float(max(abs(Fraction(value) - surrogate[key]) for key, value in entries.items()))
+
+
 def _same_bits(a, b) -> bool:
     """Whether the two sides, as arrays, agree in dtype, shape and every byte."""
     a, b = np.asarray(a), np.asarray(b)
@@ -479,8 +501,11 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     tenth quantum table with ``fine.table_from_quantum``; one table in each
     ten, at an offset cycling through the ten so every kind of table is
     reached, with ``chsh_check``, ``reconstruct_jpd`` and
-    ``roundtrip_residual``; and the joint-distribution tables among those
-    with ``marginals``.  Any mismatch counts as a disagreement.
+    ``roundtrip_residual``; the joint-distribution tables among those
+    with ``marginals``; and one spot in each ten, again at a cycling offset,
+    with ``rationalization_error`` against ``_rationalization_reference``,
+    which rationalizes by the standard library's ``Fraction``.  Any
+    mismatch counts as a disagreement.
 
     Each table's oracle and float margins must agree within ``ROUTE_MARGIN_TOL``,
     and so must their ``near_boundary`` unless ``|margin|`` is within
@@ -493,7 +518,7 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
     margin fault far inside the decision tolerance fails.
     """
     total = 1000
-    disagreements = feasible_count = quantum_spots = spots = marginal_spots = 0
+    disagreements = feasible_count = quantum_spots = spots = marginal_spots = rational_spots = 0
     roundtrip = margin_gap = 0.0
     for b in _blocks(total, _BLOCK // 32):
         index = range(b.start, b.stop)
@@ -547,8 +572,12 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
                                                 rows[n])
             if i % 10 != i // 10 % 10:  # one table in each ten, at a cycling offset
                 continue
-            spots += 1
             table, oracle = tables[n], oracles[n]
+            if spots % 10 == spots // 10 % 10:  # one spot in each ten, at a cycling offset
+                rational_spots += 1
+                disagreements += not _same_bits(fine.rationalization_error(table),
+                                                _rationalization_reference(table))
+            spots += 1
             check = fine.chsh_check(table)
             rec = fine.reconstruct_jpd(table)
             same = (
@@ -568,6 +597,7 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
             if same and i % 2 == 0:
                 same = _same_bits(fine.marginals(fine.Jpd4(drawn[n])).row, rows[n])
             disagreements += not same
+        del drawn, rows, configs, states, tables, oracles, minima, entries, jpd, exact, back, values
 
     passed = disagreements == 0 and roundtrip <= 1e-8
     detail = (
@@ -575,6 +605,7 @@ def check_fine_equivalence(rng) -> tuple[bool, float, float, str]:
         f"feasible, {disagreements} disagreements over the three routes, {quantum_spots} spot "
         f"checks against table_from_quantum and {spots} against chsh_check, "
         f"reconstruct_jpd and roundtrip_residual ({marginal_spots} also against marginals), "
+        f"{rational_spots} against rationalization_error, "
         f"worst marginal round-trip {roundtrip:.3e}, largest margin gap {margin_gap:.1e}"
     )
     return passed, roundtrip, 1e-8, detail
@@ -723,6 +754,7 @@ def check_disturbance(rng) -> tuple[bool, float, float, str]:
                 if not report.holds:
                     bound_excess = max(bound_excess, report.distance - report.bound)
             done += prob.size
+            del rho, basis, spectra, effect, prob, eps, bound, root_yes, root_no, post, distance
 
     deviation = max(bound_excess, monotone_deficit, api_gap, 0.0)
     passed = bound_excess <= 1e-10 and monotone_deficit <= 1e-12 and api_gap <= 1e-12
@@ -942,6 +974,29 @@ def _boost_mismatches(rng, boosts: int, pairs_per_boost: int) -> tuple[int, int,
     return mismatches, before.size, wrong_boosts
 
 
+# Integer (a, b, c, d) with a^2 + b^2 + c^2 = d^2: exactly lightlike steps.
+_LIGHT_STEPS = ((1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9), (0, 3, 4, 5), (2, 6, 9, 11))
+# Dyadic events: each plus an integer step is exact, so its s^2 is exactly 0.
+_LIGHT_BASES = ((0.0, 0.0, 0.0, 0.0), (0.5, -1.25, 2.75, 0.125), (-3.5, 0.25, -0.75, 1.5))
+
+
+def _light_cone_mismatches() -> tuple[int, int]:
+    """Pairs exactly on the light cone or coincident that ``_causal_codes`` or ``causal_relation``
+    classify otherwise, and the pairs checked.  Each base event is paired with itself and with
+    itself plus every light step, forward and backward, in every spatial sign pattern.  Built
+    without the rng, and unboosted: a boost's rounding moves s^2 off zero."""
+    steps = [(0, 0, 0, 0)] + [(t * d, x * a, y * b, z * c) for a, b, c, d in _LIGHT_STEPS
+                              for t, x, y, z in product((1, -1), repeat=4)]
+    a = np.repeat(np.array(_LIGHT_BASES), len(steps), axis=0)
+    b = a + np.tile(np.array(steps, dtype=float), (len(_LIGHT_BASES), 1))
+    # Coincident, lightlike future or lightlike past, by _RELATIONS' order.
+    expected = np.where((a == b).all(axis=1), 0, np.where(b[:, 0] > a[:, 0], 3, 4))
+    api = [_RELATIONS.index(causal_relation(*map(SpacetimeEvent.from_sequence, pair)))
+           for pair in zip(a, b)]
+    wrong = (_causal_codes(a, b) != expected) | (np.array(api) != expected)
+    return int(np.count_nonzero(wrong)), len(expected)
+
+
 def _programme_deviations(rng, count: int, fixed) -> tuple[float, float, int, bool]:
     """Over ``count`` random programmes: the largest algebraic deviation, the largest root gap
     (with the ``fixed`` (measurement, sharpness) pairs), the ``sqrt_psd`` spot roots differing
@@ -989,9 +1044,10 @@ def check_chart_consistency(rng) -> tuple[bool, float, float, str]:
 
     boosts = 100
     mismatches, boosted_pairs, wrong_boosts = _boost_mismatches(rng, boosts, pairs_per_boost=100)
+    light_mismatches, light_pairs = _light_cone_mismatches()
 
     passed = (worst <= 1e-12 and root_gap <= ROOT_TOL and not differing and monotone
-              and violations == 0 and mismatches == 0 and wrong_boosts == 0)
+              and violations == 0 and mismatches == light_mismatches == 0 and wrong_boosts == 0)
     detail = (
         f"max algebraic deviation {worst:.3e} over {programmes} programmes, "
         f"closed-form root gap {root_gap:.3e} to sqrt_psd (tolerance {ROOT_TOL:.0e}) "
@@ -999,7 +1055,8 @@ def check_chart_consistency(rng) -> tuple[bool, float, float, str]:
         f"{violations} on {samples * len(cases)} points ({spots} spot checks), causal "
         f"classification mismatches {mismatches} under {boosts} boosts x "
         f"{boosted_pairs // boosts} pairs ({wrong_boosts} boosts off their rest frame "
-        f"or the metric by more than 1e-12)"
+        f"or the metric by more than 1e-12) and {light_mismatches} on {light_pairs} "
+        f"unboosted light-cone and coincident pairs"
     )
     if differing:
         detail += f", {differing} sqrt_psd spot roots differing from the batch"

@@ -108,7 +108,7 @@ CHECK_SIZES = {
         r"^1000 tables",
         r"50 spot checks against table_from_quantum",
         r"100 against chsh_check, reconstruct_jpd and roundtrip_residual "
-        r"\(50 also against marginals\)",
+        r"\(50 also against marginals\), 10 against rationalization_error,",
     ],
     "singlet-formula": [
         r"over 1000 draws",
@@ -119,6 +119,7 @@ CHECK_SIZES = {
         r"over 100 programmes",
         r"on 100000 points \(2070 spot checks\)",
         r"under 100 boosts x 100 pairs",
+        r"on 291 unboosted light-cone and coincident pairs",
     ],
 }
 

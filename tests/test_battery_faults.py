@@ -4,13 +4,13 @@ Each row of ``FAULTS`` names a package function, a fault and the checks that
 must fail with it.  The fault is bound in place of the function in every
 package module that binds it, and only the named checks run, with the random
 streams ``run_all(SEED)`` gives them; unpatched, every check passes.  A closed
-form a request path relies on adds a row here.  ``MISSED`` lists the faults
-the battery is known not to catch, each with the tier-1 test that catches it.
+form a request path relies on adds a row here.  ``EQUIVALENT`` lists faults
+that change no answer, so no check can catch them: each must leave its checks
+passing.
 """
 
 import dataclasses
 import importlib
-import inspect
 import operator
 import pkgutil
 
@@ -20,8 +20,7 @@ import pytest
 import unsharp_bell
 from unsharp_bell import verify
 from unsharp_bell.bell import BellConfiguration
-from unsharp_bell.relativistic import CausalRelation
-from unsharp_bell.sampling import DEFAULT_SEED
+from unsharp_bell.relativistic import CausalRelation, SpacetimeEvent
 from unsharp_bell.spin_povm import JointObservable
 
 SEED = 101
@@ -93,6 +92,13 @@ def reversed_outcomes(f):
     return build
 
 
+def lightlike_as_spacelike(f):
+    def classify(a, b):
+        relation = f(a, b)
+        return CausalRelation.SPACELIKE if relation.name.startswith("LIGHTLIKE") else relation
+    return classify
+
+
 # (id, function as module.name, fault, the checks that must fail)
 FAULTS = [
     ("margin*(1+1e-6)", "spin_povm.coexistence_margin", scaled(1 + 1e-6),
@@ -143,24 +149,16 @@ FAULTS = [
      ("fine-equivalence",)),
     ("boost-identity", "relativistic.lorentz_boost", lambda f: lambda velocity: np.eye(4),
      ("chart-consistency",)),
+    ("lightlike-as-spacelike", "relativistic.causal_relation", lightlike_as_spacelike,
+     ("chart-consistency",)),
+    ("rationalization_error*2", "fine.rationalization_error", scaled(2.0), ("fine-equivalence",)),
 ]
 
-
-def lightlike_as_spacelike(f):
-    def classify(a, b):
-        relation = f(a, b)
-        return CausalRelation.SPACELIKE if relation.name.startswith("LIGHTLIKE") else relation
-    return classify
-
-
-# (id, function, fault, the check that misses it, the tier-1 test module and test that catch it)
-MISSED = [
-    # the boost and partition samples are random floats, never exactly lightlike
-    ("lightlike-as-spacelike", "relativistic.causal_relation", lightlike_as_spacelike,
-     "chart-consistency", "test_relativistic", "test_causal_relation_cases"),
-    # only the command line reports it
-    ("rationalization_error*2", "fine.rationalization_error", scaled(2.0), "fine-equivalence",
-     "test_fine", "test_rationalization_error_is_the_largest_gap_to_the_surrogate"),
+# (id, function, fault, arguments on which it answers otherwise, the checks it leaves passing)
+EQUIVALENT = [
+    # a positive factor keeps the sign of every squared interval, so every classification
+    ("interval*2", "relativistic.interval", scaled(2.0),
+     (SpacetimeEvent(0.0), SpacetimeEvent(1.0)), ("chart-consistency",)),
 ]
 
 
@@ -171,18 +169,20 @@ def run_check(name: str):
     return check(*((np.random.default_rng([SEED, index]),) if needs_rng else ()))
 
 
-def patch_everywhere(monkeypatch, target: str, fault, modules=PACKAGE) -> None:
-    """Bind ``fault(original)`` wherever one of ``modules`` binds the original function."""
+def patch_everywhere(monkeypatch, target: str, fault) -> tuple:
+    """Bind ``fault(original)`` wherever a package module binds the original function, and
+    return the original and the faulty function."""
     home, name = target.split(".")
     original = getattr(importlib.import_module(f"unsharp_bell.{home}"), name)
     faulty = fault(original)
-    for module in modules:
+    for module in PACKAGE:
         if vars(module).get(name) is original:
             monkeypatch.setattr(module, name, faulty)
+    return original, faulty
 
 
-@pytest.mark.parametrize("name", sorted({check for *_, checks in FAULTS for check in checks}
-                                        | {row[3] for row in MISSED}))
+@pytest.mark.parametrize("name", sorted({check for row in FAULTS + EQUIVALENT
+                                         for check in row[-1]}))
 def test_each_check_passes_unpatched(name):
     passed, _, _, detail = run_check(name)
     assert passed, detail
@@ -199,14 +199,12 @@ def test_the_named_checks_catch_the_fault(monkeypatch, target, fault, checks):
         assert not passed, (name, detail)
 
 
-@pytest.mark.parametrize("target, fault, check, module, test", [row[1:] for row in MISSED],
-                         ids=[row[0] for row in MISSED])
-def test_a_missed_fault_is_caught_in_tier_1(monkeypatch, target, fault, check, module, test):
-    # the check still passes with the fault: when it catches it, the row moves to FAULTS
-    tests = importlib.import_module(module)
-    patch_everywhere(monkeypatch, target, fault, PACKAGE + [tests])
-    assert run_check(check)[0]
-    test_function = getattr(tests, test)
-    fixtures = inspect.signature(test_function).parameters  # at most conftest's rng
-    with pytest.raises(AssertionError):
-        test_function(*[np.random.default_rng(DEFAULT_SEED) for _ in fixtures])
+@pytest.mark.parametrize("target, fault, arguments, checks", [row[1:] for row in EQUIVALENT],
+                         ids=[row[0] for row in EQUIVALENT])
+def test_an_equivalent_fault_leaves_its_checks_passing(monkeypatch, target, fault, arguments,
+                                                        checks):
+    original, faulty = patch_everywhere(monkeypatch, target, fault)
+    assert faulty(*arguments) != original(*arguments)  # the fault is live
+    for check in checks:
+        passed, _, _, detail = run_check(check)
+        assert passed, (check, detail)

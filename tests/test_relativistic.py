@@ -122,7 +122,7 @@ def test_observer_chart_builds_one_cover(monkeypatch):
         relativistic, "causal_relation", lambda a, b: classified.append((a, b)) or relation(a, b)
     )
     assert programme.cover.regions[1].empty  # built here, with its emptiness tests
-    events = programme.events()
+    events = programme.cover.events
     for t in np.linspace(-6.0, 12.0, 37):
         observer = SpacetimeEvent(t, 2.5)
         classified.clear()
@@ -727,7 +727,7 @@ def test_default_worldline_centres_close_events_near_the_float_range(t):
     programme = MeasurementProgramme("singlet", 0.8, (Measurement(e1, Z, 1), Measurement(e2, Z, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        worldline, offsets = relativistic._default_worldline(programme.events())
+        worldline, offsets = relativistic._default_worldline(programme.cover.events)
         assert check_consistency(programme).all_pass
     assert worldline.origin.coords.tolist() == [t - 4.5, 0.5, 0.0, 0.0]
     assert offsets[-1] == 9.0

@@ -153,13 +153,15 @@ def test_blocked_checks_hold_a_bounded_working_set(name, limit_mib):
     # coexistence grid peaked at 40.9 MiB and the Cirelson check at 31.3 MiB;
     # evaluated in blocks but drawn or built whole, at 7.1 and 16.9 MiB, the
     # Fine check at 9.2 MiB and the disturbance check at 11.9 MiB.  Drawn,
-    # built, decided and spot-checked block by block they peak at 1.6 (1.3
-    # before the coexistence check held its marginals), 1.9, 1.8 and 2.0 MiB,
-    # and the chart check at 2.1 MiB.  The first call in a
-    # process also counts one-time allocations (free lists, numpy's lazily
-    # built state), up to 0.8 MiB more, and how much of them an earlier test
-    # already made depends on the test order; so each check runs once before
-    # it is traced, and the peak is the same alone or in the suite.
+    # built, decided and spot-checked block by block, each block's arrays
+    # freed before the next is built, they peak at 1.35, 1.65, 1.53 and
+    # 1.66 MiB (1.61, 1.90, 1.81 and 2.01 MiB while a block's arrays stayed
+    # bound as the next was built), and the chart check at 2.1 MiB.  The
+    # first call in a process also counts one-time allocations (free lists,
+    # numpy's lazily built state), up to 0.8 MiB more, and how much of them
+    # an earlier test already made depends on the test order; so each check
+    # runs once before it is traced, and the peak is the same alone or in
+    # the suite.
     assert run_check(name)[0]
     tracemalloc.start()
     try:
